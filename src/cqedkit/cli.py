@@ -315,7 +315,7 @@ def cmd_pipeline(args) -> int:
     """
     cfg = cfgmod.load_config(args.config)
     opts = cfgmod.pipeline_options(cfg)
-    tolerances = {"ql_rel": 0.02, "qc_rel": 0.05, "f_r_mhz": 0.5}
+    tolerances = dict(cfgmod.PIPELINE_TOLERANCES)
     tolerances.update(opts["tolerances"])
     seed = args.seed if args.seed is not None else opts["seed"]
     workdir = args.workdir or "."
@@ -489,6 +489,10 @@ def main(argv=None) -> int:
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        # a ValueError subclass, but a failure of the solver, not the input
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 1

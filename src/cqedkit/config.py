@@ -8,8 +8,9 @@ falling back to a default.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import yaml
 
 from .coupling import DispersiveSystem, GateSweepModel, nanowire_profile
 from .errors import ConfigError
@@ -18,9 +19,13 @@ from .spectra import CavityGeometry, QubitParams, QubitSpectrum, te_mode_frequen
 from .synth import SynthSpec
 
 KNOWN_SECTIONS = ("qubit", "cavity", "system", "sweep", "synth", "pipeline")
+# pipeline fit checks and their defaults: relative Ql and Qc error, f_r error in MHz
+PIPELINE_TOLERANCES = {"ql_rel": 0.02, "qc_rel": 0.05, "f_r_mhz": 0.5}
 
 
 def load_config(path) -> dict:
+    import yaml
+
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
@@ -52,7 +57,9 @@ def _section(cfg: dict, name: str) -> dict:
 def _check_keys(sec: dict, name: str, allowed: set, required: set = frozenset()):
     unknown = set(sec) - allowed
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r} section: {sorted(unknown)}")
+        raise ConfigError(
+            f"unknown keys in {name!r} section: {sorted(unknown)}; allowed: {sorted(allowed)}"
+        )
     missing = required - set(sec)
     if missing:
         raise ConfigError(f"{name!r} section is missing {sorted(missing)}")
@@ -220,4 +227,16 @@ def pipeline_options(cfg: dict) -> dict:
     tol = sec.get("tolerances") or {}
     if not isinstance(tol, dict):
         raise ConfigError("pipeline tolerances must be a mapping")
-    return {"seed": int(sec.get("seed", 7)), "tolerances": dict(tol)}
+    _check_keys(tol, "pipeline.tolerances", set(PIPELINE_TOLERANCES))
+    tolerances = {key: _positive(value, f"pipeline tolerance {key}") for key, value in tol.items()}
+    return {"seed": int(sec.get("seed", 7)), "tolerances": tolerances}
+
+
+def _positive(value, what: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{what} must be finite and positive, got {value!r}")
+    return x

@@ -3,6 +3,9 @@ sweeps, power dependence, and qubit-induced cavity loss.
 
 Sign convention throughout: delta = f_bare - f_qubit (cavity minus qubit),
 in MHz. Cavity frequencies are GHz, couplings and linewidths MHz.
+
+scipy.interpolate, the slowest scipy module to load, is imported only
+when a gate model uses pchip interpolation.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import CqedkitError
 from .spectra import QubitParams, QubitSpectrum, gatemon_levels, transmon_levels
@@ -196,6 +198,8 @@ class GateSweepModel:
         if self.maps_to == "transmission" and np.any(self.values > 1):
             raise ValueError("transmissions must lie in [0, 1]")
         if self.kind == "pchip":
+            from scipy.interpolate import PchipInterpolator
+
             self._interp = PchipInterpolator(self.voltages, self.values)
         else:
             self._interp = None

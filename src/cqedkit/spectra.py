@@ -10,6 +10,9 @@ Two junction models share the same charging term 4*EC*(n - ng)^2:
   charge basis.
 
 All energies are frequencies in MHz (E/h). Cavity frequencies are GHz.
+
+scipy is imported inside the solvers that use it, so code that never
+solves a spectrum, such as the fit verbs, does not pay for loading it.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh, eigvalsh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import NoSolutionError, TruncationError
 
@@ -131,6 +132,8 @@ class CavityGeometry:
 
 
 def _transmon_eigvals(ec: float, ej: float, ng: float, n_cut: int) -> np.ndarray:
+    from scipy.linalg import eigvalsh_tridiagonal
+
     n = np.arange(-n_cut, n_cut + 1)
     diag = 4.0 * ec * (n - ng) ** 2
     off = np.full(2 * n_cut, -ej / 2.0)
@@ -172,6 +175,8 @@ def transmon_levels(
 def _gatemon_eigvals(
     ec: float, gap: float, transmissions, ng: float, grid_n: int
 ) -> np.ndarray:
+    from scipy.linalg import eigvalsh
+
     # channel potential sampled on the periodic grid phi_j = 2*pi*j/N
     phi = 2.0 * np.pi * np.arange(grid_n) / grid_n
     u = np.zeros(grid_n)
@@ -240,6 +245,7 @@ def infer_transmission(
 
     Returns the channel transmission T in (0, 1].
     """
+    from scipy.optimize import brentq
 
     def alpha_at(t: float) -> float:
         p = QubitParams(ec=ec, gap=gap, transmissions=(t,), ng=ng)

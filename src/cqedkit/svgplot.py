@@ -6,6 +6,7 @@ fixed decimal formatting), so plots regenerate byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -102,12 +103,6 @@ class _Canvas:
             f'stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def rect(self, x, y, w, h, fill):
-        self.parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-            f'height="{_fmt(h)}" fill="{fill}"/>'
-        )
-
     def path(self, points, color, width=1.5):
         if not points:
             return
@@ -125,8 +120,13 @@ class _Canvas:
             f'stroke-width="{width}"/>'
         )
 
-    def finish(self) -> str:
-        return "\n".join(self.parts + ["</svg>"]) + "\n"
+    def finish(self) -> list[str]:
+        """The SVG's lines, closing tag included."""
+        return self.parts + ["</svg>"]
+
+
+def _rect(x, y, w, h, fill) -> str:
+    return f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="{fill}"/>'
 
 
 class _Axes:
@@ -216,20 +216,32 @@ def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title=""
     lo, hi = _finite_range([grid])
     ax = _Axes(float(fast[0]), float(fast[-1]), float(slow[0]), float(slow[-1]))
     canvas = _Canvas(title)
+    n_head = len(canvas.parts)
+    ax.draw(canvas, xlabel, ylabel)
+    parts = canvas.finish()
     cw = (ax.x1 - ax.x0) / fast.size
     ch = (ax.y0 - ax.y1) / slow.size
-    for i in range(slow.size):
+
+    def cell_row(i):
         y = ax.y0 - (i + 1) * ch
-        for j in range(fast.size):
-            canvas.rect(ax.x0 + j * cw, y, cw + 0.5, ch + 0.5, color_for(grid[i, j], lo, hi))
-    ax.draw(canvas, xlabel, ylabel)
-    _write(path, canvas.finish())
+        return "\n".join(
+            _rect(ax.x0 + j * cw, y, cw + 0.5, ch + 0.5, color_for(v, lo, hi))
+            for j, v in enumerate(grid[i])
+        )
+
+    # the cells go under the axes, formatted one row at a time as they are
+    # written: a 61 x 721 map is 44k rects, and holding them all as strings
+    # took ~11 MB at the peak
+    rows = (cell_row(i) for i in range(slow.size))
+    _write(path, itertools.chain(parts[:n_head], rows, parts[n_head:]))
 
 
-def _write(path, text: str) -> None:
+def _write(path, lines) -> None:
     from .io import resolve_out_path
 
     p = resolve_out_path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", newline="\n") as fh:
-        fh.write(text)
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from cqedkit import ComplexTrace, SynthSpec, io, synth_rabi, synth_reflection
+from cqedkit import ComplexTrace, SynthSpec, io, spectra, synth_rabi, synth_reflection
 from cqedkit.cli import main
 from cqedkit.fitters import lorentzian_model
 
@@ -163,6 +163,17 @@ class TestSimulate:
         assert main(["simulate-qubit", "--config", cfg]) == 1
         assert "unknown keys" in capsys.readouterr().err
 
+    def test_linalg_failure_exit_two(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, yet it is a solver failure
+        def fail(*args):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+        monkeypatch.setattr(spectra, "_transmon_eigvals", fail)
+        cfg = _config(tmp_path, QUBIT_YAML)
+        assert main(["simulate-qubit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "did not converge" in err
+
 
 class TestSweepGate:
     def test_deterministic_csv(self, tmp_path, capsys):
@@ -247,6 +258,15 @@ class TestPipeline:
         report = io.read_json(tmp_path / "report.json")
         assert report["passed"] is False
         assert any("f_r_mhz" in f for f in report["failures"])
+
+    def test_unknown_tolerance_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, SWEEP_YAML +
+                      "pipeline:\n  tolerances:\n    qc_rell: 1e-12\n")
+        rc = main(["pipeline", "--config", cfg, "--workdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "qc_rell" in captured.err and "ql_rel" in captured.err
+        assert "PASS" not in captured.out
 
     def test_stage_labeled_input_error_exit_one(self, tmp_path, capsys):
         cfg = _config(

@@ -361,3 +361,20 @@ class TestConfig:
         assert opts == {"seed": 7, "tolerances": {}}
         with pytest.raises(ConfigError, match="unknown keys"):
             config.pipeline_options({"pipeline": {"seeds": 3}})
+
+    def test_pipeline_tolerances_pass_through(self):
+        opts = config.pipeline_options(
+            {"pipeline": {"tolerances": {"ql_rel": 0.01, "f_r_mhz": "1e-3"}}})
+        assert opts["tolerances"] == {"ql_rel": 0.01, "f_r_mhz": 1e-3}
+
+    def test_pipeline_tolerance_unknown_key(self):
+        # a misspelt key must fail, not leave the default tolerance in force
+        with pytest.raises(ConfigError, match="qc_rell") as err:
+            config.pipeline_options({"pipeline": {"tolerances": {"qc_rell": 1e-12}}})
+        for allowed in ("ql_rel", "qc_rel", "f_r_mhz"):
+            assert allowed in str(err.value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf, "tight", None])
+    def test_pipeline_tolerance_bad_value(self, value):
+        with pytest.raises(ConfigError, match="qc_rel"):
+            config.pipeline_options({"pipeline": {"tolerances": {"qc_rel": value}}})
