@@ -214,9 +214,26 @@ def synth_spec(cfg: dict) -> SynthSpec:
         kind=sec["kind"],
         seed=sec["seed"],
         snr_db=sec.get("snr_db"),
-        truth=truth,
-        grid=grid,
+        truth=_scalars(truth, "synth truth"),
+        grid=_scalars(grid, "synth grid"),
     )
+
+
+def _scalars(values: dict, what: str) -> dict:
+    """Keep numbers and bools; convert numeric strings, which is how PyYAML
+    reads a number written without a decimal point, such as 6e3."""
+    out = dict(values)
+    for key, value in values.items():
+        if isinstance(value, (bool, int, float)):
+            continue
+        try:
+            x = float(value) if isinstance(value, str) else math.nan
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x):
+            raise ConfigError(f"{what} {key} must be a finite number, got {value!r}")
+        out[key] = x
+    return out
 
 
 def pipeline_options(cfg: dict) -> dict:

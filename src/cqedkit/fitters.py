@@ -40,7 +40,6 @@ class ComplexTrace:
 
     freqs_ghz: np.ndarray
     values: np.ndarray
-    power_dbm: float | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):

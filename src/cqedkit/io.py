@@ -98,9 +98,9 @@ def _read_table(path, header) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def read_complex_trace(path, power_dbm: float | None = None) -> ComplexTrace:
+def read_complex_trace(path) -> ComplexTrace:
     table = _read_table(path, TRACE_HEADER)
-    return ComplexTrace(table[:, 0], table[:, 1] + 1j * table[:, 2], power_dbm)
+    return ComplexTrace(table[:, 0], table[:, 1] + 1j * table[:, 2])
 
 
 def write_complex_trace(path, trace: ComplexTrace) -> Path:

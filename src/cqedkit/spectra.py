@@ -172,11 +172,10 @@ def transmon_levels(
     return QubitSpectrum(vals[:n_levels])
 
 
-def _gatemon_eigvals(
+def _gatemon_terms(
     ec: float, gap: float, transmissions, ng: float, grid_n: int
-) -> np.ndarray:
-    from scipy.linalg import eigvalsh
-
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients c of the channel potential and the charging diagonal."""
     # channel potential sampled on the periodic grid phi_j = 2*pi*j/N
     phi = 2.0 * np.pi * np.arange(grid_n) / grid_n
     u = np.zeros(grid_n)
@@ -187,9 +186,30 @@ def _gatemon_eigvals(
     c = np.fft.fft(u) / grid_n
     half = (grid_n - 1) // 2
     k = np.arange(-half, half + 1)
-    h = np.diag(4.0 * ec * (k - ng) ** 2).astype(complex)
-    h += c[(k[:, None] - k[None, :]) % grid_n]
+    return c, 4.0 * ec * (k - ng) ** 2
+
+
+def _gatemon_eigvals(
+    ec: float, gap: float, transmissions, ng: float, grid_n: int
+) -> np.ndarray:
+    from scipy.linalg import eigvalsh, toeplitz
+
+    c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
+    h = toeplitz(c, c[-np.arange(grid_n) % grid_n])
+    h[np.diag_indices(grid_n)] += charging
     return eigvalsh(h)
+
+
+def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int) -> float:
+    from scipy.linalg import eigvalsh, toeplitz
+
+    # U is even in phi, so c is real up to rounding: the real-symmetric
+    # matrix has the same levels, and only the lowest two are needed
+    c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
+    h = toeplitz(c.real)
+    h[np.diag_indices(grid_n)] += charging
+    e0, e1 = eigvalsh(h, subset_by_index=[0, 1])
+    return float(e1 - e0)
 
 
 def gatemon_levels(
@@ -208,7 +228,9 @@ def gatemon_levels(
     (degenerate pairs at 4*EC*k^2 plus a constant) is returned as is.
 
     check : when True, re-solve on a 2*grid_n+1 grid and require f01 to
-        move by less than 0.01 MHz, raising TruncationError otherwise.
+        move by less than 0.01 MHz, raising TruncationError otherwise. The
+        re-solve uses the real-symmetric form of the refined matrix and
+        computes its two lowest levels only.
     """
     if params.is_transmon:
         raise ValueError("gatemon_levels needs the (gap, transmissions) variant")
@@ -217,8 +239,7 @@ def gatemon_levels(
     args = (params.ec, params.gap, params.transmissions, params.ng)
     vals = _gatemon_eigvals(*args, grid_n)
     if check:
-        ref = _gatemon_eigvals(*args, 2 * grid_n + 1)
-        drift = abs((vals[1] - vals[0]) - (ref[1] - ref[0]))
+        drift = abs((vals[1] - vals[0]) - _gatemon_f01(*args, 2 * grid_n + 1))
         if drift >= F01_CONVERGENCE_MHZ:
             raise TruncationError(
                 f"f01 moved {drift:.4g} MHz under grid refinement from {grid_n}; "

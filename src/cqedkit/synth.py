@@ -137,9 +137,6 @@ class Map2D:
                 f"({self.slow_values.size}, {self.fast_values.size})"
             )
 
-    def row(self, i: int) -> np.ndarray:
-        return self.grid[i]
-
 
 def _noise_rms(snr_db: float | None, scale: float) -> float:
     if snr_db is None:

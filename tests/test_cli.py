@@ -224,6 +224,17 @@ class TestSynth:
         assert a.read_bytes() != c.read_bytes()
         assert io.read_json(tmp_path / "c.truth.json")["seed"] == 99
 
+    def test_yaml_exponent_string_is_a_number(self, tmp_path, capsys):
+        cfg = _config(tmp_path, self.YAML.replace("ql: 6000", "ql: 6e3"))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 0
+        capsys.readouterr()
+        assert io.read_json(tmp_path / "a.truth.json")["truth"]["ql"] == 6000.0
+
+    def test_non_numeric_truth_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, self.YAML.replace("ql: 6000", "ql: fast"))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
+        assert "ql" in capsys.readouterr().err
+
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(io.OUTDIR_ENV, str(tmp_path / "outputs"))
         cfg = _config(tmp_path, self.YAML)

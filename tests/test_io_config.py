@@ -356,6 +356,34 @@ class TestConfig:
         }})
         assert spec.snr_db is None and spec.seed == 5
 
+    def _spec(self, **truth_over):
+        truth = {"a_re": 0.9, "a_im": 0.1, "ql": 6000.0, "qc": 12000,
+                 "theta": 0.15, "f_r_ghz": 5.2816}
+        truth.update(truth_over)
+        return config.synth_spec({"synth": {
+            "kind": "reflection_trace", "seed": 11, "truth": truth,
+            "grid": {"f_min_ghz": 5.2712, "f_max_ghz": 5.2920, "n_f": 401},
+        }})
+
+    def test_synth_numeric_strings_become_floats(self):
+        # PyYAML reads 6e3 (no decimal point) as the string "6e3"
+        spec = self._spec(ql="6e3")
+        assert spec.truth["ql"] == 6000.0 and type(spec.truth["ql"]) is float
+
+    @pytest.mark.parametrize("value", ["fast", "nan", "inf", "", None, [1, 2], {"x": 1}])
+    def test_synth_non_number_names_key(self, value):
+        with pytest.raises(ConfigError, match="ql"):
+            self._spec(ql=value)
+        with pytest.raises(ConfigError, match="n_f"):
+            config.synth_spec({"synth": {"kind": "reflection_trace", "seed": 1,
+                                         "grid": {"n_f": value}}})
+
+    def test_synth_numbers_and_bools_kept(self):
+        spec = self._spec(two_photon=True)
+        assert spec.truth["qc"] == 12000 and type(spec.truth["qc"]) is int
+        assert spec.truth["two_photon"] is True
+        assert type(spec.grid["n_f"]) is int and type(spec.truth["ql"]) is float
+
     def test_pipeline_defaults(self):
         opts = config.pipeline_options({})
         assert opts == {"seed": 7, "tolerances": {}}

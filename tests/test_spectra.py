@@ -18,10 +18,12 @@ from cqedkit import (
     QubitSpectrum,
     gatemon_levels,
     infer_transmission,
+    spectra,
     te_mode_frequency,
     transmon_levels,
 )
 from cqedkit.errors import NoSolutionError, TruncationError
+from cqedkit.spectra import DEFAULT_GRID_N
 
 EC = 190.0
 
@@ -118,6 +120,58 @@ def test_gatemon_truncation_check_fires():
     with pytest.raises(TruncationError):
         gatemon_levels(QubitParams(ec=0.01, gap=45600.0, transmissions=(0.99,)),
                        grid_n=101)
+
+
+def _modulo_hamiltonian(ec, gap, transmissions, ng, grid_n):
+    # the charge-basis matrix as first written: complex, indexed c[(k - k') mod N]
+    phi = 2.0 * np.pi * np.arange(grid_n) / grid_n
+    u = np.zeros(grid_n)
+    for t in transmissions:
+        u -= gap * np.sqrt(1.0 - t * np.sin(phi / 2.0) ** 2)
+    c = np.fft.fft(u) / grid_n
+    half = (grid_n - 1) // 2
+    k = np.arange(-half, half + 1)
+    h = np.diag(4.0 * ec * (k - ng) ** 2).astype(complex)
+    h += c[(k[:, None] - k[None, :]) % grid_n]
+    return h
+
+
+GATEMON_DEVICES = [(EC, 45600.0, (t,)) for t in (0.05, 0.5, 0.95, 1.0)] + [
+    (EC, 45600.0, (0.85, 0.3, 0.1)),  # configs/gatemon.yaml
+    (EC, 45600.0, (1.0, 0.5, 0.05)),
+]
+
+
+@pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
+@pytest.mark.parametrize("device", GATEMON_DEVICES)
+def test_gatemon_check_f01_matches_complex_full_solve(device, ng):
+    from scipy.linalg import eigvalsh
+
+    grid_n = 2 * DEFAULT_GRID_N + 1
+    full = eigvalsh(_modulo_hamiltonian(*device, ng, grid_n))
+    f01 = spectra._gatemon_f01(*device, ng, grid_n)
+    assert abs(f01 - (full[1] - full[0])) < 1e-6
+
+
+@pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
+@pytest.mark.parametrize("device", GATEMON_DEVICES)
+def test_gatemon_toeplitz_build_is_bit_identical(device, ng, monkeypatch):
+    import scipy.linalg
+
+    built = []
+    eigvalsh = scipy.linalg.eigvalsh
+
+    def capture(h, *args, **kwargs):
+        built.append(h.copy())
+        return eigvalsh(h, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", capture)
+    vals = spectra._gatemon_eigvals(*device, ng, DEFAULT_GRID_N)
+    want = _modulo_hamiltonian(*device, ng, DEFAULT_GRID_N)
+    assert np.array_equal(built[0], want)
+    # same bits, signed zeros included, so the levels are the same bits too
+    assert np.array_equal(built[0].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(vals, eigvalsh(want))
 
 
 def test_gatemon_grid_must_be_odd():
