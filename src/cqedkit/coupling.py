@@ -53,10 +53,6 @@ class DispersiveSystem:
             raise ValueError("system has no qubit spectrum attached")
         return self.f_bare_ghz * 1e3 - self.qubit.f01
 
-    @property
-    def is_dispersive(self) -> bool:
-        return abs(self.delta_mhz) > DISPERSIVE_FACTOR * self.g_mhz
-
 
 def dispersive_shift_two_level(g: float, delta: float) -> float:
     """Two-level dispersive cavity shift chi = g^2/delta (MHz)."""

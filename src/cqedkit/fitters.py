@@ -27,6 +27,7 @@ from .errors import (
     NoResonanceError,
     NotConvergedError,
 )
+from . import lm
 from .lm import FitResult, lm_minimize
 
 REFLECTION_PARAM_NAMES = ("a_re", "a_im", "ql", "qc", "theta", "f_r_ghz")
@@ -95,14 +96,65 @@ class ResonatorFit:
         }
 
 
+def _reflection_response(f, ql, qc, theta, f_r_ghz):
+    """The bracket of the reflection model, without A and the cable delay."""
+    depth = 2.0 * ql / np.abs(qc * np.cos(theta))
+    return 1.0 - depth * np.exp(1j * theta) / (1.0 + 2j * ql * (f - f_r_ghz) / f_r_ghz)
+
+
 def reflection_model(f_ghz, a, ql, qc, theta, f_r_ghz, tau_ns=0.0):
     """Forward-evaluate the reflection model at the given frequencies."""
     f = np.asarray(f_ghz, dtype=float)
-    depth = 2.0 * ql / np.abs(qc * np.cos(theta))
-    resp = 1.0 - depth * np.exp(1j * theta) / (1.0 + 2j * ql * (f - f_r_ghz) / f_r_ghz)
+    resp = _reflection_response(f, ql, qc, theta, f_r_ghz)
     if tau_ns:
         resp = resp * np.exp(2j * np.pi * f * tau_ns)
     return a * resp
+
+
+# Columns of the batched forward-difference call (lm.numeric_jacobian):
+# column 0 is x, column i + 1 steps parameter i of REFLECTION_PARAM_NAMES
+# (then tau_ns). A step changes only the factors that read its parameter.
+_RESPONSE_COLS = [0, 3, 4, 5, 6]  # x and the ql, qc, theta, f_r steps
+_RESPONSE_OF = [0, 0, 0, 1, 2, 3, 4, 0]  # column -> row of the response stack
+_DELAY_COLS = [0, 7]  # x and the tau step
+_DELAY_OF = [0, 0, 0, 0, 0, 0, 0, 1]
+
+
+def _reflection_residuals(f, z, delay: bool, f_mid: float):
+    """Residual of the reflection fit at one point, and its batched form
+    for lm.numeric_jacobian(batched=True), whose rows have the bits of
+    single calls. Both take fit_reflection's internal parameters: A
+    rotated to the window center and, with delay, tau_ns last."""
+    winding = 2j * np.pi * (f - f_mid)
+
+    def residuals(x):
+        model = complex(x[0], x[1]) * _reflection_response(f, *x[2:6])
+        if delay:
+            model = model * np.exp(winding * x[6])
+        diff = model - z
+        return np.concatenate([diff.real, diff.imag])
+
+    def batched(xs):
+        k = xs.shape[1]
+        a = np.empty(xs[0].shape, dtype=complex)
+        a.real, a.imag = xs[0], xs[1]
+        resp = _reflection_response(f, *xs[2:6, _RESPONSE_COLS])
+        model = a * resp[_RESPONSE_OF[:k]]
+        if delay:
+            model *= np.exp(winding * xs[6, _DELAY_COLS])[_DELAY_OF]
+        diff = model - z
+        return np.concatenate([diff.real, diff.imag], axis=-1)
+
+    return residuals, batched
+
+
+def _forward_jacobian(batched):
+    """lm_minimize ``jac=`` taking every forward difference in one call."""
+
+    def jac(x, *args):
+        return lm.numeric_jacobian(batched, x, args=args, batched=True)
+
+    return jac
 
 
 def derive_qi(ql: float, qc: float) -> float:
@@ -300,15 +352,9 @@ def fit_reflection(
             x0[0], x0[1] = a_rot.real, a_rot.imag
         return x0
 
-    def residuals(x):
-        a = complex(x[0], x[1])
-        model = reflection_model(trace.freqs_ghz, a, x[2], x[3], x[4], x[5], 0.0)
-        if delay:
-            model = model * np.exp(2j * np.pi * (trace.freqs_ghz - f_mid) * x[6])
-        diff = model - z
-        return np.concatenate([diff.real, diff.imag])
-
-    result = lm_minimize(residuals, to_internal(init), names=names)
+    residuals, batched = _reflection_residuals(trace.freqs_ghz, z, delay, f_mid)
+    jac = _forward_jacobian(batched)
+    result = lm_minimize(residuals, to_internal(init), names=names, jac=jac)
     if delay and auto_init and not result.converged:
         # the edge-slope delay seed can sit a fraction of a turn off when
         # the resonance phase tails reach the window edges; rescan tau in
@@ -318,7 +364,7 @@ def fit_reflection(
             alt = initial_guess_reflection(
                 trace, delay=True, tau_ns=init["tau_ns"] + m / (4.0 * span)
             )
-            result = lm_minimize(residuals, to_internal(alt), names=names)
+            result = lm_minimize(residuals, to_internal(alt), names=names, jac=jac)
             if result.converged:
                 break
     if not result.converged:
@@ -445,6 +491,11 @@ def rabi_model(t, amp, t_r, omega, phase, slope, offset):
     return amp * np.exp(-t / t_r) * np.cos(omega * t + phase) + slope * t + offset
 
 
+def _rabi_residuals(x, t, y):
+    # rabi_model broadcasts, so this is also the batched form
+    return rabi_model(t, *x) - y
+
+
 def fit_rabi(t_ns, y) -> FitResult:
     """Fit a decaying cosine with a linear background to a Rabi trace.
 
@@ -504,14 +555,12 @@ def fit_rabi(t_ns, y) -> FitResult:
     else:
         t_r0 = span
 
-    def residuals(x, tv, yv):
-        return rabi_model(tv, *x) - yv
-
     result = lm_minimize(
-        residuals,
+        _rabi_residuals,
         [amp0, t_r0, omega0, phase0, slope0, offset0],
         args=(t, y),
         names=list(RABI_PARAM_NAMES),
+        jac=_forward_jacobian(_rabi_residuals),
     )
     if not result.converged:
         raise NotConvergedError(f"Rabi fit did not converge: {result.message}")

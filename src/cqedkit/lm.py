@@ -5,6 +5,17 @@ lm_minimize so the convergence rules stay in one place. Residual functions
 must return real 1-D arrays; complex data is fit by stacking real and
 imaginary parts.
 
+Forward-difference Jacobians come from ``numeric_jacobian``, which holds
+the step rule (``1.49e-8 * max(|x_i|, 1)``) and the difference formula.
+By default it calls the residual once at x and once per stepped
+parameter. With ``batched=True`` it calls the residual once, on an
+(n, n+1, 1) array: column 0 along the second axis is x and column i+1 is
+x with parameter i stepped, so each ``X[i]`` is an (n+1, 1) column that
+broadcasts against a 1-D data axis. The residual must then return the
+(n+1, m) stack of residual rows, each with the same bits a single call at
+that point gives; the Jacobian is identical bit for bit to the per-column
+loop. A fitter passes it to lm_minimize as ``jac=``.
+
 Convergence: an accepted step whose relative size and relative cost
 decrease are both below ``tol`` (default 1e-10), or a rejected step that
 has shrunk below ``tol``. Hard cap of 200 iterations. Singular normal
@@ -14,6 +25,7 @@ returned with ``converged=False`` rather than raising.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +71,27 @@ class FitResult:
         }
 
 
-def numeric_jacobian(fn, x, args=(), central: bool = False, rel_step: float | None = None):
-    """Finite-difference Jacobian of a residual function at x."""
+def numeric_jacobian(
+    fn, x, args=(), central: bool = False, rel_step: float | None = None,
+    batched: bool = False,
+):
+    """Finite-difference Jacobian of a residual function at x, C-ordered (m, n).
+
+    ``batched=True`` evaluates all forward-difference points in one call of
+    a residual that broadcasts over a trailing batch axis (module docstring).
+    """
     x = np.asarray(x, dtype=float)
     if rel_step is None:
         rel_step = 6.06e-6 if central else 1.49e-8  # eps**(1/3), sqrt(eps)
+    if batched:
+        if central:
+            raise ValueError("batched evaluation supports forward differences only")
+        h = rel_step * np.maximum(np.abs(x), 1.0)
+        xs = np.repeat(x[:, None], x.size + 1, axis=1)
+        xs[np.arange(x.size), np.arange(1, x.size + 1)] += h
+        rs = np.asarray(fn(xs[:, :, None], *args), dtype=float)
+        # the layout picks the BLAS kernel behind j.T @ j, and so its bits
+        return np.ascontiguousarray(((rs[1:] - rs[0]) / h[:, None]).T)
     r0 = None if central else np.asarray(fn(x, *args), dtype=float)
     cols = []
     for i in range(x.size):
@@ -115,14 +143,14 @@ def lm_minimize(
         names = [f"x{i}" for i in range(x.size)]
     if len(names) != x.size:
         raise ValueError("names length does not match parameter count")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("initial parameters must be finite")
 
     def residuals(xv):
         r = np.asarray(fn(xv, *args))
         if np.iscomplexobj(r):
             raise ValueError("residual function must return real values")
-        return r.astype(float).ravel()
+        return r.astype(float, copy=False).ravel()
 
     def jacobian(xv):
         if jac is not None:
@@ -130,7 +158,7 @@ def lm_minimize(
         return numeric_jacobian(fn, xv, args=args)
 
     r = residuals(x)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("residuals are not finite at the initial point")
     cost = float(r @ r)
 
@@ -145,22 +173,25 @@ def lm_minimize(
     while not converged and iterations < max_iter:
         iterations += 1
         j = jacobian(x)
-        if not np.all(np.isfinite(j)):
+        if not np.isfinite(j).all():
             message = "Jacobian not finite"
             break
         a = j.T @ j
         g = j.T @ r
-        d = np.diag(a).copy()
+        a_diag = a.diagonal().copy()
+        d = a_diag.copy()
         floor = max(d.max(), 1.0) * 1e-14
         d[d < floor] = floor
 
         stalled = False
         while True:
+            # damp a's diagonal in place; solve leaves a untouched
+            np.fill_diagonal(a, a_diag + lam * d)
             try:
-                step = np.linalg.solve(a + lam * np.diag(d), -g)
+                step = np.linalg.solve(a, -g)
             except np.linalg.LinAlgError:
                 step = None
-            if step is None or not np.all(np.isfinite(step)):
+            if step is None or not np.isfinite(step).all():
                 lam *= 10.0
                 if lam > _LAMBDA_MAX:
                     message = "singular normal equations; damping exhausted"
@@ -168,17 +199,15 @@ def lm_minimize(
                     break
                 continue
             x_try = x + step
-            step_rel = np.linalg.norm(step) / max(np.linalg.norm(x_try), _TINY)
-            try:
-                r_try = residuals(x_try)
-            except (ValueError, FloatingPointError):
-                r_try = None
-            if r_try is None or not np.all(np.isfinite(r_try)):
-                cost_try = np.inf
-            else:
-                # a wild trial step may overflow the cost; treat as rejected
-                with np.errstate(over="ignore"):
+            step_rel = math.sqrt(step @ step) / max(math.sqrt(x_try @ x_try), _TINY)
+            # a wild trial step may overflow the model or its cost; a
+            # non-finite cost fails the test below, so keep the overflow quiet
+            with np.errstate(over="ignore"):
+                try:
+                    r_try = residuals(x_try)
                     cost_try = float(r_try @ r_try)
+                except (ValueError, FloatingPointError):
+                    cost_try = math.inf
             if cost_try < cost:
                 cost_rel = (cost - cost_try) / max(cost, _TINY)
                 x, r, cost = x_try, r_try, cost_try

@@ -92,7 +92,14 @@ class SynthSpec:
             raise ConfigError(f"synth truth for {self.kind} is missing {missing}")
         for axis in ("f", "p", "v", "t"):
             n_key = f"n_{axis}"
-            if n_key in _GRID_KEYS[self.kind] and int(self.grid[n_key]) < 2:
+            if n_key not in _GRID_KEYS[self.kind]:
+                continue
+            # the sidecar records the count as given, so it must be the
+            # number of points the axis gets
+            n = float(self.grid[n_key])
+            if not (math.isfinite(n) and n == int(n)):
+                raise ConfigError(f"{n_key} must be an integer, got {self.grid[n_key]!r}")
+            if n < 2:
                 raise ConfigError(f"{n_key} must be at least 2")
 
     def axis(self, prefix: str) -> np.ndarray:

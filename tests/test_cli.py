@@ -235,6 +235,12 @@ class TestSynth:
         assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
         assert "ql" in capsys.readouterr().err
 
+    def test_fractional_grid_count_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, self.YAML.replace("n_f: 401", "n_f: 40.5"))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
+        assert "n_f" in capsys.readouterr().err
+        assert not (tmp_path / "a.truth.json").exists()
+
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(io.OUTDIR_ENV, str(tmp_path / "outputs"))
         cfg = _config(tmp_path, self.YAML)

@@ -7,6 +7,7 @@ room to spare over the typical noise draw.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from cqedkit import (
     synth_reflection,
 )
 from cqedkit.fitters import (
+    _rabi_residuals,
+    _reflection_residuals,
     initial_guess_reflection,
     lorentzian_jacobian,
     lorentzian_model,
@@ -159,6 +162,50 @@ def test_reflection_delay_recovery():
     assert fit.ql == pytest.approx(6000.0, rel=0.02)
 
 
+@pytest.mark.parametrize("delay", [False, True])
+def test_reflection_batched_jacobian_bit_identical(delay):
+    # the fitter's one-call Jacobian against the per-column residual loop
+    trace = _trace(6000.0, 12000.0, snr_db=30.0, seed=4, n=401)
+    f, z = trace.freqs_ghz, trace.values
+    f_mid = float(0.5 * (f[0] + f[-1]))
+    residuals, batched = _reflection_residuals(f, z, delay, f_mid)
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        x = [*rng.normal(0.0, 1.0, 2), 10.0 ** rng.uniform(2.0, 5.0),
+             10.0 ** rng.uniform(2.0, 5.5) * rng.choice([-1.0, 1.0]),
+             rng.uniform(-1.2, 1.2), 5.2816 * (1.0 + rng.normal(0.0, 1e-4))]
+        if delay:
+            x.append(rng.uniform(-100.0, 100.0))
+        loop = numeric_jacobian(residuals, np.array(x))
+        one_call = numeric_jacobian(batched, np.array(x), batched=True)
+        assert one_call.flags.c_contiguous
+        assert np.array_equal(one_call, loop)
+
+
+def test_reflection_delay_fit_pinned():
+    # every bit of this fit held before the Jacobian was batched
+    spec = SynthSpec(
+        kind="reflection_trace", seed=17, snr_db=30.0,
+        truth={"a_re": 0.8, "a_im": 0.3, "ql": 6000.0, "qc": 15000.0,
+               "theta": -0.2, "f_r_ghz": 5.2816, "tau_ns": 60.0},
+        grid={"f_min_ghz": 5.2728, "f_max_ghz": 5.2904, "n_f": 401},
+    )
+    d = fit_reflection(synth_reflection(spec), delay=True).to_dict()
+    assert d["params"] == {
+        "a_re": -0.16010163638536706, "a_im": 0.8392985571219446,
+        "ql": 6003.230326734123, "qc": 14903.828452448313,
+        "theta": -0.19283948935204853, "f_r_ghz": 5.281603527029302,
+        "tau_ns": 59.95782628172545,
+    }
+    assert d["errors"] == {
+        "a_re": 1.0531361487968818, "a_im": 0.2007864486491287,
+        "ql": 63.70881496511698, "qc": 120.02727240197927,
+        "theta": 0.007240772488789753, "f_r_ghz": 4.466276238482456e-06,
+        "tau_ns": 0.037810163773235865, "qi": 142.15213008662124,
+    }
+    assert d["iterations"] == 7 and d["chi2"] == 0.2815794038358026
+
+
 def test_reflection_initial_guess_in_basin():
     # the guess itself must already identify the line to a factor of a few
     trace = _trace(6000.0, 12000.0, theta=0.3, snr_db=35.0, seed=2)
@@ -250,6 +297,36 @@ def test_rabi_omega_reported_positive():
     y = rabi_model(t, 0.8, 300.0, 0.21, -1.2, 0.0, 0.0)
     fit = fit_rabi(t, y)
     assert fit.param("omega") > 0
+
+
+def test_rabi_batched_jacobian_bit_identical():
+    t = np.linspace(0.0, 1000.0, 501)
+    y = rabi_model(t, 1.0, 300.0, 0.2, 0.4, 1e-4, 0.5)
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        x = np.array([rng.normal(1.0, 0.5), 10.0 ** rng.uniform(1.5, 3.5),
+                      rng.uniform(0.02, 0.4), rng.uniform(-4.0, 4.0),
+                      rng.normal(0.0, 1e-3), rng.normal(0.5, 0.2)])
+        loop = numeric_jacobian(_rabi_residuals, x, args=(t, y))
+        one_call = numeric_jacobian(_rabi_residuals, x, args=(t, y), batched=True)
+        assert one_call.flags.c_contiguous
+        assert np.array_equal(one_call, loop)
+
+
+def test_rabi_overflowing_trial_steps_are_quiet():
+    # a trace on which a rejected LM trial step overflows exp(-t / T_R)
+    spec = SynthSpec(
+        kind="rabi_trace", seed=7 * 100003 + 1915, snr_db=24.065254263588162,
+        truth={"A": 1.0, "T_R": 309.9689140774216, "omega": 0.15962721086199494,
+               "B": 2.5903901800977813, "a": 0.00021780685176082373,
+               "b": 0.4363686698783646},
+        grid={"t_max_ns": 1000.0, "n_t": 501},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = fit_rabi(*synth_rabi(spec))
+    assert result.converged
+    assert result.param("T_R") == pytest.approx(309.97, rel=0.05)
 
 
 def test_rabi_linear_only_rejected():

@@ -73,6 +73,44 @@ def test_numeric_jacobian_matches_analytic():
     np.testing.assert_allclose(num, jac(x), rtol=1e-6, atol=1e-8)
 
 
+def test_batched_numeric_jacobian_bit_identical():
+    # the batched call must reproduce the per-column loop exactly, layout too
+    t = np.linspace(0.1, 4.0, 25)
+
+    def fn(x):
+        return x[0] * np.exp(-x[1] * t) + x[2]
+
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        # magnitudes on both sides of the max(|x|, 1) step floor
+        x = rng.normal(0.0, 2.0, 3) * 10.0 ** rng.integers(-3, 2, 3)
+        loop = numeric_jacobian(fn, x)
+        batched = numeric_jacobian(fn, x, batched=True)
+        assert batched.flags.c_contiguous and batched.shape == loop.shape
+        assert np.array_equal(batched, loop)
+
+
+def test_batched_numeric_jacobian_forward_only():
+    with pytest.raises(ValueError, match="forward"):
+        numeric_jacobian(lambda x: x[0] + x[1], np.ones(2), central=True, batched=True)
+
+
+def test_batched_jacobian_fit_matches_default_loop():
+    t = np.linspace(0.0, 5.0, 60)
+    y = 3.0 * np.exp(-0.7 * t) + 0.01 * np.sin(7.0 * t)
+
+    def residuals(x):
+        return x[0] * np.exp(-x[1] * t) - y
+
+    def jac(x):
+        return numeric_jacobian(residuals, x, batched=True)
+
+    loop = lm_minimize(residuals, [1.0, 1.0])
+    batched = lm_minimize(residuals, [1.0, 1.0], jac=jac)
+    assert batched.to_dict() == loop.to_dict()
+    assert np.array_equal(batched.covariance, loop.covariance)
+
+
 def test_nonfinite_start_rejected():
     with pytest.raises(ValueError):
         lm_minimize(lambda x: x, [np.nan])

@@ -70,6 +70,26 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="at least 2"):
             _refl_spec(grid={**REFL_GRID, "n_f": 1})
 
+    @pytest.mark.parametrize("kind, key", [
+        ("reflection_trace", "n_f"), ("power_map", "n_p"),
+        ("gate_map", "n_v"), ("rabi_trace", "n_t"),
+    ])
+    @pytest.mark.parametrize("value", [40.5, float("inf")])
+    def test_fractional_grid_count_names_key(self, kind, key, value):
+        grid = {"f_min_ghz": 5.0, "f_max_ghz": 5.1, "n_f": 41, "p_min_dbm": -40.0,
+                "p_max_dbm": 0.0, "n_p": 5, "v_min": -1.0, "v_max": 1.0, "n_v": 5,
+                "t_max_ns": 100.0, "n_t": 41}
+        truth = dict(REFL_TRUTH) if kind == "reflection_trace" else {
+            "A": 1.0, "T_R": 300.0, "omega": 0.2, "B": 0.0, "a": 0.0, "b": 0.5}
+        with pytest.raises(ConfigError, match=key):
+            SynthSpec(kind=kind, seed=1, snr_db=None, truth=truth,
+                      grid={**grid, key: value})
+
+    def test_integral_float_grid_count_kept(self):
+        # _scalars turns a YAML "4e2" into 400.0; the sidecar keeps the value
+        spec = _refl_spec(grid={**REFL_GRID, "n_f": 4e2})
+        assert spec.axis("f").size == 400 and spec.to_dict()["grid"]["n_f"] == 400.0
+
     def test_nonfinite_snr_rejected(self):
         with pytest.raises(ConfigError, match="snr_db must be finite"):
             _refl_spec(snr_db=float("inf"))
