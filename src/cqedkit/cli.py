@@ -15,6 +15,8 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +66,12 @@ def _print_params(result) -> None:
     print(f"chi2 = {result.chi2:.6g}  iterations = {result.iterations}")
 
 
+def _plot_fit(path, x, data, fit, xlabel: str, ylabel: str, title: str) -> None:
+    """The data-vs-fit SVG every fit verb offers with --plot."""
+    series = [("data", data), ("fit", fit)]
+    print(f"wrote {svgplot.line_plot(path, x, series, xlabel, ylabel, title)}")
+
+
 def cmd_fit_resonator(args) -> int:
     trace = io.read_complex_trace(args.data)
     fit = fit_reflection(trace, delay=args.delay)
@@ -77,28 +85,14 @@ def cmd_fit_resonator(args) -> int:
             print(f"tau = {fit.tau_ns:.6g} ns")
         print(f"residual rms = {fit.residual_rms:.4g}")
     _emit_json(fit.to_dict(), args.out)
-    model = reflection_model(
-        trace.freqs_ghz,
-        fit.a,
-        fit.ql,
-        fit.qc,
-        fit.theta,
-        fit.f_r_ghz,
-        fit.tau_ns or 0.0,
-    )
+    model = reflection_model(trace.freqs_ghz, fit.a, fit.ql, fit.qc, fit.theta, fit.f_r_ghz,
+                             fit.tau_ns or 0.0)
     if args.residuals:
         resid = ComplexTrace(trace.freqs_ghz, trace.values - model)
         print(f"wrote {io.write_complex_trace(args.residuals, resid)}")
     if args.plot:
-        svgplot.line_plot(
-            args.plot,
-            trace.freqs_ghz,
-            [("data", np.abs(trace.values)), ("fit", np.abs(model))],
-            xlabel="frequency (GHz)",
-            ylabel="|S21|",
-            title="reflection fit",
-        )
-        print(f"wrote {io.resolve_out_path(args.plot)}")
+        _plot_fit(args.plot, trace.freqs_ghz, np.abs(trace.values), np.abs(model),
+                  "frequency (GHz)", "|S21|", "reflection fit")
     return 0
 
 
@@ -109,15 +103,8 @@ def cmd_fit_lorentzian(args) -> int:
         _print_params(result)
     _emit_json(result.to_dict(), args.out)
     if args.plot:
-        svgplot.line_plot(
-            args.plot,
-            freqs,
-            [("data", mags), ("fit", lorentzian_model(freqs, *result.params))],
-            xlabel="frequency (GHz)",
-            ylabel="magnitude (dB)",
-            title="Lorentzian fit",
-        )
-        print(f"wrote {io.resolve_out_path(args.plot)}")
+        _plot_fit(args.plot, freqs, mags, lorentzian_model(freqs, *result.params),
+                  "frequency (GHz)", "magnitude (dB)", "Lorentzian fit")
     return 0
 
 
@@ -130,15 +117,8 @@ def cmd_fit_rabi(args) -> int:
         print(f"Rabi frequency = {f_mhz:.6g} MHz, decay T_R = {result.param('T_R'):.6g} ns")
     _emit_json(result.to_dict(), args.out)
     if args.plot:
-        svgplot.line_plot(
-            args.plot,
-            t,
-            [("data", y), ("fit", rabi_model(t, *result.params))],
-            xlabel="time (ns)",
-            ylabel="signal",
-            title="Rabi fit",
-        )
-        print(f"wrote {io.resolve_out_path(args.plot)}")
+        _plot_fit(args.plot, t, y, rabi_model(t, *result.params),
+                  "time (ns)", "signal", "Rabi fit")
     return 0
 
 
@@ -162,15 +142,9 @@ def cmd_simulate_qubit(args) -> int:
     if args.plot:
         levels = np.asarray(spectrum.levels[:6], dtype=float)
         idx = np.arange(levels.size, dtype=float)
-        svgplot.line_plot(
-            args.plot,
-            idx,
-            [("E_k - E_0", levels - levels[0])],
-            xlabel="level index",
-            ylabel="energy (MHz)",
-            title="qubit spectrum",
-        )
-        print(f"wrote {io.resolve_out_path(args.plot)}")
+        plot = svgplot.line_plot(args.plot, idx, [("E_k - E_0", levels - levels[0])],
+                                 "level index", "energy (MHz)", "qubit spectrum")
+        print(f"wrote {plot}")
     return 0
 
 
@@ -208,16 +182,14 @@ def _sweep_json(sweep) -> dict:
         "g_mhz": sweep.g_mhz,
         "kappa_mhz": sweep.kappa_mhz,
         "gamma_q_mhz": sweep.gamma_q_mhz,
-        "points": [dict(rec, regime=p.regime) for rec, p in zip(sweep.to_records(), sweep.points)],
+        "points": [dict(zip((*sweep.CSV_COLUMNS, "regime"), p)) for p in sweep.points],
     }
 
 
 def cmd_sweep_gate(args) -> int:
     cfg = cfgmod.load_config(args.config)
     sweep = _run_sweep(cfg)
-    regimes = {}
-    for p in sweep.points:
-        regimes[p.regime] = regimes.get(p.regime, 0) + 1
+    regimes = Counter(p.regime for p in sweep.points)
     breakdown = ", ".join(f"{k}: {v}" for k, v in sorted(regimes.items()))
     print(f"{len(sweep.points)} gate points ({breakdown})")
     chi = sweep.column("chi_MHz")
@@ -236,15 +208,8 @@ def cmd_sweep_gate(args) -> int:
             ("f_minus", sweep.column("f_minus_GHz")),
             ("f_Q", sweep.column("f_Q_MHz") / 1e3),
         ]
-        svgplot.line_plot(
-            args.plot,
-            vg,
-            series,
-            xlabel="V_G (V)",
-            ylabel="frequency (GHz)",
-            title="gate sweep",
-        )
-        print(f"wrote {io.resolve_out_path(args.plot)}")
+        plot = svgplot.line_plot(args.plot, vg, series, "V_G (V)", "frequency (GHz)", "gate sweep")
+        print(f"wrote {plot}")
     return 0
 
 
@@ -254,29 +219,20 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     out = args.out or f"{spec.kind}.csv"
-    out_path = io.resolve_out_path(out)
-    truth_path = args.truth or out_path.with_suffix(".truth.json")
+    truth = args.truth or Path(out).with_suffix(".truth.json")
 
     if spec.kind == "reflection_trace":
         trace = synth_reflection(spec)
-        io.write_complex_trace(out_path, trace)
+        data = io.write_complex_trace(out, trace)
         if args.plot:
-            svgplot.line_plot(
-                args.plot,
-                trace.freqs_ghz,
-                [("|S21|", np.abs(trace.values))],
-                xlabel="frequency (GHz)",
-                ylabel="|S21|",
-                title="synthetic reflection",
-            )
+            plot = svgplot.line_plot(args.plot, trace.freqs_ghz, [("|S21|", np.abs(trace.values))],
+                                     "frequency (GHz)", "|S21|", "synthetic reflection")
     elif spec.kind == "rabi_trace":
         t, y = synth_rabi(spec)
-        io.write_rabi_trace(out_path, t, y)
+        data = io.write_rabi_trace(out, t, y)
         if args.plot:
-            svgplot.line_plot(
-                args.plot, t, [("y", y)], xlabel="time (ns)", ylabel="signal",
-                title="synthetic Rabi trace",
-            )
+            plot = svgplot.line_plot(args.plot, t, [("y", y)], "time (ns)", "signal",
+                                     "synthetic Rabi trace")
     else:
         if spec.kind == "power_map":
             _, spectrum = _solve_spectrum(cfg)
@@ -286,22 +242,14 @@ def cmd_synth(args) -> int:
             # evaluate the sweep on the map's own gate axis
             sweep = _run_sweep(cfg, voltages=spec.axis("v"))
             m = synth_gate_map(spec, sweep) if spec.kind == "gate_map" else synth_two_tone(spec, sweep)
-        io.write_map_csv(out_path, m)
+        data = io.write_map_csv(out, m)
         if args.plot:
-            svgplot.heatmap(
-                args.plot,
-                m.slow_values,
-                m.fast_values,
-                m.grid,
-                xlabel=m.fast_name,
-                ylabel=m.slow_name,
-                title=f"synthetic {spec.kind}",
-            )
-    io.write_json(truth_path, spec.to_dict())
-    print(f"wrote {out_path}")
-    print(f"wrote {io.resolve_out_path(truth_path)}")
+            plot = svgplot.heatmap(args.plot, m.slow_values, m.fast_values, m.grid,
+                                   m.fast_name, m.slow_name, f"synthetic {spec.kind}")
+    print(f"wrote {data}")
+    print(f"wrote {io.write_json(truth, spec.to_dict())}")
     if args.plot:
-        print(f"wrote {io.resolve_out_path(args.plot)}")
+        print(f"wrote {plot}")
     return 0
 
 
@@ -318,8 +266,7 @@ def cmd_pipeline(args) -> int:
     tolerances = dict(cfgmod.PIPELINE_TOLERANCES)
     tolerances.update(opts["tolerances"])
     seed = args.seed if args.seed is not None else opts["seed"]
-    workdir = args.workdir or "."
-    art = lambda name: str(io.resolve_out_path(f"{workdir}/{name}"))
+    workdir = Path(args.workdir or ".")
     stages = []
     failures = []
     checks = []
@@ -340,8 +287,7 @@ def cmd_pipeline(args) -> int:
             "tolerances": tolerances,
             "failures": failures,
         }
-        report_path = io.write_json(art("report.json"), report)
-        print(f"wrote {report_path}")
+        print(f"wrote {io.write_json(workdir / 'report.json', report)}")
         print("PASS" if passed else "FAIL: " + "; ".join(failures))
         return 0 if passed else 2
 
@@ -359,9 +305,8 @@ def cmd_pipeline(args) -> int:
 
         current = "sweep"
         sweep = _run_sweep(cfg)
-        sweep_csv = art("sweep.csv")
-        io.write_sweep_csv(sweep_csv, sweep)
-        io.write_json(art("sweep.json"), _sweep_json(sweep))
+        sweep_csv = str(io.write_sweep_csv(workdir / "sweep.csv", sweep))
+        io.write_json(workdir / "sweep.json", _sweep_json(sweep))
         n_disp = sum(p.regime == "dispersive" for p in sweep.points)
         stage("sweep", "ok", points=len(sweep.points), dispersive=n_disp,
               csv=sweep_csv)
@@ -388,13 +333,13 @@ def cmd_pipeline(args) -> int:
             grid={"f_min_ghz": f_c - span, "f_max_ghz": f_c + span, "n_f": 401},
         )
         trace = synth_reflection(spec)
-        io.write_complex_trace(art("trace.csv"), trace)
-        io.write_json(art("trace.truth.json"), spec.to_dict())
+        io.write_complex_trace(workdir / "trace.csv", trace)
+        io.write_json(workdir / "trace.truth.json", spec.to_dict())
         stage("synth", "ok", f_r_ghz=f_c, ql=ql_true, snr_db=40.0)
 
         current = "fit"
         fit = fit_reflection(trace)
-        io.write_json(art("fit.json"), fit.to_dict())
+        io.write_json(workdir / "fit.json", fit.to_dict())
         deviations = {
             "ql_rel": abs(fit.ql - truth["ql"]) / truth["ql"],
             "qc_rel": abs(fit.qc - truth["qc"]) / truth["qc"],

@@ -94,10 +94,9 @@ def solver_options(cfg: dict) -> dict:
     """Optional truncation overrides from the qubit section."""
     sec = cfg.get("qubit") or {}
     opts = {}
-    if "n_cut" in sec:
-        opts["n_cut"] = int(sec["n_cut"])
-    if "grid_n" in sec:
-        opts["grid_n"] = int(sec["grid_n"])
+    for key in ("n_cut", "grid_n"):
+        if key in sec:
+            opts[key] = _integer(sec[key], f"qubit {key}")
     return opts
 
 
@@ -114,9 +113,9 @@ def cavity_geometry(cfg: dict) -> CavityGeometry:
             length_a=float(sec["length_a_mm"]) * 1e-3,
             width_b=float(sec["width_b_mm"]) * 1e-3,
             height_d=float(sec["height_d_mm"]) * 1e-3,
-            m=int(sec.get("m", 1)),
-            n=int(sec.get("n", 0)),
-            p=int(sec.get("p", 1)),
+            m=_integer(sec.get("m", 1), "cavity m"),
+            n=_integer(sec.get("n", 0), "cavity n"),
+            p=_integer(sec.get("p", 1), "cavity p"),
         )
     except ValueError as exc:
         raise ConfigError(f"cavity section: {exc}") from exc
@@ -176,10 +175,10 @@ def gate_model(cfg: dict) -> GateSweepModel:
             {"seed"},
         )
         return nanowire_profile(
-            seed=int(prof["seed"]),
+            seed=_integer(prof["seed"], "sweep profile seed"),
             v_min=float(prof.get("v_min", -2.0)),
             v_max=float(prof.get("v_max", 10.0)),
-            n=int(prof.get("n", 41)),
+            n=_integer(prof.get("n", 41), "sweep profile n"),
             v_pinch=float(prof.get("v_pinch", 0.0)),
             max_value=float(prof.get("max_value", 20000.0)),
             maps_to=maps_to,
@@ -197,7 +196,8 @@ def sweep_voltages(cfg: dict):
         return None
     if len(given) != 3:
         raise ConfigError("sweep grid needs all of v_min, v_max, n_v")
-    v_min, v_max, n_v = float(sec["v_min"]), float(sec["v_max"]), int(sec["n_v"])
+    v_min, v_max = float(sec["v_min"]), float(sec["v_max"])
+    n_v = _integer(sec["n_v"], "sweep n_v")
     if not (v_max > v_min and n_v >= 2):
         raise ConfigError("sweep grid needs v_max > v_min and n_v >= 2")
     return np.linspace(v_min, v_max, n_v)
@@ -212,7 +212,7 @@ def synth_spec(cfg: dict) -> SynthSpec:
         raise ConfigError("synth truth and grid must be mappings")
     return SynthSpec(
         kind=sec["kind"],
-        seed=sec["seed"],
+        seed=_integer(sec["seed"], "synth seed"),
         snr_db=sec.get("snr_db"),
         truth=_scalars(truth, "synth truth"),
         grid=_scalars(grid, "synth grid"),
@@ -246,7 +246,20 @@ def pipeline_options(cfg: dict) -> dict:
         raise ConfigError("pipeline tolerances must be a mapping")
     _check_keys(tol, "pipeline.tolerances", set(PIPELINE_TOLERANCES))
     tolerances = {key: _positive(value, f"pipeline tolerance {key}") for key, value in tol.items()}
-    return {"seed": int(sec.get("seed", 7)), "tolerances": tolerances}
+    return {"seed": _integer(sec.get("seed", 7), "pipeline seed"), "tolerances": tolerances}
+
+
+def _integer(value, what: str) -> int:
+    """An integer value; integral floats, such as a YAML 4e2, pass."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, bool) or not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(x)
 
 
 def _positive(value, what: str) -> float:

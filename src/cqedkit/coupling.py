@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -244,9 +245,11 @@ def nanowire_profile(
     return GateSweepModel(v, values, maps_to=maps_to)
 
 
-@dataclass
-class SweepPoint:
-    """One gate point of a sweep; NaN marks fields without meaning there."""
+class SweepPoint(NamedTuple):
+    """One gate point of a sweep; NaN marks fields without meaning there.
+
+    The first six fields are SweepResult.CSV_COLUMNS, in that order.
+    """
 
     vg: float
     f_q_mhz: float
@@ -268,30 +271,14 @@ class SweepResult:
     gamma_q_mhz: float = 0.0
 
     CSV_COLUMNS = ("V_G", "f_Q_MHz", "chi_MHz", "f_C_GHz", "f_plus_GHz", "f_minus_GHz")
+    _INDEX = {name: i for i, name in enumerate(CSV_COLUMNS)}
 
     def to_records(self) -> list[dict]:
-        return [
-            {
-                "V_G": p.vg,
-                "f_Q_MHz": p.f_q_mhz,
-                "chi_MHz": p.chi_mhz,
-                "f_C_GHz": p.f_c_ghz,
-                "f_plus_GHz": p.f_plus_ghz,
-                "f_minus_GHz": p.f_minus_ghz,
-            }
-            for p in self.points
-        ]
+        return [dict(zip(self.CSV_COLUMNS, p)) for p in self.points]
 
     def column(self, name: str) -> np.ndarray:
-        attr = {
-            "V_G": "vg",
-            "f_Q_MHz": "f_q_mhz",
-            "chi_MHz": "chi_mhz",
-            "f_C_GHz": "f_c_ghz",
-            "f_plus_GHz": "f_plus_ghz",
-            "f_minus_GHz": "f_minus_ghz",
-        }[name]
-        return np.array([getattr(p, attr) for p in self.points], dtype=float)
+        i = self._INDEX[name]
+        return np.array([p[i] for p in self.points], dtype=float)
 
 
 def gate_sweep(
@@ -323,61 +310,32 @@ def gate_sweep(
     for v in voltages:
         value = float(model(v))
         if value <= 0.0:
-            points.append(
-                SweepPoint(
-                    vg=float(v),
-                    f_q_mhz=math.nan,
-                    chi_mhz=0.0,
-                    f_c_ghz=system.f_bare_ghz,
-                    f_plus_ghz=math.nan,
-                    f_minus_ghz=math.nan,
-                    regime="pinch_off",
-                )
-            )
-            continue
-        try:
-            if is_transmon_sweep:
-                p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
-                spectrum = transmon_levels(p, check=check)
-            else:
-                p = QubitParams(
-                    ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
-                )
-                spectrum = gatemon_levels(p, check=check)
-        except CqedkitError as exc:
-            raise type(exc)(f"V_G = {v:g}: {exc}") from exc
-        f01 = spectrum.f01
-        f_q_ghz = f01 / 1e3
-        delta = system.f_bare_ghz * 1e3 - f01
-        f_plus, f_minus = anti_crossing(system.f_bare_ghz, f_q_ghz, system.g_mhz)
-        if abs(delta) > DISPERSIVE_FACTOR * system.g_mhz:
-            chi = system.g_mhz**2 / delta
-            points.append(
-                SweepPoint(
-                    vg=float(v),
-                    f_q_mhz=f01,
-                    chi_mhz=chi,
-                    f_c_ghz=system.f_bare_ghz + chi / 1e3,
-                    f_plus_ghz=f_plus,
-                    f_minus_ghz=f_minus,
-                    regime="dispersive",
-                )
-            )
+            f01, chi, f_c, regime = math.nan, 0.0, system.f_bare_ghz, "pinch_off"
+            f_plus = f_minus = math.nan
         else:
-            # near resonance a single shifted line is meaningless; report
-            # the branch that carries the cavity character
-            f_c = f_plus if f01 <= system.f_bare_ghz * 1e3 else f_minus
-            points.append(
-                SweepPoint(
-                    vg=float(v),
-                    f_q_mhz=f01,
-                    chi_mhz=math.nan,
-                    f_c_ghz=f_c,
-                    f_plus_ghz=f_plus,
-                    f_minus_ghz=f_minus,
-                    regime="hybridized",
-                )
-            )
+            try:
+                if is_transmon_sweep:
+                    p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
+                    spectrum = transmon_levels(p, check=check)
+                else:
+                    p = QubitParams(
+                        ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
+                    )
+                    spectrum = gatemon_levels(p, check=check)
+            except CqedkitError as exc:
+                raise type(exc)(f"V_G = {v:g}: {exc}") from exc
+            f01 = spectrum.f01
+            delta = system.f_bare_ghz * 1e3 - f01
+            f_plus, f_minus = anti_crossing(system.f_bare_ghz, f01 / 1e3, system.g_mhz)
+            if abs(delta) > DISPERSIVE_FACTOR * system.g_mhz:
+                chi = system.g_mhz**2 / delta
+                f_c, regime = system.f_bare_ghz + chi / 1e3, "dispersive"
+            else:
+                # near resonance a single shifted line is meaningless; report
+                # the branch that carries the cavity character
+                chi, regime = math.nan, "hybridized"
+                f_c = f_plus if f01 <= system.f_bare_ghz * 1e3 else f_minus
+        points.append(SweepPoint(float(v), f01, chi, f_c, f_plus, f_minus, regime))
     return SweepResult(
         points=points,
         f_bare_ghz=system.f_bare_ghz,

@@ -71,13 +71,14 @@ class ResonatorFit:
     a: complex
     errors: dict
     residual_rms: float
+    fit: FitResult
     tau_ns: float | None = None
-    fit: FitResult | None = None
 
     def to_dict(self) -> dict:
+        """Plain floats, NaN included; writers map NaN to null."""
         params = {
-            "a_re": self.a.real,
-            "a_im": self.a.imag,
+            "a_re": float(self.a.real),
+            "a_im": float(self.a.imag),
             "ql": self.ql,
             "qc": self.qc,
             "theta": self.theta,
@@ -85,14 +86,13 @@ class ResonatorFit:
         }
         if self.tau_ns is not None:
             params["tau_ns"] = self.tau_ns
-        clean = lambda x: float(x) if np.isfinite(x) else None
         return {
-            "params": {k: clean(v) for k, v in params.items()},
-            "errors": {k: clean(v) for k, v in self.errors.items()},
-            "derived": {"qi": clean(self.qi), "residual_rms": clean(self.residual_rms)},
-            "chi2": clean(self.fit.chi2) if self.fit else None,
-            "converged": bool(self.fit.converged) if self.fit else True,
-            "iterations": int(self.fit.iterations) if self.fit else 0,
+            "params": params,
+            "errors": dict(self.errors),
+            "derived": {"qi": self.qi, "residual_rms": self.residual_rms},
+            "chi2": float(self.fit.chi2),
+            "converged": bool(self.fit.converged),
+            "iterations": int(self.fit.iterations),
         }
 
 
@@ -187,6 +187,13 @@ def _noise_rms_complex(values: np.ndarray) -> float:
     return float(np.median(np.abs(np.diff(values))) / 1.1774)
 
 
+def _baseline(z: np.ndarray):
+    """Edge width, edge-mean baseline A and complex noise rms of a trace."""
+    edge = max(3, z.size // 20)
+    a0 = complex(np.mean(np.concatenate([z[:edge], z[-edge:]])))
+    return edge, a0, _noise_rms_complex(z)
+
+
 def _noise_rms_real(y: np.ndarray) -> float:
     if y.size < 3:
         return 0.0
@@ -252,11 +259,9 @@ def initial_guess_reflection(
             tau0 = float(np.median((dphi / df)[sel]) / (2.0 * np.pi))
         z = z * np.exp(-2j * np.pi * f * tau0)
 
-    edge = max(3, n // 20)
-    a0 = complex(np.mean(np.concatenate([z[:edge], z[-edge:]])))
+    edge, a0, noise = _baseline(z)
     if a0 == 0:
         a0 = complex(np.mean(np.abs(z)) + 1e-12)
-    noise = _noise_rms_complex(z)
 
     dist = _moving_mean(np.abs(z - a0), 5)
     idx = int(np.argmax(dist))
@@ -321,9 +326,7 @@ def fit_reflection(
     if len(trace) < 50:
         raise InputDataError(f"need at least 50 points, got {len(trace)}")
     z = trace.values
-    noise = _noise_rms_complex(z)
-    edge = max(3, len(trace) // 20)
-    a0 = complex(np.mean(np.concatenate([z[:edge], z[-edge:]])))
+    _, a0, noise = _baseline(z)
     # distance from the off-resonant point sees the resonance circle
     # diameter even when an overcoupled |S21| dip wraps past the origin
     depth = float(np.max(_moving_mean(np.abs(z - a0), 5)))

@@ -6,8 +6,9 @@ serializes to identical bytes. Readers reject wrong headers and report
 malformed cells with their 1-based line number. Lines starting with '#'
 and blank lines are ignored on input.
 
-Relative output paths are resolved against the CQEDKIT_OUTDIR environment
-variable when it is set.
+Every writer resolves its output path itself, against the CQEDKIT_OUTDIR
+environment variable when the path is relative and the variable is set,
+and returns the path it wrote; callers pass paths through unresolved.
 """
 
 from __future__ import annotations
@@ -137,26 +138,21 @@ def write_gate_table(path, voltages, values) -> Path:
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> Path:
-    rows = (
-        (p.vg, p.f_q_mhz, p.chi_mhz, p.f_c_ghz, p.f_plus_ghz, p.f_minus_ghz)
-        for p in sweep.points
-    )
-    return _write_rows(path, SweepResult.CSV_COLUMNS, rows)
+    n = len(SweepResult.CSV_COLUMNS)
+    return _write_rows(path, SweepResult.CSV_COLUMNS, (p[:n] for p in sweep.points))
 
 
 def read_sweep_csv(path) -> SweepResult:
     """Rebuild a sweep from its CSV; regimes are re-derived from the NaN
     pattern (chi NaN means hybridized, f_Q NaN means pinch-off)."""
-    table = _read_table(path, SweepResult.CSV_COLUMNS)
     points = []
-    for vg, f_q, chi, f_c, f_p, f_m in table:
-        if math.isnan(f_q):
-            regime = "pinch_off"
-        elif math.isnan(chi):
-            regime = "hybridized"
-        else:
-            regime = "dispersive"
-        points.append(SweepPoint(vg, f_q, chi, f_c, f_p, f_m, regime))
+    for row in _read_table(path, SweepResult.CSV_COLUMNS):
+        p = SweepPoint(*row, regime="dispersive")
+        if math.isnan(p.f_q_mhz):
+            p = p._replace(regime="pinch_off")
+        elif math.isnan(p.chi_mhz):
+            p = p._replace(regime="hybridized")
+        points.append(p)
     return SweepResult(points=points)
 
 

@@ -57,14 +57,11 @@ class FitResult:
         return float(self.errors[self.names.index(name)])
 
     def to_dict(self) -> dict:
-        def clean(x):
-            x = float(x)
-            return x if np.isfinite(x) else None
-
+        """Plain floats, NaN included; writers map NaN to null."""
         return {
-            "params": {n: clean(v) for n, v in zip(self.names, self.params)},
-            "errors": {n: clean(e) for n, e in zip(self.names, self.errors)},
-            "chi2": clean(self.chi2),
+            "params": dict(zip(self.names, np.asarray(self.params, float).tolist())),
+            "errors": dict(zip(self.names, np.asarray(self.errors, float).tolist())),
+            "chi2": float(self.chi2),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
             "message": self.message,

@@ -180,8 +180,8 @@ def _finite_range(arrays):
     return lo, hi
 
 
-def line_plot(path, x, series, xlabel="", ylabel="", title="") -> None:
-    """Write a line plot SVG.
+def line_plot(path, x, series, xlabel="", ylabel="", title=""):
+    """Write a line plot SVG and return the path written.
 
     ``series`` is a list of (label, y-array) pairs; NaN samples break the
     polyline instead of drawing through it.
@@ -205,11 +205,11 @@ def line_plot(path, x, series, xlabel="", ylabel="", title="") -> None:
             ly = MARGIN["top"] + 14 * i + 4
             canvas.line(ax.x1 - 90, ly - 4, ax.x1 - 74, ly - 4, color, 2)
             canvas.text(ax.x1 - 70, ly, label, size=11)
-    _write(path, canvas.finish())
+    return _write(path, canvas.finish())
 
 
-def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title="") -> None:
-    """Write a heatmap SVG: fast axis horizontal, slow axis vertical."""
+def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title=""):
+    """Write a heatmap SVG, fast axis horizontal, and return the path written."""
     slow = np.asarray(slow_values, dtype=float)
     fast = np.asarray(fast_values, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -233,10 +233,10 @@ def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title=""
     # written: a 61 x 721 map is 44k rects, and holding them all as strings
     # took ~11 MB at the peak
     rows = (cell_row(i) for i in range(slow.size))
-    _write(path, itertools.chain(parts[:n_head], rows, parts[n_head:]))
+    return _write(path, itertools.chain(parts[:n_head], rows, parts[n_head:]))
 
 
-def _write(path, lines) -> None:
+def _write(path, lines):
     from .io import resolve_out_path
 
     p = resolve_out_path(path)
@@ -245,3 +245,4 @@ def _write(path, lines) -> None:
         for line in lines:
             fh.write(line)
             fh.write("\n")
+    return p

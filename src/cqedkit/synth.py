@@ -15,7 +15,7 @@ generated and rows can be produced in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,6 @@ class Map2D:
     fast_name: str
     fast_values: np.ndarray
     grid: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.slow_values = np.asarray(self.slow_values, dtype=float)
@@ -149,6 +148,14 @@ def _noise_rms(snr_db: float | None, scale: float) -> float:
     if snr_db is None:
         return 0.0
     return abs(scale) * 10.0 ** (-snr_db / 20.0)
+
+
+def _noisy_row(row, spec: SynthSpec, i: int, scale: float):
+    """Map row i plus noise from its own (seed, i) stream."""
+    sigma = _noise_rms(spec.snr_db, scale)
+    if sigma > 0:
+        row = row + np.random.default_rng((spec.seed, i)).normal(0, sigma, row.size)
+    return row
 
 
 def synth_reflection(spec: SynthSpec) -> ComplexTrace:
@@ -227,11 +234,8 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
         f_dip = system.f_bare_ghz + w * chi / 1e3
         fwhm = system.kappa_mhz + w * purcell
         row = baseline * _mag_dip(f, f_dip, fwhm, depth)
-        sigma = _noise_rms(spec.snr_db, baseline)
-        if sigma > 0:
-            row = row + np.random.default_rng((spec.seed, i)).normal(0, sigma, f.size)
-        grid[i] = row
-    return Map2D("P_dBm", powers, "f_GHz", f, grid, metadata=spec.to_dict())
+        grid[i] = _noisy_row(row, spec, i, baseline)
+    return Map2D("P_dBm", powers, "f_GHz", f, grid)
 
 
 def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
@@ -255,7 +259,7 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     gamma = sweep.gamma_q_mhz
     g = sweep.g_mhz
 
-    volts = np.array([p.vg for p in sweep.points])
+    volts = sweep.column("V_G")
     grid = np.empty((volts.size, f.size))
     for i, pt in enumerate(sweep.points):
         if pt.regime == "hybridized":
@@ -272,11 +276,8 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
             row = baseline * _mag_dip(f, pt.f_c_ghz, fwhm, depth)
         else:  # pinch_off: bare cavity line
             row = baseline * _mag_dip(f, pt.f_c_ghz, kappa, depth)
-        sigma = _noise_rms(spec.snr_db, baseline)
-        if sigma > 0:
-            row = row + np.random.default_rng((spec.seed, i)).normal(0, sigma, f.size)
-        grid[i] = row
-    return Map2D("V_G", volts, "f_GHz", f, grid, metadata=spec.to_dict())
+        grid[i] = _noisy_row(row, spec, i, baseline)
+    return Map2D("V_G", volts, "f_GHz", f, grid)
 
 
 def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
@@ -311,7 +312,7 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
 
     f = spec.axis("f")
     background = bg_amp * np.sin(2.0 * np.pi * (f - f[0]) / bg_period)
-    volts = np.array([p.vg for p in sweep.points])
+    volts = sweep.column("V_G")
     grid = np.empty((volts.size, f.size))
     for i, pt in enumerate(sweep.points):
         row = np.full(f.shape, baseline)
@@ -322,11 +323,8 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
                 f02_half = f01 + alpha / 2e3
                 row = row - (baseline - _dip(f, f02_half, fwhm, depth2, baseline))
         row = row + background
-        sigma = _noise_rms(spec.snr_db, baseline)
-        if sigma > 0:
-            row = row + np.random.default_rng((spec.seed, i)).normal(0, sigma, f.size)
-        grid[i] = row
-    return Map2D("V_G", volts, "f_d_GHz", f, grid, metadata=spec.to_dict())
+        grid[i] = _noisy_row(row, spec, i, baseline)
+    return Map2D("V_G", volts, "f_d_GHz", f, grid)
 
 
 def synth_rabi(spec: SynthSpec):

@@ -1,0 +1,92 @@
+"""The benchmark's tracer (perfbench/tracer.py) times cqedkit by swapping
+functions at the module attributes their callers look them up in. These
+tests read the tracer's own tables, so they follow the file as shipped:
+every hook must resolve, and the CLI must call what it finds there at
+call time rather than a reference it took at import.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import cqedkit.cli as cli
+from cqedkit import SynthSpec, io, synth_rabi, synth_reflection
+from cqedkit.fitters import lorentzian_model
+
+TRACER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _tracer_module():
+    # the tracer imports the standard library only
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PY)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_hook_resolves():
+    tracer = _tracer_module()
+    points = [(mod, attr) for mod, attr, _ in tracer.WRAP_POINTS] + [tracer.LM_POINT]
+    assert ("cqedkit.cli", "fit_rabi") in points
+    for mod, attr in points:
+        assert callable(getattr(importlib.import_module(mod), attr, None)), f"{mod}.{attr}"
+
+
+def _reflection_csv(d):
+    spec = SynthSpec(kind="reflection_trace", seed=11, snr_db=35.0,
+                     truth={"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,
+                            "theta": 0.1, "f_r_ghz": 5.2816},
+                     grid={"f_min_ghz": 5.2728, "f_max_ghz": 5.2904, "n_f": 401})
+    return io.write_complex_trace(d / "trace.csv", synth_reflection(spec))
+
+
+def _lorentzian_csv(d):
+    f = np.linspace(4790.0, 5210.0, 841)
+    y = lorentzian_model(f, 5000.0, 21.0, 0.8, 1.0)
+    y = y + np.random.default_rng(5).normal(0, 0.02, f.size)
+    return io.write_magnitude_trace(d / "dip.csv", f, y)
+
+
+def _rabi_csv(d):
+    spec = SynthSpec(kind="rabi_trace", seed=5, snr_db=20.0,
+                     truth={"A": 1.0, "T_R": 260.0, "omega": 0.19634954084936207,
+                            "B": 0.0, "a": -0.0004, "b": 0.5},
+                     grid={"t_max_ns": 1000.0, "n_t": 501})
+    return io.write_rabi_trace(d / "rabi.csv", *synth_rabi(spec))
+
+
+@pytest.mark.parametrize("verb, func, make_csv", [
+    ("fit-resonator", "fit_reflection", _reflection_csv),
+    ("fit-lorentzian", "fit_lorentzian", _lorentzian_csv),
+    ("fit-rabi", "fit_rabi", _rabi_csv),
+])
+def test_fit_verb_calls_the_module_attribute(verb, func, make_csv, tmp_path, capsys,
+                                             monkeypatch):
+    calls = []
+    original = getattr(cli, func)
+
+    def counting(*args, **kwargs):
+        calls.append(func)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, func, counting)
+    assert cli.main([verb, str(make_csv(tmp_path))]) == 0
+    capsys.readouterr()
+    assert calls == [func]
+
+
+def test_installed_tracer_sees_a_fit_verb(tmp_path, capsys):
+    tracer = _tracer_module().Tracer()
+    data = _rabi_csv(tmp_path)
+    original = cli.fit_rabi
+    tracer.install()
+    try:
+        assert cli.main(["fit-rabi", str(data), "--plot", str(tmp_path / "rabi.svg")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert {"fitters.fit_rabi", "lm.lm_minimize", "svgplot.line_plot"} <= set(tracer.names)
+    assert cli.fit_rabi is original

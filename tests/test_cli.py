@@ -93,6 +93,19 @@ class TestFitResonator:
         assert main(["fit-resonator", str(tmp_path / "nope.csv")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_nonphysical_qi_written_as_null(self, tmp_path, capsys):
+        # to_dict() keeps the NaN; only the JSON writer turns it into null
+        data = _trace_csv(tmp_path, qc=4000.0)
+        out = tmp_path / "fit.json"
+        with pytest.warns(UserWarning, match="nonphysical Qi"):
+            assert main(["fit-resonator", str(data), "--out", str(out)]) == 0
+        capsys.readouterr()
+        payload = io.read_json(out)
+        jsonschema.validate(payload, io.load_schema("fit_result"))
+        assert payload["derived"]["qi"] is None
+        assert payload["errors"]["qi"] is None
+        assert payload["params"]["qc"] < payload["params"]["ql"]
+
     def test_flat_trace_exit_two(self, tmp_path, capsys):
         f = np.linspace(5.0, 5.2, 401)
         rng = np.random.default_rng(0)
@@ -250,6 +263,19 @@ class TestSynth:
         assert (tmp_path / "outputs" / "data.truth.json").is_file()
 
 
+    def test_relative_outdir_env(self, tmp_path, capsys, monkeypatch):
+        # each path is resolved once, by its writer, and printed as written
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(io.OUTDIR_ENV, "rel")
+        cfg = _config(tmp_path, self.YAML)
+        assert main(["synth", "--config", cfg, "--out", "x.csv", "--plot", "x.svg"]) == 0
+        printed = [Path(line.removeprefix("wrote "))
+                   for line in capsys.readouterr().out.splitlines()]
+        assert printed == [Path("rel/x.csv"), Path("rel/x.truth.json"), Path("rel/x.svg")]
+        assert all(p.is_file() for p in printed)
+        assert not (tmp_path / "rel" / "rel").exists()
+
+
 class TestPipeline:
     def test_pass_run(self, tmp_path, capsys):
         rc = main(["pipeline", "--config", PIPELINE_YAML,
@@ -264,6 +290,19 @@ class TestPipeline:
         assert (tmp_path / "trace.csv").is_file()
         assert (tmp_path / "sweep.csv").is_file()
         assert (tmp_path / "fit.json").is_file()
+
+    def test_relative_outdir_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv(io.OUTDIR_ENV, "rel")
+        assert main(["pipeline", "--config", PIPELINE_YAML, "--workdir", "w"]) == 0
+        assert f"wrote {Path('rel/w/report.json')}" in capsys.readouterr().out
+        for name in ("report.json", "sweep.csv", "sweep.json", "trace.csv",
+                     "trace.truth.json", "fit.json"):
+            assert (tmp_path / "rel" / "w" / name).is_file(), name
+        assert not (tmp_path / "rel" / "rel").exists()
+        report = io.read_json(tmp_path / "rel" / "w" / "report.json")
+        sweep = next(s for s in report["stages"] if s["name"] == "sweep")
+        assert Path(sweep["details"]["csv"]) == Path("rel/w/sweep.csv")
 
     def test_tolerance_miss_exit_two(self, tmp_path, capsys):
         cfg = _config(tmp_path, SWEEP_YAML +
@@ -299,6 +338,41 @@ class TestPipeline:
         assert report["passed"] is False
         assert report["stages"][-1]["name"] == "sweep"
         assert report["stages"][-1]["status"] == "fail"
+
+
+class TestIntegerConfigKeys:
+    GATEMON_YAML = ("qubit:\n  ec_mhz: 190\n  gap_mhz: 45600\n"
+                    "  transmissions: [0.85, 0.3, 0.1]\n")
+
+    def test_null_grid_n_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, self.GATEMON_YAML + "  grid_n: null\n")
+        assert main(["simulate-qubit", "--config", cfg]) == 1
+        assert "qubit grid_n must be an integer, got None" in capsys.readouterr().err
+
+    def test_fractional_cavity_mode_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, CAVITY_YAML + "  m: 1.5\n")
+        assert main(["simulate-cavity", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "cavity m must be an integer, got 1.5" in captured.err
+        assert "TE" not in captured.out
+
+    def test_fractional_profile_n_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, SWEEP_YAML.replace("    n: 9\n", "    n: 41.5\n"))
+        assert main(["sweep-gate", "--config", cfg]) == 1
+        assert "sweep profile n must be an integer" in capsys.readouterr().err
+
+    def test_fractional_pipeline_seed_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, SWEEP_YAML + "pipeline:\n  seed: 7.9\n")
+        assert main(["pipeline", "--config", cfg, "--workdir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "pipeline seed must be an integer, got 7.9" in captured.err
+        assert not (tmp_path / "report.json").exists()
+
+    def test_integral_exponent_passes(self, tmp_path, capsys):
+        # PyYAML reads 9e0 as a string; it names the integer 9
+        cfg = _config(tmp_path, SWEEP_YAML.replace("    n: 9\n", "    n: 9e0\n"))
+        assert main(["sweep-gate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("9 gate points")
 
 
 class TestArgumentErrors:

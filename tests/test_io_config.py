@@ -12,12 +12,15 @@ import pytest
 
 from cqedkit import (
     ComplexTrace,
+    DispersiveSystem,
     QubitParams,
     SweepPoint,
     SweepResult,
     SynthSpec,
     fit_reflection,
+    gate_sweep,
     io,
+    nanowire_profile,
     synth_reflection,
     transmon_levels,
 )
@@ -73,6 +76,17 @@ class TestCsvRoundTrips:
         assert [pt.regime for pt in back.points] == [
             "pinch_off", "hybridized", "dispersive"]
         assert back.points[2].chi_mhz == 10.0
+
+        # a solved gatemon sweep crossing the cavity: all three regimes
+        model = nanowire_profile(seed=3, n=9, max_value=1.0, maps_to="transmission")
+        sweep = gate_sweep(model, QubitParams(ec=250.0, gap=60000.0, transmissions=(1.0,)),
+                           DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0))
+        assert {pt.regime for pt in sweep.points} == {"pinch_off", "dispersive", "hybridized"}
+        back = io.read_sweep_csv(io.write_sweep_csv(tmp_path / "g.csv", sweep))
+        assert len(back.points) == len(sweep.points)
+        for got, want in zip(back.points, sweep.points):
+            assert got.regime == want.regime
+            assert np.array_equal(got[:-1], want[:-1], equal_nan=True), want
 
     def test_write_is_byte_stable(self, tmp_path):
         t = _trace()
@@ -292,6 +306,16 @@ class TestConfig:
         cfg = {"qubit": {"ec_mhz": 190, "ej_mhz": 9500, "n_cut": 40}}
         assert config.solver_options(cfg) == {"n_cut": 40}
         assert config.solver_options({}) == {}
+
+    @pytest.mark.parametrize("value, want", [(7, 7), (400.0, 400), ("4e2", 400), ("12", 12)])
+    def test_integer_key_accepts_integral_values(self, value, want):
+        got = config._integer(value, "key")
+        assert got == want and type(got) is int
+
+    @pytest.mark.parametrize("value", [None, "x", "nan", float("inf"), 1.5, True, [1]])
+    def test_integer_key_rejects(self, value):
+        with pytest.raises(ConfigError, match="key must be an integer"):
+            config._integer(value, "key")
 
     def test_cavity_mm_conversion(self):
         geom = config.cavity_geometry(
