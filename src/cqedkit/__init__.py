@@ -3,6 +3,8 @@ spectrum solvers, dispersive-coupling models, resonator and time-domain
 fitters, and reproducible synthetic data.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     CqedkitError,
@@ -67,58 +69,9 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CavityGeometry",
-    "ComplexTrace",
-    "ConfigError",
-    "CqedkitError",
-    "DispersiveSystem",
-    "FitError",
-    "FitInitError",
-    "FitResult",
-    "GateSweepModel",
-    "InputDataError",
-    "Map2D",
-    "NoDipError",
-    "NoResonanceError",
-    "NoSolutionError",
-    "NotConvergedError",
-    "QubitParams",
-    "QubitSpectrum",
-    "ResonatorFit",
-    "SolverError",
-    "SweepPoint",
-    "SweepResult",
-    "SynthSpec",
-    "TruncationError",
-    "anti_crossing",
-    "coupling_from_shift",
-    "critical_photon_number",
-    "derive_qi",
-    "dispersive_shift_transmon",
-    "dispersive_shift_two_level",
-    "fit_lorentzian",
-    "fit_rabi",
-    "fit_reflection",
-    "gate_sweep",
-    "gatemon_levels",
-    "infer_transmission",
-    "initial_guess_reflection",
-    "lm_minimize",
-    "lorentzian_model",
-    "mean_photon_number",
-    "nanowire_profile",
-    "numeric_jacobian",
-    "power_dependence",
-    "purcell_induced_cavity_loss",
-    "rabi_model",
-    "reflection_model",
-    "subtract_background",
-    "synth_gate_map",
-    "synth_power_map",
-    "synth_rabi",
-    "synth_reflection",
-    "synth_two_tone",
-    "te_mode_frequency",
-    "transmon_levels",
-]
+# every public name imported above; submodules are left out, so that
+# `from cqedkit import *` does not bind io over the standard library's
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -66,9 +66,8 @@ def _print_params(result) -> None:
     print(f"chi2 = {result.chi2:.6g}  iterations = {result.iterations}")
 
 
-def _plot_fit(path, x, data, fit, xlabel: str, ylabel: str, title: str) -> None:
-    """The data-vs-fit SVG every fit verb offers with --plot."""
-    series = [("data", data), ("fit", fit)]
+def _plot(path, x, series, xlabel: str, ylabel: str, title: str) -> None:
+    """Write a line-plot SVG for --plot and print where it went."""
     print(f"wrote {svgplot.line_plot(path, x, series, xlabel, ylabel, title)}")
 
 
@@ -91,8 +90,8 @@ def cmd_fit_resonator(args) -> int:
         resid = ComplexTrace(trace.freqs_ghz, trace.values - model)
         print(f"wrote {io.write_complex_trace(args.residuals, resid)}")
     if args.plot:
-        _plot_fit(args.plot, trace.freqs_ghz, np.abs(trace.values), np.abs(model),
-                  "frequency (GHz)", "|S21|", "reflection fit")
+        series = [("data", np.abs(trace.values)), ("fit", np.abs(model))]
+        _plot(args.plot, trace.freqs_ghz, series, "frequency (GHz)", "|S21|", "reflection fit")
     return 0
 
 
@@ -103,8 +102,8 @@ def cmd_fit_lorentzian(args) -> int:
         _print_params(result)
     _emit_json(result.to_dict(), args.out)
     if args.plot:
-        _plot_fit(args.plot, freqs, mags, lorentzian_model(freqs, *result.params),
-                  "frequency (GHz)", "magnitude (dB)", "Lorentzian fit")
+        series = [("data", mags), ("fit", lorentzian_model(freqs, *result.params))]
+        _plot(args.plot, freqs, series, "frequency (GHz)", "magnitude (dB)", "Lorentzian fit")
     return 0
 
 
@@ -117,8 +116,8 @@ def cmd_fit_rabi(args) -> int:
         print(f"Rabi frequency = {f_mhz:.6g} MHz, decay T_R = {result.param('T_R'):.6g} ns")
     _emit_json(result.to_dict(), args.out)
     if args.plot:
-        _plot_fit(args.plot, t, y, rabi_model(t, *result.params),
-                  "time (ns)", "signal", "Rabi fit")
+        series = [("data", y), ("fit", rabi_model(t, *result.params))]
+        _plot(args.plot, t, series, "time (ns)", "signal", "Rabi fit")
     return 0
 
 
@@ -140,11 +139,9 @@ def cmd_simulate_qubit(args) -> int:
     if args.out:
         print(f"wrote {io.write_json(args.out, spectrum.to_dict())}")
     if args.plot:
-        levels = np.asarray(spectrum.levels[:6], dtype=float)
-        idx = np.arange(levels.size, dtype=float)
-        plot = svgplot.line_plot(args.plot, idx, [("E_k - E_0", levels - levels[0])],
-                                 "level index", "energy (MHz)", "qubit spectrum")
-        print(f"wrote {plot}")
+        levels = spectrum.levels
+        _plot(args.plot, np.arange(levels.size, dtype=float), [("E_k - E_0", levels - levels[0])],
+              "level index", "energy (MHz)", "qubit spectrum")
     return 0
 
 
@@ -201,15 +198,13 @@ def cmd_sweep_gate(args) -> int:
     if args.json:
         print(f"wrote {io.write_json(args.json, _sweep_json(sweep))}")
     if args.plot:
-        vg = sweep.column("V_G")
         series = [
             ("f_C", sweep.column("f_C_GHz")),
             ("f_plus", sweep.column("f_plus_GHz")),
             ("f_minus", sweep.column("f_minus_GHz")),
             ("f_Q", sweep.column("f_Q_MHz") / 1e3),
         ]
-        plot = svgplot.line_plot(args.plot, vg, series, "V_G (V)", "frequency (GHz)", "gate sweep")
-        print(f"wrote {plot}")
+        _plot(args.plot, sweep.column("V_G"), series, "V_G (V)", "frequency (GHz)", "gate sweep")
     return 0
 
 

@@ -3,7 +3,8 @@
 One file drives the CLI: named sections hold the qubit, cavity, coupled
 system, gate sweep, synthesis recipe, and pipeline settings. Section and
 key names are checked strictly so a typo fails loudly instead of silently
-falling back to a default.
+falling back to a default. Every number is read strictly as well: null,
+lists, non-numeric text and non-finite values fail naming the key.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .coupling import DispersiveSystem, GateSweepModel, nanowire_profile
 from .errors import ConfigError
 from .io import read_gate_table
 from .spectra import CavityGeometry, QubitParams, QubitSpectrum, te_mode_frequency
-from .synth import SynthSpec
+from .synth import SynthSpec, whole_number
 
 KNOWN_SECTIONS = ("qubit", "cavity", "system", "sweep", "synth", "pipeline")
 # pipeline fit checks and their defaults: relative Ql and Qc error, f_r error in MHz
@@ -45,12 +46,14 @@ def load_config(path) -> dict:
     return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
+def _section(cfg: dict, name: str, allowed: set, required: set = frozenset()) -> dict:
+    """The named section, a mapping with only allowed keys and every required one."""
     sec = cfg.get(name)
     if sec is None:
         raise ConfigError(f"config has no {name!r} section")
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
+    _check_keys(sec, name, allowed, required)
     return sec
 
 
@@ -66,9 +69,8 @@ def _check_keys(sec: dict, name: str, allowed: set, required: set = frozenset())
 
 
 def qubit_params(cfg: dict) -> QubitParams:
-    sec = _section(cfg, "qubit")
-    _check_keys(
-        sec,
+    sec = _section(
+        cfg,
         "qubit",
         {"ec_mhz", "ej_mhz", "gap_mhz", "transmissions", "ng", "n_cut", "grid_n"},
         {"ec_mhz"},
@@ -77,14 +79,14 @@ def qubit_params(cfg: dict) -> QubitParams:
     if trans is not None:
         if not isinstance(trans, (list, tuple)):
             raise ConfigError("transmissions must be a list")
-        trans = tuple(float(t) for t in trans)
+        trans = tuple(_number(t, f"qubit transmissions[{i}]") for i, t in enumerate(trans))
     try:
         return QubitParams(
-            ec=float(sec["ec_mhz"]),
-            ej=float(sec["ej_mhz"]) if "ej_mhz" in sec else None,
-            gap=float(sec["gap_mhz"]) if "gap_mhz" in sec else None,
+            ec=_float(sec, "ec_mhz", "qubit"),
+            ej=_float(sec, "ej_mhz", "qubit"),
+            gap=_float(sec, "gap_mhz", "qubit"),
             transmissions=trans,
-            ng=float(sec.get("ng", 0.0)),
+            ng=_float(sec, "ng", "qubit", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"qubit section: {exc}") from exc
@@ -101,18 +103,17 @@ def solver_options(cfg: dict) -> dict:
 
 
 def cavity_geometry(cfg: dict) -> CavityGeometry:
-    sec = _section(cfg, "cavity")
-    _check_keys(
-        sec,
+    sec = _section(
+        cfg,
         "cavity",
         {"length_a_mm", "width_b_mm", "height_d_mm", "m", "n", "p"},
         {"length_a_mm", "width_b_mm", "height_d_mm"},
     )
     try:
         return CavityGeometry(
-            length_a=float(sec["length_a_mm"]) * 1e-3,
-            width_b=float(sec["width_b_mm"]) * 1e-3,
-            height_d=float(sec["height_d_mm"]) * 1e-3,
+            length_a=_float(sec, "length_a_mm", "cavity") * 1e-3,
+            width_b=_float(sec, "width_b_mm", "cavity") * 1e-3,
+            height_d=_float(sec, "height_d_mm", "cavity") * 1e-3,
             m=_integer(sec.get("m", 1), "cavity m"),
             n=_integer(sec.get("n", 0), "cavity n"),
             p=_integer(sec.get("p", 1), "cavity p"),
@@ -123,15 +124,11 @@ def cavity_geometry(cfg: dict) -> CavityGeometry:
 
 def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> DispersiveSystem:
     """Build the coupled system; f_bare_ghz falls back to the cavity mode."""
-    sec = _section(cfg, "system")
-    _check_keys(
-        sec,
-        "system",
-        {"f_bare_ghz", "g_mhz", "kappa_mhz", "gamma_q_mhz"},
-        {"g_mhz"},
+    sec = _section(
+        cfg, "system", {"f_bare_ghz", "g_mhz", "kappa_mhz", "gamma_q_mhz"}, {"g_mhz"}
     )
     if "f_bare_ghz" in sec:
-        f_bare = float(sec["f_bare_ghz"])
+        f_bare = _float(sec, "f_bare_ghz", "system")
     elif "cavity" in cfg:
         f_bare = te_mode_frequency(cavity_geometry(cfg))
     else:
@@ -139,21 +136,18 @@ def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> Dispersi
     try:
         return DispersiveSystem(
             f_bare_ghz=f_bare,
-            g_mhz=float(sec["g_mhz"]),
+            g_mhz=_float(sec, "g_mhz", "system"),
             qubit=qubit,
-            kappa_mhz=float(sec.get("kappa_mhz", 1.0)),
-            gamma_q_mhz=float(sec.get("gamma_q_mhz", 0.0)),
+            kappa_mhz=_float(sec, "kappa_mhz", "system", 1.0),
+            gamma_q_mhz=_float(sec, "gamma_q_mhz", "system", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"system section: {exc}") from exc
 
 
 def gate_model(cfg: dict) -> GateSweepModel:
-    sec = _section(cfg, "sweep")
-    _check_keys(
-        sec,
-        "sweep",
-        {"table_csv", "profile", "maps_to", "interp", "v_min", "v_max", "n_v"},
+    sec = _section(
+        cfg, "sweep", {"table_csv", "profile", "maps_to", "interp", "v_min", "v_max", "n_v"}
     )
     maps_to = sec.get("maps_to", "ej")
     interp = sec.get("interp", "pchip")
@@ -168,22 +162,14 @@ def gate_model(cfg: dict) -> GateSweepModel:
         prof = sec["profile"]
         if not isinstance(prof, dict):
             raise ConfigError("sweep profile must be a mapping")
-        _check_keys(
-            prof,
-            "sweep.profile",
-            {"seed", "v_min", "v_max", "n", "v_pinch", "max_value", "wiggle"},
-            {"seed"},
-        )
-        return nanowire_profile(
-            seed=_integer(prof["seed"], "sweep profile seed"),
-            v_min=float(prof.get("v_min", -2.0)),
-            v_max=float(prof.get("v_max", 10.0)),
-            n=_integer(prof.get("n", 41), "sweep profile n"),
-            v_pinch=float(prof.get("v_pinch", 0.0)),
-            max_value=float(prof.get("max_value", 20000.0)),
-            maps_to=maps_to,
-            wiggle=float(prof.get("wiggle", 0.2)),
-        )
+        floats = ("v_min", "v_max", "v_pinch", "max_value", "wiggle")
+        _check_keys(prof, "sweep.profile", {"seed", "n", *floats}, {"seed"})
+        # keys left out take nanowire_profile's defaults
+        given = {k: _number(prof[k], f"sweep profile {k}") for k in floats if k in prof}
+        if "n" in prof:
+            given["n"] = _integer(prof["n"], "sweep profile n")
+        seed = _integer(prof["seed"], "sweep profile seed")
+        return nanowire_profile(seed=seed, maps_to=maps_to, **given)
     except ValueError as exc:
         raise ConfigError(f"sweep section: {exc}") from exc
 
@@ -196,7 +182,7 @@ def sweep_voltages(cfg: dict):
         return None
     if len(given) != 3:
         raise ConfigError("sweep grid needs all of v_min, v_max, n_v")
-    v_min, v_max = float(sec["v_min"]), float(sec["v_max"])
+    v_min, v_max = _float(sec, "v_min", "sweep"), _float(sec, "v_max", "sweep")
     n_v = _integer(sec["n_v"], "sweep n_v")
     if not (v_max > v_min and n_v >= 2):
         raise ConfigError("sweep grid needs v_max > v_min and n_v >= 2")
@@ -204,8 +190,7 @@ def sweep_voltages(cfg: dict):
 
 
 def synth_spec(cfg: dict) -> SynthSpec:
-    sec = _section(cfg, "synth")
-    _check_keys(sec, "synth", {"kind", "seed", "snr_db", "truth", "grid"}, {"kind", "seed"})
+    sec = _section(cfg, "synth", {"kind", "seed", "snr_db", "truth", "grid"}, {"kind", "seed"})
     truth = sec.get("truth", {})
     grid = sec.get("grid", {})
     if not isinstance(truth, dict) or not isinstance(grid, dict):
@@ -213,26 +198,19 @@ def synth_spec(cfg: dict) -> SynthSpec:
     return SynthSpec(
         kind=sec["kind"],
         seed=_integer(sec["seed"], "synth seed"),
-        snr_db=sec.get("snr_db"),
+        # null means noiseless
+        snr_db=None if sec.get("snr_db") is None else _float(sec, "snr_db", "synth"),
         truth=_scalars(truth, "synth truth"),
         grid=_scalars(grid, "synth grid"),
     )
 
 
 def _scalars(values: dict, what: str) -> dict:
-    """Keep numbers and bools; convert numeric strings, which is how PyYAML
-    reads a number written without a decimal point, such as 6e3."""
+    """Keep ints and bools; read anything else, floats included, with _number."""
     out = dict(values)
     for key, value in values.items():
-        if isinstance(value, (bool, int, float)):
-            continue
-        try:
-            x = float(value) if isinstance(value, str) else math.nan
-        except ValueError:
-            x = math.nan
-        if not math.isfinite(x):
-            raise ConfigError(f"{what} {key} must be a finite number, got {value!r}")
-        out[key] = x
+        if not isinstance(value, (bool, int)):
+            out[key] = _number(value, f"{what} {key}")
     return out
 
 
@@ -251,22 +229,28 @@ def pipeline_options(cfg: dict) -> dict:
 
 def _integer(value, what: str) -> int:
     """An integer value; integral floats, such as a YAML 4e2, pass."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
+    return int(whole_number(value, what))
+
+
+def _number(value, what: str) -> float:
+    """A finite float; numeric text passes, since PyYAML reads a number
+    written without a decimal point, such as 6e3, as a string."""
     try:
-        x = float(value)
+        x = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         x = math.nan
-    if isinstance(value, bool) or not x.is_integer():
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
-    return int(x)
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
+def _float(sec: dict, key: str, where: str, default=None):
+    """sec[key] read by _number, or default when the key is absent."""
+    return _number(sec[key], f"{where} {key}") if key in sec else default
 
 
 def _positive(value, what: str) -> float:
-    try:
-        x = float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not (math.isfinite(x) and x > 0):
+    x = _number(value, what)
+    if x <= 0:
         raise ConfigError(f"{what} must be finite and positive, got {value!r}")
     return x

@@ -121,6 +121,17 @@ def mean_photon_number(
     return p_watt / (PLANCK_J_S * f_ghz * 1e9 * kappa_mhz * 1e6)
 
 
+def crossover_weight(system, powers_dbm, attenuation_db=0.0, width_efolds=1.0):
+    """Weight of the dressed cavity line across the power crossover: a
+    logistic in log photon number centered on n_crit, 1 at n << n_crit
+    and 0 at n >> n_crit."""
+    n_crit = critical_photon_number(system.g_mhz, system.delta_mhz)
+    n_bar = mean_photon_number(
+        powers_dbm, system.f_bare_ghz, system.kappa_mhz, attenuation_db
+    )
+    return 1.0 / (1.0 + (n_bar / n_crit) ** (1.0 / width_efolds))
+
+
 def power_dependence(
     system: DispersiveSystem,
     powers_dbm,
@@ -129,17 +140,12 @@ def power_dependence(
 ) -> np.ndarray:
     """Apparent cavity frequency f_C(P) in GHz across the power crossover.
 
-    Phenomenological model: the dispersive shift chi is weighted by a
-    logistic in log photon number centered on n_crit, giving
-    f_bare + chi at n << n_crit and the bare frequency at n >> n_crit.
+    Phenomenological model: the dispersive shift chi is weighted by
+    crossover_weight, giving f_bare + chi at n << n_crit and the bare
+    frequency at n >> n_crit.
     """
-    delta = system.delta_mhz
-    chi = dispersive_shift_two_level(system.g_mhz, delta)
-    n_crit = critical_photon_number(system.g_mhz, delta)
-    n_bar = mean_photon_number(
-        powers_dbm, system.f_bare_ghz, system.kappa_mhz, attenuation_db
-    )
-    weight = 1.0 / (1.0 + (n_bar / n_crit) ** (1.0 / width_efolds))
+    chi = dispersive_shift_two_level(system.g_mhz, system.delta_mhz)
+    weight = crossover_weight(system, powers_dbm, attenuation_db, width_efolds)
     return system.f_bare_ghz + chi / 1e3 * weight
 
 
@@ -286,7 +292,6 @@ def gate_sweep(
     params: QubitParams,
     system: DispersiveSystem,
     voltages=None,
-    check: bool = True,
 ) -> SweepResult:
     """Sweep the gate table and record qubit and cavity observables.
 
@@ -297,7 +302,8 @@ def gate_sweep(
     bare cavity: f_C = f_bare, chi = 0.
 
     ``voltages`` defaults to the model's own sample grid. Points are
-    returned ordered by V_G no matter how they were evaluated.
+    returned ordered by V_G no matter how they were evaluated. Every
+    spectrum runs its refinement check.
     """
     if voltages is None:
         voltages = model.voltages
@@ -316,12 +322,12 @@ def gate_sweep(
             try:
                 if is_transmon_sweep:
                     p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
-                    spectrum = transmon_levels(p, check=check)
+                    spectrum = transmon_levels(p)
                 else:
                     p = QubitParams(
                         ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
                     )
-                    spectrum = gatemon_levels(p, check=check)
+                    spectrum = gatemon_levels(p)
             except CqedkitError as exc:
                 raise type(exc)(f"V_G = {v:g}: {exc}") from exc
             f01 = spectrum.f01

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class ComplexTrace:
 
     freqs_ghz: np.ndarray
     values: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.freqs_ghz = np.asarray(self.freqs_ghz, dtype=float)
@@ -168,8 +167,9 @@ def derive_qi(ql: float, qc: float) -> float:
     return 1.0 / (1.0 / ql - 1.0 / qc)
 
 
-def _moving_mean(y: np.ndarray, width: int = 5) -> np.ndarray:
-    width = min(width, y.size)
+def _moving_mean(y: np.ndarray) -> np.ndarray:
+    """Five-point moving mean."""
+    width = min(5, y.size)
     if width <= 1:
         return np.asarray(y, dtype=float)
     kernel = np.ones(width)
@@ -179,25 +179,20 @@ def _moving_mean(y: np.ndarray, width: int = 5) -> np.ndarray:
     return num / den
 
 
-def _noise_rms_complex(values: np.ndarray) -> float:
-    # median |successive difference| of complex white noise is 1.1774 times
-    # the per-sample complex rms
+def _noise_rms(values: np.ndarray) -> float:
+    # median |successive difference| of white noise is 1.1774 (complex) or
+    # 0.9539 (real) times the per-sample rms
     if values.size < 3:
         return 0.0
-    return float(np.median(np.abs(np.diff(values))) / 1.1774)
+    ratio = 1.1774 if np.iscomplexobj(values) else 0.9539
+    return float(np.median(np.abs(np.diff(values))) / ratio)
 
 
 def _baseline(z: np.ndarray):
     """Edge width, edge-mean baseline A and complex noise rms of a trace."""
     edge = max(3, z.size // 20)
     a0 = complex(np.mean(np.concatenate([z[:edge], z[-edge:]])))
-    return edge, a0, _noise_rms_complex(z)
-
-
-def _noise_rms_real(y: np.ndarray) -> float:
-    if y.size < 3:
-        return 0.0
-    return float(np.median(np.abs(np.diff(y))) / 0.9539)
+    return edge, a0, _noise_rms(z)
 
 
 def _kasa_circle(z: np.ndarray):
@@ -263,7 +258,7 @@ def initial_guess_reflection(
     if a0 == 0:
         a0 = complex(np.mean(np.abs(z)) + 1e-12)
 
-    dist = _moving_mean(np.abs(z - a0), 5)
+    dist = _moving_mean(np.abs(z - a0))
     idx = int(np.argmax(dist))
     f_r0 = float(f[idx])
     span = f[-1] - f[0]
@@ -286,7 +281,7 @@ def initial_guess_reflection(
         qc0 = 2.0 * ql0 / max(d0 * math.cos(theta0), 1e-6)
     else:
         # scalar fallback: work on |S21| alone
-        mag = _moving_mean(np.abs(z), 5)
+        mag = _moving_mean(np.abs(z))
         base = float(np.median(np.concatenate([mag[:edge], mag[-edge:]])))
         idx = int(np.argmin(mag))
         f_r0 = float(f[idx])
@@ -313,9 +308,7 @@ def initial_guess_reflection(
     return guess
 
 
-def fit_reflection(
-    trace: ComplexTrace, init: dict | None = None, delay: bool = False
-) -> ResonatorFit:
+def fit_reflection(trace: ComplexTrace, delay: bool = False) -> ResonatorFit:
     """Fit the complex reflection model to a trace.
 
     Raises NoResonanceError when the complex excursion from the baseline
@@ -329,16 +322,14 @@ def fit_reflection(
     _, a0, noise = _baseline(z)
     # distance from the off-resonant point sees the resonance circle
     # diameter even when an overcoupled |S21| dip wraps past the origin
-    depth = float(np.max(_moving_mean(np.abs(z - a0), 5)))
+    depth = float(np.max(_moving_mean(np.abs(z - a0))))
     if depth < max(3.0 * noise, 1e-9 * max(abs(a0), 1e-12)):
         raise NoResonanceError(
             f"complex dip excursion {depth:.3g} below 3x noise floor {noise:.3g}"
         )
 
     names = list(REFLECTION_PARAM_NAMES) + (["tau_ns"] if delay else [])
-    auto_init = init is None
-    if auto_init:
-        init = initial_guess_reflection(trace, delay=delay)
+    init = initial_guess_reflection(trace, delay=delay)
 
     # optimize the delay against the window center: the absolute-frequency
     # winding exp(2i*pi*f*tau) is nearly degenerate with arg(a) over a
@@ -358,7 +349,7 @@ def fit_reflection(
     residuals, batched = _reflection_residuals(trace.freqs_ghz, z, delay, f_mid)
     jac = _forward_jacobian(batched)
     result = lm_minimize(residuals, to_internal(init), names=names, jac=jac)
-    if delay and auto_init and not result.converged:
+    if delay and not result.converged:
         # the edge-slope delay seed can sit a fraction of a turn off when
         # the resonance phase tails reach the window edges; rescan tau in
         # quarter-turn steps and rebuild the full guess at each trial
@@ -425,6 +416,19 @@ def fit_reflection(
     )
 
 
+def _samples(x, y, names: str, min_points: int):
+    """1-D float samples of equal length, at least min_points, all finite."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InputDataError(f"{names} must be 1-D arrays of equal length")
+    if x.size < min_points:
+        raise InputDataError(f"need at least {min_points} points, got {x.size}")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise InputDataError("input contains non-finite samples")
+    return x, y
+
+
 def lorentzian_model(f, f0, fwhm, depth, offset):
     """Lorentzian dip: offset - depth at f0, rising to offset far away."""
     hw2 = (fwhm / 2.0) ** 2
@@ -451,21 +455,14 @@ def fit_lorentzian(freqs, mags) -> FitResult:
     Units follow the input axis. With two comparable dips present the
     deeper one after smoothing seeds the init and the fit locks onto it.
     """
-    f = np.asarray(freqs, dtype=float)
-    y = np.asarray(mags, dtype=float)
-    if f.ndim != 1 or f.shape != y.shape:
-        raise InputDataError("freqs and mags must be 1-D arrays of equal length")
-    if f.size < 20:
-        raise InputDataError(f"need at least 20 points, got {f.size}")
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(y))):
-        raise InputDataError("input contains non-finite samples")
+    f, y = _samples(freqs, mags, "freqs and mags", 20)
 
-    smooth = _moving_mean(y, 5)
+    smooth = _moving_mean(y)
     edge = max(3, f.size // 20)
     offset0 = float(np.median(np.concatenate([smooth[:edge], smooth[-edge:]])))
     idx = int(np.argmin(smooth))
     depth0 = offset0 - float(smooth[idx])
-    noise = _noise_rms_real(y)
+    noise = _noise_rms(y)
     scale = max(abs(offset0), np.ptp(y), 1e-12)
     if depth0 < max(3.0 * noise, 1e-9 * scale):
         raise NoDipError(f"no dip above noise floor (depth {depth0:.3g})")
@@ -507,14 +504,7 @@ def fit_rabi(t_ns, y) -> FitResult:
     FitInitError. Time units follow the input axis (ns in the file
     formats), omega is rad per time unit.
     """
-    t = np.asarray(t_ns, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if t.ndim != 1 or t.shape != y.shape:
-        raise InputDataError("t and y must be 1-D arrays of equal length")
-    if t.size < 16:
-        raise InputDataError(f"need at least 16 points, got {t.size}")
-    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
-        raise InputDataError("input contains non-finite samples")
+    t, y = _samples(t_ns, y, "t and y", 16)
     dt = float(np.median(np.diff(t)))
     if dt <= 0:
         raise InputDataError("time axis must be increasing")

@@ -71,25 +71,21 @@ def _data_lines(path):
         raise InputDataError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_table(path, header) -> np.ndarray:
-    """Read a numeric CSV with an exact expected header; returns (n, k)."""
-    want = ",".join(header)
-    rows = []
-    lines = _data_lines(path)
+def _header(path, lines):
+    """(line number, text) of the first data line, the header."""
     try:
-        no, first = next(lines)
+        return next(lines)
     except StopIteration:
         raise InputDataError(f"{path} is empty") from None
-    if first != want:
-        raise InputDataError(
-            f"expected header {want!r}, got {first!r}", line=no
-        )
+
+
+def _numeric_rows(path, lines, width: int) -> np.ndarray:
+    """The remaining lines as an (n, width) float table."""
+    rows = []
     for no, text in lines:
         cells = text.split(",")
-        if len(cells) != len(header):
-            raise InputDataError(
-                f"expected {len(header)} columns, got {len(cells)}", line=no
-            )
+        if len(cells) != width:
+            raise InputDataError(f"expected {width} columns, got {len(cells)}", line=no)
         try:
             rows.append([float(c) for c in cells])
         except ValueError:
@@ -97,6 +93,16 @@ def _read_table(path, header) -> np.ndarray:
     if not rows:
         raise InputDataError(f"{path} has a header but no data rows")
     return np.asarray(rows, dtype=float)
+
+
+def _read_table(path, header) -> np.ndarray:
+    """Read a numeric CSV with an exact expected header; returns (n, k)."""
+    want = ",".join(header)
+    lines = _data_lines(path)
+    no, first = _header(path, lines)
+    if first != want:
+        raise InputDataError(f"expected header {want!r}, got {first!r}", line=no)
+    return _numeric_rows(path, lines, len(header))
 
 
 def read_complex_trace(path) -> ComplexTrace:
@@ -157,22 +163,14 @@ def read_sweep_csv(path) -> SweepResult:
 
 
 def write_map_csv(path, m: Map2D) -> Path:
-    p = resolve_out_path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="\n") as fh:
-        corner = f"{m.slow_name}\\{m.fast_name}"
-        fh.write(",".join([corner] + [_fmt(v) for v in m.fast_values]) + "\n")
-        for sv, row in zip(m.slow_values, m.grid):
-            fh.write(",".join([_fmt(sv)] + [_fmt(v) for v in row]) + "\n")
-    return p
+    """Corner cell 'slow\\fast' and the fast axis, then one row per slow value."""
+    header = [f"{m.slow_name}\\{m.fast_name}"] + [_fmt(v) for v in m.fast_values]
+    return _write_rows(path, header, np.column_stack([m.slow_values, m.grid]))
 
 
 def read_map_csv(path) -> Map2D:
     lines = _data_lines(path)
-    try:
-        no, first = next(lines)
-    except StopIteration:
-        raise InputDataError(f"{path} is empty") from None
+    no, first = _header(path, lines)
     cells = first.split(",")
     if "\\" not in cells[0]:
         raise InputDataError(
@@ -185,21 +183,9 @@ def read_map_csv(path) -> Map2D:
         raise InputDataError("non-numeric fast-axis value in header", line=no) from None
     if fast.size < 1:
         raise InputDataError("map header has no fast-axis values", line=no)
-    slow, rows = [], []
-    for no, text in lines:
-        cells = text.split(",")
-        if len(cells) != fast.size + 1:
-            raise InputDataError(
-                f"expected {fast.size + 1} columns, got {len(cells)}", line=no
-            )
-        try:
-            slow.append(float(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
-        except ValueError:
-            raise InputDataError(f"non-numeric cell in {text!r}", line=no) from None
-    if not rows:
-        raise InputDataError(f"{path} has a header but no data rows")
-    return Map2D(slow_name, np.array(slow), fast_name, fast, np.array(rows))
+    table = _numeric_rows(path, lines, fast.size + 1)
+    slow, grid = np.ascontiguousarray(table[:, 0]), np.ascontiguousarray(table[:, 1:])
+    return Map2D(slow_name, slow, fast_name, fast, grid)
 
 
 def sanitize_json(obj):

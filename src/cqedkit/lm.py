@@ -5,22 +5,24 @@ lm_minimize so the convergence rules stay in one place. Residual functions
 must return real 1-D arrays; complex data is fit by stacking real and
 imaginary parts.
 
-Forward-difference Jacobians come from ``numeric_jacobian``, which holds
-the step rule (``1.49e-8 * max(|x_i|, 1)``) and the difference formula.
-By default it calls the residual once at x and once per stepped
-parameter. With ``batched=True`` it calls the residual once, on an
-(n, n+1, 1) array: column 0 along the second axis is x and column i+1 is
-x with parameter i stepped, so each ``X[i]`` is an (n+1, 1) column that
-broadcasts against a 1-D data axis. The residual must then return the
-(n+1, m) stack of residual rows, each with the same bits a single call at
-that point gives; the Jacobian is identical bit for bit to the per-column
-loop. A fitter passes it to lm_minimize as ``jac=``.
+Forward-difference Jacobians come from ``numeric_jacobian``, the one
+difference rule in the package: step parameter i by
+``1.49e-8 * max(|x_i|, 1)`` and divide the change in the residual by the
+step. It builds the (n, n+1) stack of points once (column 0 is x, column
+i+1 is x with parameter i stepped) and takes one difference of the stacked
+residual rows. By default it calls the residual once per point. With
+``batched=True`` it calls it once, on the (n, n+1, 1) stack, so each
+``X[i]`` is an (n+1, 1) column that broadcasts against a 1-D data axis;
+the residual must then return the (n+1, m) stack of rows, each with the
+same bits a single call at that point gives, and the Jacobian is
+identical bit for bit. A fitter passes it to lm_minimize as ``jac=``.
 
 Convergence: an accepted step whose relative size and relative cost
-decrease are both below ``tol`` (default 1e-10), or a rejected step that
-has shrunk below ``tol``. Hard cap of 200 iterations. Singular normal
-equations escalate the damping; if damping maxes out the result is
-returned with ``converged=False`` rather than raising.
+decrease are both below ``TOL`` (1e-10), or a rejected step that has
+shrunk below ``TOL``. Hard cap of ``MAX_ITER`` (200) iterations. Both are
+constants. Singular normal equations escalate the damping; if damping
+maxes out the result is returned with ``converged=False`` rather than
+raising.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_ITER_DEFAULT = 200
-TOL_DEFAULT = 1e-10
+MAX_ITER = 200
+TOL = 1e-10
+_REL_STEP = 1.49e-8  # sqrt(eps)
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
 _TINY = 1e-300
@@ -68,42 +71,24 @@ class FitResult:
         }
 
 
-def numeric_jacobian(
-    fn, x, args=(), central: bool = False, rel_step: float | None = None,
-    batched: bool = False,
-):
-    """Finite-difference Jacobian of a residual function at x, C-ordered (m, n).
+def numeric_jacobian(fn, x, args=(), batched: bool = False):
+    """Forward-difference Jacobian of a residual function at x, C-ordered (m, n).
 
-    ``batched=True`` evaluates all forward-difference points in one call of
-    a residual that broadcasts over a trailing batch axis (module docstring).
+    ``batched=True`` evaluates all points in one call of a residual that
+    broadcasts over a trailing batch axis (module docstring); otherwise
+    the residual is called once per point.
     """
     x = np.asarray(x, dtype=float)
-    if rel_step is None:
-        rel_step = 6.06e-6 if central else 1.49e-8  # eps**(1/3), sqrt(eps)
+    h = _REL_STEP * np.maximum(np.abs(x), 1.0)
+    xs = np.repeat(x[:, None], x.size + 1, axis=1)
+    xs[np.arange(x.size), np.arange(1, x.size + 1)] += h
     if batched:
-        if central:
-            raise ValueError("batched evaluation supports forward differences only")
-        h = rel_step * np.maximum(np.abs(x), 1.0)
-        xs = np.repeat(x[:, None], x.size + 1, axis=1)
-        xs[np.arange(x.size), np.arange(1, x.size + 1)] += h
         rs = np.asarray(fn(xs[:, :, None], *args), dtype=float)
-        # the layout picks the BLAS kernel behind j.T @ j, and so its bits
-        return np.ascontiguousarray(((rs[1:] - rs[0]) / h[:, None]).T)
-    r0 = None if central else np.asarray(fn(x, *args), dtype=float)
-    cols = []
-    for i in range(x.size):
-        h = rel_step * max(abs(x[i]), 1.0)
-        xp = x.copy()
-        xp[i] += h
-        rp = np.asarray(fn(xp, *args), dtype=float)
-        if central:
-            xm = x.copy()
-            xm[i] -= h
-            rm = np.asarray(fn(xm, *args), dtype=float)
-            cols.append((rp - rm) / (2.0 * h))
-        else:
-            cols.append((rp - r0) / h)
-    return np.column_stack(cols)
+    else:
+        rs = np.array([np.asarray(fn(xs[:, k].copy(), *args), dtype=float)
+                       for k in range(x.size + 1)])
+    # the layout picks the BLAS kernel behind j.T @ j, and so its bits
+    return np.ascontiguousarray(((rs[1:] - rs[0]) / h[:, None]).T)
 
 
 def _covariance(jac: np.ndarray, chi2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,8 +110,6 @@ def lm_minimize(
     args=(),
     names: list[str] | None = None,
     jac=None,
-    max_iter: int = MAX_ITER_DEFAULT,
-    tol: float = TOL_DEFAULT,
 ) -> FitResult:
     """Minimize sum(fn(x, *args)**2) from x0.
 
@@ -167,7 +150,7 @@ def lm_minimize(
     if cost == 0.0:
         converged, message = True, "zero cost at start"
 
-    while not converged and iterations < max_iter:
+    while not converged and iterations < MAX_ITER:
         iterations += 1
         j = jacobian(x)
         if not np.isfinite(j).all():
@@ -209,12 +192,12 @@ def lm_minimize(
                 cost_rel = (cost - cost_try) / max(cost, _TINY)
                 x, r, cost = x_try, r_try, cost_try
                 lam = max(lam / 3.0, 1e-14)
-                if (step_rel < tol and cost_rel < tol) or cost == 0.0:
+                if (step_rel < TOL and cost_rel < TOL) or cost == 0.0:
                     converged = True
                     message = "step and cost decrease below tolerance"
                 break
             # rejected step: a tiny one means we sit at the minimum already
-            if step_rel < tol:
+            if step_rel < TOL:
                 converged = True
                 message = "proposed step below tolerance"
                 break

@@ -28,6 +28,7 @@ SPEED_OF_LIGHT = 299792458.0  # m/s
 DEFAULT_N_CUT = 30    # charge cutoff, matrix dimension 2*n_cut + 1
 DEFAULT_GRID_N = 201  # phase-grid points, odd
 F01_CONVERGENCE_MHZ = 0.01  # refinement check threshold
+N_LEVELS = 6  # eigenenergies kept in a QubitSpectrum
 
 
 @dataclass
@@ -143,7 +144,6 @@ def _transmon_eigvals(ec: float, ej: float, ng: float, n_cut: int) -> np.ndarray
 def transmon_levels(
     params: QubitParams,
     n_cut: int = DEFAULT_N_CUT,
-    n_levels: int = 6,
     check: bool = True,
 ) -> QubitSpectrum:
     """Diagonalize H = 4*EC*(n-ng)^2 - (EJ/2)*sum(|n><n+1| + h.c.).
@@ -152,7 +152,6 @@ def transmon_levels(
     ----------
     params : QubitParams, EJ variant.
     n_cut : charge cutoff; the matrix dimension is 2*n_cut + 1.
-    n_levels : number of eigenenergies kept in the result.
     check : when True, re-solve with 2*n_cut and require f01 to move by
         less than 0.01 MHz, raising TruncationError otherwise.
     """
@@ -169,7 +168,7 @@ def transmon_levels(
                 f"f01 moved {drift:.4g} MHz when n_cut doubled from {n_cut}; "
                 "increase n_cut"
             )
-    return QubitSpectrum(vals[:n_levels])
+    return QubitSpectrum(vals[:N_LEVELS])
 
 
 def _gatemon_terms(
@@ -215,7 +214,6 @@ def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int) -
 def gatemon_levels(
     params: QubitParams,
     grid_n: int = DEFAULT_GRID_N,
-    n_levels: int = 6,
     check: bool = True,
 ) -> QubitSpectrum:
     """Diagonalize 4*EC*(n-ng)^2 - gap*sum_i sqrt(1 - T_i sin^2(phi/2)).
@@ -245,7 +243,7 @@ def gatemon_levels(
                 f"f01 moved {drift:.4g} MHz under grid refinement from {grid_n}; "
                 "increase grid_n"
             )
-    return QubitSpectrum(vals[:n_levels])
+    return QubitSpectrum(vals[:N_LEVELS])
 
 
 def infer_transmission(

@@ -30,13 +30,13 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def nice_ticks(lo: float, hi: float, target: int = 5):
-    """Round tick positions covering [lo, hi] at a 1/2/5 step."""
+def nice_ticks(lo: float, hi: float):
+    """Round tick positions covering [lo, hi] at a 1/2/5 step, about five of them."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + (abs(lo) if lo else 1.0) * 1e-3
-    raw = (hi - lo) / max(target, 2)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

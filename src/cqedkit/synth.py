@@ -22,9 +22,8 @@ import numpy as np
 from .coupling import (
     DispersiveSystem,
     SweepResult,
-    critical_photon_number,
+    crossover_weight,
     dispersive_shift_two_level,
-    mean_photon_number,
 )
 from .errors import ConfigError
 from .fitters import ComplexTrace, lorentzian_model, rabi_model, reflection_model
@@ -57,6 +56,22 @@ _TRUTH_KEYS = {
 }
 
 
+def whole_number(value, what: str):
+    """A whole number: an int as it is, or an integral float such as 4e2.
+
+    The one integer rule of SynthSpec and of the config readers.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return value
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if isinstance(value, (bool, np.bool_)) or not x.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return x
+
+
 @dataclass
 class SynthSpec:
     """Recipe for one synthetic dataset.
@@ -77,9 +92,9 @@ class SynthSpec:
             raise ConfigError(
                 f"unknown synth kind {self.kind!r}, expected one of {SYNTH_KINDS}"
             )
-        self.seed = int(self.seed)
+        self.seed = int(whole_number(self.seed, "seed"))
         if self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.snr_db is not None:
             self.snr_db = float(self.snr_db)
             if not math.isfinite(self.snr_db):
@@ -96,10 +111,7 @@ class SynthSpec:
                 continue
             # the sidecar records the count as given, so it must be the
             # number of points the axis gets
-            n = float(self.grid[n_key])
-            if not (math.isfinite(n) and n == int(n)):
-                raise ConfigError(f"{n_key} must be an integer, got {self.grid[n_key]!r}")
-            if n < 2:
+            if whole_number(self.grid[n_key], n_key) < 2:
                 raise ConfigError(f"{n_key} must be at least 2")
 
     def axis(self, prefix: str) -> np.ndarray:
@@ -181,7 +193,7 @@ def synth_reflection(spec: SynthSpec) -> ComplexTrace:
         z = z + rng.normal(0.0, per_quad, f.size) + 1j * rng.normal(
             0.0, per_quad, f.size
         )
-    return ComplexTrace(f, z, metadata=spec.to_dict())
+    return ComplexTrace(f, z)
 
 
 def _dip(f_ghz, center_ghz, fwhm_mhz, depth, baseline):
@@ -224,13 +236,11 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
     f = spec.axis("f")
     delta = system.delta_mhz
     chi = dispersive_shift_two_level(system.g_mhz, delta)
-    n_crit = critical_photon_number(system.g_mhz, delta)
     purcell = (system.g_mhz / delta) ** 2 * system.gamma_q_mhz
 
     grid = np.empty((powers.size, f.size))
     for i, p in enumerate(powers):
-        nbar = mean_photon_number(p, system.f_bare_ghz, system.kappa_mhz, atten)
-        w = 1.0 / (1.0 + (nbar / n_crit) ** (1.0 / width))
+        w = crossover_weight(system, p, atten, width)
         f_dip = system.f_bare_ghz + w * chi / 1e3
         fwhm = system.kappa_mhz + w * purcell
         row = baseline * _mag_dip(f, f_dip, fwhm, depth)

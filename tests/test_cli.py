@@ -375,6 +375,29 @@ class TestIntegerConfigKeys:
         assert capsys.readouterr().out.startswith("9 gate points")
 
 
+class TestNumberConfigKeys:
+    # each case edits one number in a shipped config
+    @pytest.mark.parametrize("name, old, new, verb, key", [
+        ("gatemon", "ec_mhz: 190.0", "ec_mhz: null", "simulate-qubit", "qubit ec_mhz"),
+        ("gatemon", "[0.85, 0.3, 0.1]", "[0.85, null]", "simulate-qubit",
+         "qubit transmissions[1]"),
+        ("pipeline", "length_a_mm: 70.0", "length_a_mm: [70]", "simulate-cavity",
+         "cavity length_a_mm"),
+        ("pipeline", "g_mhz: 100.0", "g_mhz: .nan", "sweep-gate", "system g_mhz"),
+        ("pipeline", "v_pinch: 0.0", "v_pinch: low", "sweep-gate", "sweep profile v_pinch"),
+        ("synth_reflection", "snr_db: 35.0", "snr_db: .inf", "synth", "synth snr_db"),
+    ], ids=["null-ec", "null-transmission", "list-length", "nan-g", "text-v_pinch", "inf-snr"])
+    def test_bad_number_exit_one(self, tmp_path, capsys, name, old, new, verb, key):
+        text = (Path(PIPELINE_YAML).parent / f"{name}.yaml").read_text()
+        assert old in text
+        cfg = _config(tmp_path, text.replace(old, new))
+        out = str(tmp_path / "out")
+        assert main([verb, "--config", cfg, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert f"{key} must be a finite number" in captured.err
+        assert "wrote" not in captured.out
+
+
 class TestArgumentErrors:
     def test_unknown_verb(self, capsys):
         with pytest.raises(SystemExit) as err:

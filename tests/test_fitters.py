@@ -40,6 +40,7 @@ from cqedkit.errors import (
     NoResonanceError,
 )
 from cqedkit.lm import numeric_jacobian
+from jacobian_oracle import central_difference, forward_loop
 
 
 def _trace(ql, qc, f_r=5.2816, theta=0.1, a=1.0 + 0.0j, snr_db=None, seed=0,
@@ -164,7 +165,7 @@ def test_reflection_delay_recovery():
 
 @pytest.mark.parametrize("delay", [False, True])
 def test_reflection_batched_jacobian_bit_identical(delay):
-    # the fitter's one-call Jacobian against the per-column residual loop
+    # the per-point and the fitter's one-call Jacobian against the per-column loop
     trace = _trace(6000.0, 12000.0, snr_db=30.0, seed=4, n=401)
     f, z = trace.freqs_ghz, trace.values
     f_mid = float(0.5 * (f[0] + f[-1]))
@@ -176,10 +177,10 @@ def test_reflection_batched_jacobian_bit_identical(delay):
              rng.uniform(-1.2, 1.2), 5.2816 * (1.0 + rng.normal(0.0, 1e-4))]
         if delay:
             x.append(rng.uniform(-100.0, 100.0))
-        loop = numeric_jacobian(residuals, np.array(x))
-        one_call = numeric_jacobian(batched, np.array(x), batched=True)
-        assert one_call.flags.c_contiguous
-        assert np.array_equal(one_call, loop)
+        loop = forward_loop(residuals, x)
+        for j in (numeric_jacobian(residuals, x), numeric_jacobian(batched, x, batched=True)):
+            assert j.flags.c_contiguous
+            assert np.array_equal(j, loop)
 
 
 def test_reflection_delay_fit_pinned():
@@ -226,8 +227,8 @@ def test_lorentzian_jacobian_matches_numeric():
     f = np.linspace(4900.0, 5100.0, 101)
     y = np.zeros_like(f)
     x = np.array([5003.0, 21.0, 0.6, 1.1])
-    num = numeric_jacobian(lambda xv, fv, yv: lorentzian_model(fv, *xv) - yv,
-                           x, args=(f, y), central=True)
+    num = central_difference(lambda xv, fv, yv: lorentzian_model(fv, *xv) - yv,
+                             x, args=(f, y))
     # tolerance bounded by the central-difference truncation error, not
     # by the analytic expressions
     np.testing.assert_allclose(lorentzian_jacobian(x, f, y), num,
@@ -307,10 +308,11 @@ def test_rabi_batched_jacobian_bit_identical():
         x = np.array([rng.normal(1.0, 0.5), 10.0 ** rng.uniform(1.5, 3.5),
                       rng.uniform(0.02, 0.4), rng.uniform(-4.0, 4.0),
                       rng.normal(0.0, 1e-3), rng.normal(0.5, 0.2)])
-        loop = numeric_jacobian(_rabi_residuals, x, args=(t, y))
-        one_call = numeric_jacobian(_rabi_residuals, x, args=(t, y), batched=True)
-        assert one_call.flags.c_contiguous
-        assert np.array_equal(one_call, loop)
+        loop = forward_loop(_rabi_residuals, x, args=(t, y))
+        for batched in (False, True):
+            j = numeric_jacobian(_rabi_residuals, x, args=(t, y), batched=batched)
+            assert j.flags.c_contiguous
+            assert np.array_equal(j, loop)
 
 
 def test_rabi_overflowing_trial_steps_are_quiet():

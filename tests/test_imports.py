@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import cqedkit
@@ -56,3 +57,30 @@ def test_simulate_qubit_loads_linalg_only(tmp_path):
                                   "--out", str(tmp_path / "spectrum.json")]))
     assert "scipy.linalg" in loaded
     assert "scipy.interpolate" not in loaded
+
+
+# the public names as they stood when __all__ was a hand-written list
+PUBLIC_NAMES = [
+    "CavityGeometry", "ComplexTrace", "ConfigError", "CqedkitError", "DispersiveSystem",
+    "FitError", "FitInitError", "FitResult", "GateSweepModel", "InputDataError", "Map2D",
+    "NoDipError", "NoResonanceError", "NoSolutionError", "NotConvergedError", "QubitParams",
+    "QubitSpectrum", "ResonatorFit", "SolverError", "SweepPoint", "SweepResult", "SynthSpec",
+    "TruncationError", "anti_crossing", "coupling_from_shift", "critical_photon_number",
+    "derive_qi", "dispersive_shift_transmon", "dispersive_shift_two_level", "fit_lorentzian",
+    "fit_rabi", "fit_reflection", "gate_sweep", "gatemon_levels", "infer_transmission",
+    "initial_guess_reflection", "lm_minimize", "lorentzian_model", "mean_photon_number",
+    "nanowire_profile", "numeric_jacobian", "power_dependence", "purcell_induced_cavity_loss",
+    "rabi_model", "reflection_model", "subtract_background", "synth_gate_map",
+    "synth_power_map", "synth_rabi", "synth_reflection", "synth_two_tone",
+    "te_mode_frequency", "transmon_levels",
+]
+
+
+def test_public_names():
+    assert cqedkit.__all__ == PUBLIC_NAMES
+    assert not [n for n in cqedkit.__all__ if isinstance(getattr(cqedkit, n), types.ModuleType)]
+    namespace = {}
+    exec("from cqedkit import *", namespace)
+    # the submodule io would shadow the standard library's
+    assert "io" not in namespace
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC_NAMES)

@@ -394,7 +394,9 @@ class TestConfig:
         spec = self._spec(ql="6e3")
         assert spec.truth["ql"] == 6000.0 and type(spec.truth["ql"]) is float
 
-    @pytest.mark.parametrize("value", ["fast", "nan", "inf", "", None, [1, 2], {"x": 1}])
+    @pytest.mark.parametrize("value", ["fast", "nan", "inf", "", None, [1, 2], {"x": 1},
+                                       pytest.param(math.nan, id="float-nan"),
+                                       pytest.param(-math.inf, id="float-minus-inf")])
     def test_synth_non_number_names_key(self, value):
         with pytest.raises(ConfigError, match="ql"):
             self._spec(ql=value)

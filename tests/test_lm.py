@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cqedkit.lm import FitResult, lm_minimize, numeric_jacobian
+from jacobian_oracle import central_difference, forward_loop
 
 
 def test_linear_problem_exact():
@@ -69,12 +70,13 @@ def test_numeric_jacobian_matches_analytic():
         return np.column_stack([e, -x[0] * t * e, np.ones_like(t)])
 
     x = np.array([2.5, 0.9, -0.3])
-    num = numeric_jacobian(fn, x, central=True)
-    np.testing.assert_allclose(num, jac(x), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(central_difference(fn, x), jac(x), rtol=1e-6, atol=1e-8)
+    # the forward difference is first order: its error is about the step
+    np.testing.assert_allclose(numeric_jacobian(fn, x), jac(x), rtol=1e-6, atol=1e-7)
 
 
 def test_batched_numeric_jacobian_bit_identical():
-    # the batched call must reproduce the per-column loop exactly, layout too
+    # both modes must reproduce the per-column loop exactly, layout too
     t = np.linspace(0.1, 4.0, 25)
 
     def fn(x):
@@ -84,15 +86,11 @@ def test_batched_numeric_jacobian_bit_identical():
     for _ in range(25):
         # magnitudes on both sides of the max(|x|, 1) step floor
         x = rng.normal(0.0, 2.0, 3) * 10.0 ** rng.integers(-3, 2, 3)
-        loop = numeric_jacobian(fn, x)
-        batched = numeric_jacobian(fn, x, batched=True)
-        assert batched.flags.c_contiguous and batched.shape == loop.shape
-        assert np.array_equal(batched, loop)
-
-
-def test_batched_numeric_jacobian_forward_only():
-    with pytest.raises(ValueError, match="forward"):
-        numeric_jacobian(lambda x: x[0] + x[1], np.ones(2), central=True, batched=True)
+        loop = forward_loop(fn, x)
+        for batched in (False, True):
+            j = numeric_jacobian(fn, x, batched=batched)
+            assert j.flags.c_contiguous and j.shape == loop.shape
+            assert np.array_equal(j, loop)
 
 
 def test_batched_jacobian_fit_matches_default_loop():

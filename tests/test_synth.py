@@ -98,6 +98,16 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="seed"):
             _refl_spec(seed=-1)
 
+    @pytest.mark.parametrize("seed", [7.9, True, float("inf"), float("nan"), -1.0, "7.5"])
+    def test_non_integer_seed_names_key(self, seed):
+        # a fractional seed used to run, and be recorded, as its integer part
+        with pytest.raises(ConfigError, match="seed"):
+            _refl_spec(seed=seed)
+
+    def test_integral_float_seed_passes(self):
+        spec = _refl_spec(seed=7.0)
+        assert spec.seed == 7 and type(spec.to_dict()["seed"]) is int
+
     def test_inverted_axis_rejected(self):
         spec = _refl_spec(grid={"f_min_ghz": 5.3, "f_max_ghz": 5.2, "n_f": 101})
         with pytest.raises(ConfigError, match="must exceed"):
@@ -124,12 +134,6 @@ def test_reflection_deterministic_and_seed_sensitive():
     c = synth_reflection(_refl_spec(seed=12))
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
-
-
-def test_reflection_metadata_carries_spec():
-    spec = _refl_spec()
-    trace = synth_reflection(spec)
-    assert trace.metadata == spec.to_dict()
 
 
 def test_reflection_self_inversion():
