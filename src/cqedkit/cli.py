@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -57,7 +56,7 @@ def _emit_json(payload: dict, out) -> None:
     if out:
         print(f"wrote {io.write_json(out, payload)}")
     else:
-        print(json.dumps(io.sanitize_json(payload), indent=2, sort_keys=True))
+        print(io.json_text(payload))
 
 
 def _print_params(result) -> None:

@@ -279,9 +279,6 @@ class SweepResult:
     CSV_COLUMNS = ("V_G", "f_Q_MHz", "chi_MHz", "f_C_GHz", "f_plus_GHz", "f_minus_GHz")
     _INDEX = {name: i for i, name in enumerate(CSV_COLUMNS)}
 
-    def to_records(self) -> list[dict]:
-        return [dict(zip(self.CSV_COLUMNS, p)) for p in self.points]
-
     def column(self, name: str) -> np.ndarray:
         i = self._INDEX[name]
         return np.array([p[i] for p in self.points], dtype=float)

@@ -121,9 +121,9 @@ _DELAY_OF = [0, 0, 0, 0, 0, 0, 0, 1]
 
 def _reflection_residuals(f, z, delay: bool, f_mid: float):
     """Residual of the reflection fit at one point, and its batched form
-    for lm.numeric_jacobian(batched=True), whose rows have the bits of
-    single calls. Both take fit_reflection's internal parameters: A
-    rotated to the window center and, with delay, tau_ns last."""
+    for lm.numeric_jacobian, whose rows have the bits of single calls.
+    Both take fit_reflection's internal parameters: A rotated to the
+    window center and, with delay, tau_ns last."""
     winding = 2j * np.pi * (f - f_mid)
 
     def residuals(x):
@@ -151,7 +151,7 @@ def _forward_jacobian(batched):
     """lm_minimize ``jac=`` taking every forward difference in one call."""
 
     def jac(x, *args):
-        return lm.numeric_jacobian(batched, x, args=args, batched=True)
+        return lm.numeric_jacobian(batched, x, args=args)
 
     return jac
 

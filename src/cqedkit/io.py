@@ -6,13 +6,15 @@ serializes to identical bytes. Readers reject wrong headers and report
 malformed cells with their 1-based line number. Lines starting with '#'
 and blank lines are ignored on input.
 
-Every writer resolves its output path itself, against the CQEDKIT_OUTDIR
-environment variable when the path is relative and the variable is set,
-and returns the path it wrote; callers pass paths through unresolved.
+Every output file, SVG plots included, is written by ``write_lines``,
+which puts a relative path under the CQEDKIT_OUTDIR environment variable
+when that is set and returns the path it wrote; callers pass paths through
+unresolved. ``json_text`` formats JSON for files and stdout alike.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -34,28 +36,26 @@ RABI_HEADER = ("t_ns", "y")
 GATE_HEADER = ("V_G", "value")
 
 
-def resolve_out_path(path) -> Path:
-    """Resolve an output path, honoring CQEDKIT_OUTDIR for relative ones."""
-    p = Path(path)
-    if not p.is_absolute():
-        base = os.environ.get(OUTDIR_ENV)
-        if base:
-            p = Path(base) / p
-    return p
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_rows(path, header, rows) -> Path:
-    p = resolve_out_path(path)
+def write_lines(path, lines) -> Path:
+    """Write text lines, each ended by LF, making the parent directories."""
+    p = Path(path)
+    if not p.is_absolute() and os.environ.get(OUTDIR_ENV):
+        p = Path(os.environ[OUTDIR_ENV]) / p
     p.parent.mkdir(parents=True, exist_ok=True)
     with open(p, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(c) for c in row) + "\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
     return p
+
+
+def _write_rows(path, header, rows) -> Path:
+    body = (",".join(_fmt(c) for c in row) for row in rows)
+    return write_lines(path, itertools.chain([",".join(header)], body))
 
 
 def _data_lines(path):
@@ -209,13 +209,13 @@ def sanitize_json(obj):
     return obj
 
 
+def json_text(payload) -> str:
+    """Sorted, two-space indented JSON of a sanitized payload."""
+    return json.dumps(sanitize_json(payload), indent=2, sort_keys=True, allow_nan=False)
+
+
 def write_json(path, payload: dict) -> Path:
-    p = resolve_out_path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="\n") as fh:
-        json.dump(sanitize_json(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    return p
+    return write_lines(path, [json_text(payload)])
 
 
 def read_json(path) -> dict:

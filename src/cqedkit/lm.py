@@ -5,17 +5,16 @@ lm_minimize so the convergence rules stay in one place. Residual functions
 must return real 1-D arrays; complex data is fit by stacking real and
 imaginary parts.
 
-Forward-difference Jacobians come from ``numeric_jacobian``, the one
-difference rule in the package: step parameter i by
-``1.49e-8 * max(|x_i|, 1)`` and divide the change in the residual by the
-step. It builds the (n, n+1) stack of points once (column 0 is x, column
-i+1 is x with parameter i stepped) and takes one difference of the stacked
-residual rows. By default it calls the residual once per point. With
-``batched=True`` it calls it once, on the (n, n+1, 1) stack, so each
-``X[i]`` is an (n+1, 1) column that broadcasts against a 1-D data axis;
-the residual must then return the (n+1, m) stack of rows, each with the
-same bits a single call at that point gives, and the Jacobian is
-identical bit for bit. A fitter passes it to lm_minimize as ``jac=``.
+Every caller names its Jacobian: ``lm_minimize`` requires ``jac=``. A
+fitter passes an analytic one or forward differences from
+``numeric_jacobian``, the one difference rule in the package: step
+parameter i by ``1.49e-8 * max(|x_i|, 1)`` and divide the change in the
+residual by the step. The residual is called once, on the (n, n+1, 1)
+stack of points (column 0 is x, column i+1 is x with parameter i
+stepped), so each ``X[i]`` is an (n+1, 1) column that broadcasts against
+a 1-D data axis. It must return the (n+1, m) stack of rows, each with the
+bits a single call at that point gives; the Jacobian is one difference of
+those rows.
 
 Convergence: an accepted step whose relative size and relative cost
 decrease are both below ``TOL`` (1e-10), or a rejected step that has
@@ -71,22 +70,14 @@ class FitResult:
         }
 
 
-def numeric_jacobian(fn, x, args=(), batched: bool = False):
-    """Forward-difference Jacobian of a residual function at x, C-ordered (m, n).
-
-    ``batched=True`` evaluates all points in one call of a residual that
-    broadcasts over a trailing batch axis (module docstring); otherwise
-    the residual is called once per point.
-    """
+def numeric_jacobian(fn, x, args=()):
+    """Forward-difference Jacobian of a residual function at x, C-ordered
+    (m, n), from one call on the (n, n+1, 1) stack (module docstring)."""
     x = np.asarray(x, dtype=float)
     h = _REL_STEP * np.maximum(np.abs(x), 1.0)
     xs = np.repeat(x[:, None], x.size + 1, axis=1)
     xs[np.arange(x.size), np.arange(1, x.size + 1)] += h
-    if batched:
-        rs = np.asarray(fn(xs[:, :, None], *args), dtype=float)
-    else:
-        rs = np.array([np.asarray(fn(xs[:, k].copy(), *args), dtype=float)
-                       for k in range(x.size + 1)])
+    rs = np.asarray(fn(xs[:, :, None], *args), dtype=float)
     # the layout picks the BLAS kernel behind j.T @ j, and so its bits
     return np.ascontiguousarray(((rs[1:] - rs[0]) / h[:, None]).T)
 
@@ -109,12 +100,13 @@ def lm_minimize(
     x0,
     args=(),
     names: list[str] | None = None,
-    jac=None,
+    *,
+    jac,
 ) -> FitResult:
     """Minimize sum(fn(x, *args)**2) from x0.
 
-    ``fn(x, *args)`` returns the residual vector; ``jac(x, *args)``, when
-    given, its analytic Jacobian (otherwise forward differences are used).
+    ``fn(x, *args)`` returns the residual vector and ``jac(x, *args)`` its
+    Jacobian, analytic or from ``numeric_jacobian``.
     Non-finite residuals at the start raise ValueError; anywhere later they
     reject the trial step.
     """
@@ -133,9 +125,7 @@ def lm_minimize(
         return r.astype(float, copy=False).ravel()
 
     def jacobian(xv):
-        if jac is not None:
-            return np.asarray(jac(xv, *args), dtype=float)
-        return numeric_jacobian(fn, xv, args=args)
+        return np.asarray(jac(xv, *args), dtype=float)
 
     r = residuals(x)
     if not np.isfinite(r).all():

@@ -162,13 +162,15 @@ def transmon_levels(
     vals = _transmon_eigvals(params.ec, params.ej, params.ng, n_cut)
     if check:
         ref = _transmon_eigvals(params.ec, params.ej, params.ng, 2 * n_cut)
-        drift = abs((vals[1] - vals[0]) - (ref[1] - ref[0]))
-        if drift >= F01_CONVERGENCE_MHZ:
-            raise TruncationError(
-                f"f01 moved {drift:.4g} MHz when n_cut doubled from {n_cut}; "
-                "increase n_cut"
-            )
+        _check_f01(vals, ref[1] - ref[0], f"when n_cut doubled from {n_cut}", "n_cut")
     return QubitSpectrum(vals[:N_LEVELS])
+
+
+def _check_f01(vals, f01_refined: float, refinement: str, knob: str) -> None:
+    """The refinement check: f01 must move by less than 0.01 MHz."""
+    drift = abs((vals[1] - vals[0]) - f01_refined)
+    if drift >= F01_CONVERGENCE_MHZ:
+        raise TruncationError(f"f01 moved {drift:.4g} MHz {refinement}; increase {knob}")
 
 
 def _gatemon_terms(
@@ -237,12 +239,8 @@ def gatemon_levels(
     args = (params.ec, params.gap, params.transmissions, params.ng)
     vals = _gatemon_eigvals(*args, grid_n)
     if check:
-        drift = abs((vals[1] - vals[0]) - _gatemon_f01(*args, 2 * grid_n + 1))
-        if drift >= F01_CONVERGENCE_MHZ:
-            raise TruncationError(
-                f"f01 moved {drift:.4g} MHz under grid refinement from {grid_n}; "
-                "increase grid_n"
-            )
+        _check_f01(vals, _gatemon_f01(*args, 2 * grid_n + 1),
+                   f"under grid refinement from {grid_n}", "grid_n")
     return QubitSpectrum(vals[:N_LEVELS])
 
 
@@ -251,8 +249,6 @@ def infer_transmission(
     ec: float,
     gap: float,
     ng: float = 0.0,
-    grid_n: int = DEFAULT_GRID_N,
-    t_min: float = 1e-3,
 ) -> float:
     """Invert the single-channel anharmonicity curve alpha(T).
 
@@ -266,9 +262,11 @@ def infer_transmission(
     """
     from scipy.optimize import brentq
 
+    t_min = 1e-3  # low end of the transmission bracket
+
     def alpha_at(t: float) -> float:
         p = QubitParams(ec=ec, gap=gap, transmissions=(t,), ng=ng)
-        return gatemon_levels(p, grid_n=grid_n, check=False).alpha
+        return gatemon_levels(p, check=False).alpha
 
     alpha_hi = alpha_at(1.0)      # least negative end
     alpha_lo = alpha_at(t_min)    # most negative end

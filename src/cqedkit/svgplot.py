@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .io import write_lines
+
 WIDTH, HEIGHT = 640, 480
 MARGIN = {"left": 70, "right": 20, "top": 40, "bottom": 50}
 
@@ -205,7 +207,7 @@ def line_plot(path, x, series, xlabel="", ylabel="", title=""):
             ly = MARGIN["top"] + 14 * i + 4
             canvas.line(ax.x1 - 90, ly - 4, ax.x1 - 74, ly - 4, color, 2)
             canvas.text(ax.x1 - 70, ly, label, size=11)
-    return _write(path, canvas.finish())
+    return write_lines(path, canvas.finish())
 
 
 def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title=""):
@@ -233,16 +235,5 @@ def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title=""
     # written: a 61 x 721 map is 44k rects, and holding them all as strings
     # took ~11 MB at the peak
     rows = (cell_row(i) for i in range(slow.size))
-    return _write(path, itertools.chain(parts[:n_head], rows, parts[n_head:]))
+    return write_lines(path, itertools.chain(parts[:n_head], rows, parts[n_head:]))
 
-
-def _write(path, lines):
-    from .io import resolve_out_path
-
-    p = resolve_out_path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
-    return p

@@ -15,7 +15,8 @@ generated and rows can be produced in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,33 +27,32 @@ from .coupling import (
     dispersive_shift_two_level,
 )
 from .errors import ConfigError
-from .fitters import ComplexTrace, lorentzian_model, rabi_model, reflection_model
-
-SYNTH_KINDS = (
-    "reflection_trace",
-    "power_map",
-    "gate_map",
-    "two_tone_map",
-    "rabi_trace",
+from .fitters import (
+    RABI_PARAM_NAMES,
+    REFLECTION_PARAM_NAMES,
+    ComplexTrace,
+    lorentzian_model,
+    rabi_model,
+    reflection_model,
 )
 
-# grid keys each kind must provide
-_GRID_KEYS = {
-    "reflection_trace": ("f_min_ghz", "f_max_ghz", "n_f"),
-    "power_map": ("f_min_ghz", "f_max_ghz", "n_f", "p_min_dbm", "p_max_dbm", "n_p"),
-    "gate_map": ("f_min_ghz", "f_max_ghz", "n_f", "v_min", "v_max", "n_v"),
-    "two_tone_map": ("f_min_ghz", "f_max_ghz", "n_f", "v_min", "v_max", "n_v"),
-    "rabi_trace": ("t_max_ns", "n_t"),
+# axis -> (low, high, count) grid keys; the time axis starts at 0
+_AXES = {
+    "f": ("f_min_ghz", "f_max_ghz", "n_f"),
+    "p": ("p_min_dbm", "p_max_dbm", "n_p"),
+    "v": ("v_min", "v_max", "n_v"),
+    "t": (None, "t_max_ns", "n_t"),
 }
 
-_TRUTH_KEYS = {
-    "reflection_trace": ("a_re", "a_im", "ql", "qc", "theta", "f_r_ghz"),
-    "rabi_trace": ("A", "T_R", "omega", "B", "a", "b"),
-    # map kinds pull their physics from a DispersiveSystem / SweepResult and
-    # keep only presentation knobs in truth, all optional
-    "power_map": (),
-    "gate_map": (),
-    "two_tone_map": (),
+# kind -> (grid axes, truth keys it must provide); map kinds take their
+# physics from a DispersiveSystem / SweepResult and keep only optional
+# presentation knobs in truth
+SYNTH_KINDS = {
+    "reflection_trace": ("f", REFLECTION_PARAM_NAMES),
+    "power_map": ("fp", ()),
+    "gate_map": ("fv", ()),
+    "two_tone_map": ("fv", ()),
+    "rabi_trace": ("t", RABI_PARAM_NAMES),
 }
 
 
@@ -90,49 +90,41 @@ class SynthSpec:
     def __post_init__(self):
         if self.kind not in SYNTH_KINDS:
             raise ConfigError(
-                f"unknown synth kind {self.kind!r}, expected one of {SYNTH_KINDS}"
+                f"unknown synth kind {self.kind!r}, expected one of {tuple(SYNTH_KINDS)}"
             )
         self.seed = int(whole_number(self.seed, "seed"))
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.snr_db is not None:
+            if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
+                raise ConfigError(f"snr_db must be a number, got {self.snr_db!r}")
             self.snr_db = float(self.snr_db)
             if not math.isfinite(self.snr_db):
                 raise ConfigError("snr_db must be finite (omit it for noiseless)")
-        missing = [k for k in _GRID_KEYS[self.kind] if k not in self.grid]
+        axes, truth_keys = SYNTH_KINDS[self.kind]
+        missing = [k for a in axes for k in _AXES[a] if k and k not in self.grid]
         if missing:
             raise ConfigError(f"synth grid for {self.kind} is missing {missing}")
-        missing = [k for k in _TRUTH_KEYS[self.kind] if k not in self.truth]
+        missing = [k for k in truth_keys if k not in self.truth]
         if missing:
             raise ConfigError(f"synth truth for {self.kind} is missing {missing}")
-        for axis in ("f", "p", "v", "t"):
-            n_key = f"n_{axis}"
-            if n_key not in _GRID_KEYS[self.kind]:
-                continue
+        for a in axes:
+            n_key = _AXES[a][2]
             # the sidecar records the count as given, so it must be the
             # number of points the axis gets
             if whole_number(self.grid[n_key], n_key) < 2:
                 raise ConfigError(f"{n_key} must be at least 2")
 
     def axis(self, prefix: str) -> np.ndarray:
-        g = self.grid
-        if prefix == "t":
-            return np.linspace(0.0, float(g["t_max_ns"]), int(g["n_t"]))
-        lo_key = {"f": "f_min_ghz", "p": "p_min_dbm", "v": "v_min"}[prefix]
-        hi_key = {"f": "f_max_ghz", "p": "p_max_dbm", "v": "v_max"}[prefix]
-        lo, hi = float(g[lo_key]), float(g[hi_key])
+        lo_key, hi_key, n_key = _AXES[prefix]
+        lo = float(self.grid[lo_key]) if lo_key else 0.0
+        hi = float(self.grid[hi_key])
         if not hi > lo:
-            raise ConfigError(f"{hi_key} must exceed {lo_key}")
-        return np.linspace(lo, hi, int(g[f"n_{prefix}"]))
+            raise ConfigError(f"{hi_key} must exceed {lo_key or 0}")
+        return np.linspace(lo, hi, int(self.grid[n_key]))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "snr_db": self.snr_db,
-            "truth": dict(self.truth),
-            "grid": dict(self.grid),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -156,25 +148,29 @@ class Map2D:
             )
 
 
-def _noise_rms(snr_db: float | None, scale: float) -> float:
-    if snr_db is None:
-        return 0.0
-    return abs(scale) * 10.0 ** (-snr_db / 20.0)
+def _truth(spec: SynthSpec, kind: str) -> dict:
+    """The truth of a spec, which must be of the generator's kind."""
+    if spec.kind != kind:
+        raise ConfigError(f"spec kind is {spec.kind!r}, not {kind}")
+    return spec.truth
 
 
-def _noisy_row(row, spec: SynthSpec, i: int, scale: float):
-    """Map row i plus noise from its own (seed, i) stream."""
-    sigma = _noise_rms(spec.snr_db, scale)
-    if sigma > 0:
-        row = row + np.random.default_rng((spec.seed, i)).normal(0, sigma, row.size)
-    return row
+def _noisy(values, spec: SynthSpec, scale: float, stream):
+    """values plus noise of rms |scale| * 10**(-snr_db/20) drawn from
+    default_rng(stream); complex values get it split over I and Q."""
+    sigma = 0.0 if spec.snr_db is None else abs(scale) * 10.0 ** (-spec.snr_db / 20.0)
+    if not sigma > 0:
+        return values
+    rng, n = np.random.default_rng(stream), values.size
+    if not np.iscomplexobj(values):
+        return values + rng.normal(0.0, sigma, n)
+    per_quad = sigma / math.sqrt(2.0)
+    return values + rng.normal(0.0, per_quad, n) + 1j * rng.normal(0.0, per_quad, n)
 
 
 def synth_reflection(spec: SynthSpec) -> ComplexTrace:
     """Complex reflection trace from the fit model plus complex noise."""
-    if spec.kind != "reflection_trace":
-        raise ConfigError(f"spec kind is {spec.kind!r}, not reflection_trace")
-    t = spec.truth
+    t = _truth(spec, "reflection_trace")
     f = spec.axis("f")
     a = complex(float(t["a_re"]), float(t["a_im"]))
     z = reflection_model(
@@ -186,14 +182,7 @@ def synth_reflection(spec: SynthSpec) -> ComplexTrace:
         float(t["f_r_ghz"]),
         float(t.get("tau_ns", 0.0)),
     )
-    sigma = _noise_rms(spec.snr_db, abs(a))
-    if sigma > 0:
-        rng = np.random.default_rng(spec.seed)
-        per_quad = sigma / math.sqrt(2.0)
-        z = z + rng.normal(0.0, per_quad, f.size) + 1j * rng.normal(
-            0.0, per_quad, f.size
-        )
-    return ComplexTrace(f, z)
+    return ComplexTrace(f, _noisy(z, spec, abs(a), spec.seed))
 
 
 def _dip(f_ghz, center_ghz, fwhm_mhz, depth, baseline):
@@ -223,11 +212,9 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
     Optional truth keys: depth (0.8), baseline (1.0), attenuation_db (0),
     width_efolds (1.0).
     """
-    if spec.kind != "power_map":
-        raise ConfigError(f"spec kind is {spec.kind!r}, not power_map")
+    t = _truth(spec, "power_map")
     if system.qubit is None:
         raise ConfigError("power_map needs a DispersiveSystem with a qubit attached")
-    t = spec.truth
     depth = float(t.get("depth", 0.8))
     baseline = float(t.get("baseline", 1.0))
     atten = float(t.get("attenuation_db", 0.0))
@@ -244,7 +231,7 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
         f_dip = system.f_bare_ghz + w * chi / 1e3
         fwhm = system.kappa_mhz + w * purcell
         row = baseline * _mag_dip(f, f_dip, fwhm, depth)
-        grid[i] = _noisy_row(row, spec, i, baseline)
+        grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("P_dBm", powers, "f_GHz", f, grid)
 
 
@@ -259,9 +246,7 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
 
     Optional truth keys: depth (0.8), baseline (1.0).
     """
-    if spec.kind != "gate_map":
-        raise ConfigError(f"spec kind is {spec.kind!r}, not gate_map")
-    t = spec.truth
+    t = _truth(spec, "gate_map")
     depth = float(t.get("depth", 0.8))
     baseline = float(t.get("baseline", 1.0))
     f = spec.axis("f")
@@ -286,7 +271,7 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
             row = baseline * _mag_dip(f, pt.f_c_ghz, fwhm, depth)
         else:  # pinch_off: bare cavity line
             row = baseline * _mag_dip(f, pt.f_c_ghz, kappa, depth)
-        grid[i] = _noisy_row(row, spec, i, baseline)
+        grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("V_G", volts, "f_GHz", f, grid)
 
 
@@ -305,9 +290,7 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     two_photon_depth (depth/2), background_amp (0.0),
     background_period_ghz (1.0).
     """
-    if spec.kind != "two_tone_map":
-        raise ConfigError(f"spec kind is {spec.kind!r}, not two_tone_map")
-    t = spec.truth
+    t = _truth(spec, "two_tone_map")
     depth = float(t.get("depth", 0.5))
     baseline = float(t.get("baseline", 1.0))
     fwhm = float(t.get("fwhm_mhz", 5.0))
@@ -333,15 +316,13 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
                 f02_half = f01 + alpha / 2e3
                 row = row - (baseline - _dip(f, f02_half, fwhm, depth2, baseline))
         row = row + background
-        grid[i] = _noisy_row(row, spec, i, baseline)
+        grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("V_G", volts, "f_d_GHz", f, grid)
 
 
 def synth_rabi(spec: SynthSpec):
     """Decaying-cosine Rabi trace, returned as (t_ns, y) arrays."""
-    if spec.kind != "rabi_trace":
-        raise ConfigError(f"spec kind is {spec.kind!r}, not rabi_trace")
-    t = spec.truth
+    t = _truth(spec, "rabi_trace")
     t_ns = spec.axis("t")
     y = rabi_model(
         t_ns,
@@ -352,7 +333,4 @@ def synth_rabi(spec: SynthSpec):
         float(t["a"]),
         float(t["b"]),
     )
-    sigma = _noise_rms(spec.snr_db, float(t["A"]))
-    if sigma > 0:
-        y = y + np.random.default_rng(spec.seed).normal(0.0, sigma, t_ns.size)
-    return t_ns, y
+    return t_ns, _noisy(y, spec, float(t["A"]), spec.seed)

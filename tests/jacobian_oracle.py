@@ -1,8 +1,10 @@
 """Finite-difference oracles for the Jacobian tests.
 
 ``forward_loop`` is the column-at-a-time forward difference that
-``cqedkit.lm.numeric_jacobian`` must reproduce bit for bit in both of its
-modes; ``central_difference`` checks analytic Jacobians to second order.
+``cqedkit.lm.numeric_jacobian`` must reproduce bit for bit from its one
+call on the stacked points; it also serves as the ``jac=`` of optimizer
+tests whose residuals do not broadcast. ``central_difference`` checks
+analytic Jacobians to second order.
 """
 
 import numpy as np

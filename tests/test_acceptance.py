@@ -28,6 +28,7 @@ from cqedkit import (
     infer_transmission,
     lm_minimize,
     lorentzian_model,
+    numeric_jacobian,
     synth_rabi,
     synth_reflection,
     synth_two_tone,
@@ -244,6 +245,7 @@ def test_criterion_12_two_tone_dip_spacing():
     result = lm_minimize(
         residuals, [c1_0, 0.005, 0.5, c2_0, 0.005, 0.25, 1.0],
         names=["c1", "w1", "d1", "c2", "w2", "d2", "off"],
+        jac=lambda x: numeric_jacobian(residuals, x),
     )
     sep_mhz = abs(result.param("c1") - result.param("c2")) * 1e3
     dev = abs(sep_mhz - abs(alpha) / 2.0)

@@ -14,7 +14,8 @@ from cqedkit import ComplexTrace, SynthSpec, io, spectra, synth_rabi, synth_refl
 from cqedkit.cli import main
 from cqedkit.fitters import lorentzian_model
 
-PIPELINE_YAML = str(Path(__file__).resolve().parents[1] / "configs" / "pipeline.yaml")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PIPELINE_YAML = str(CONFIGS / "pipeline.yaml")
 
 REFL_TRUTH = {"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,
               "theta": 0.1, "f_r_ghz": 5.2816}
@@ -254,6 +255,14 @@ class TestSynth:
         assert "n_f" in capsys.readouterr().err
         assert not (tmp_path / "a.truth.json").exists()
 
+    def test_negative_time_axis_exit_one(self, tmp_path, capsys):
+        text = (CONFIGS / "synth_rabi.yaml").read_text()
+        assert "t_max_ns: 1000.0" in text
+        cfg = _config(tmp_path, text.replace("t_max_ns: 1000.0", "t_max_ns: -1000.0"))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
+        assert "t_max_ns" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(io.OUTDIR_ENV, str(tmp_path / "outputs"))
         cfg = _config(tmp_path, self.YAML)
@@ -396,6 +405,75 @@ class TestNumberConfigKeys:
         captured = capsys.readouterr()
         assert f"{key} must be a finite number" in captured.err
         assert "wrote" not in captured.out
+
+
+def _synth_input(cfg, d):
+    assert main(["synth", "--config", cfg, "--out", str(d / "data.csv")]) == 0
+
+
+def _power_map_row(cfg, d):
+    """|S21|^2 of the first synthesized power-map row, a Lorentzian dip."""
+    _synth_input(cfg, d)
+    m = io.read_map_csv(d / "data.csv")
+    io.write_magnitude_trace(d / "data.csv", m.fast_values, m.grid[0] ** 2)
+
+
+SYNTH_FILES = {"data.csv": None, "data.truth.json": "synth_truth", "data.svg": None}
+FIT_FILES = {"fit.json": "fit_result", "fit.svg": None}
+FIT_ARGS = ["{d}/data.csv", "--out", "{d}/fit.json", "--plot", "{d}/fit.svg"]
+SPECTRUM = (["--out", "{d}/spectrum.json", "--plot", "{d}/spectrum.svg"],
+            {"spectrum.json": "spectrum", "spectrum.svg": None})
+
+
+# verb, shipped config, input step, arguments ({d} is the output directory)
+# and every file the verb writes, with the schema its JSON follows
+SHIPPED_RUNS = [
+    *[pytest.param("synth", name, None, ["--out", "{d}/data.csv", "--plot", "{d}/data.svg"],
+                   SYNTH_FILES, id=f"synth-{name}")
+      for name in ("synth_reflection", "synth_rabi", "synth_power_map", "synth_gate_map",
+                   "synth_two_tone")],
+    pytest.param("fit-resonator", "synth_reflection", _synth_input,
+                 [*FIT_ARGS, "--residuals", "{d}/resid.csv"], {**FIT_FILES, "resid.csv": None},
+                 id="fit-resonator"),
+    pytest.param("fit-resonator", "synth_reflection", _synth_input,
+                 [*FIT_ARGS, "--delay", "--residuals", "{d}/resid.csv"],
+                 {**FIT_FILES, "resid.csv": None}, id="fit-resonator-delay"),
+    pytest.param("fit-rabi", "synth_rabi", _synth_input, FIT_ARGS, FIT_FILES, id="fit-rabi"),
+    pytest.param("fit-lorentzian", "synth_power_map", _power_map_row, FIT_ARGS, FIT_FILES,
+                 id="fit-lorentzian"),
+    pytest.param("simulate-qubit", "gatemon", None, *SPECTRUM, id="simulate-qubit-gatemon"),
+    pytest.param("simulate-qubit", "pipeline", None, *SPECTRUM, id="simulate-qubit-pipeline"),
+    pytest.param("simulate-cavity", "pipeline", None, ["--out", "{d}/cavity.json"],
+                 {"cavity.json": None}, id="simulate-cavity-pipeline"),
+    *[pytest.param("sweep-gate", name, None,
+                   ["--out", "{d}/sweep.csv", "--json", "{d}/sweep.json",
+                    "--plot", "{d}/sweep.svg"],
+                   {"sweep.csv": None, "sweep.json": "sweep", "sweep.svg": None},
+                   id=f"sweep-gate-{name}")
+      for name in ("pipeline", "synth_gate_map", "synth_two_tone")],
+    pytest.param("pipeline", "pipeline", None, ["--workdir", "{d}/w"],
+                 {"w/report.json": "report", "w/sweep.json": "sweep", "w/fit.json": "fit_result",
+                  "w/trace.truth.json": "synth_truth", "w/sweep.csv": None, "w/trace.csv": None},
+                 id="pipeline"),
+]
+
+
+@pytest.mark.parametrize("verb, config, prepare, args, files", SHIPPED_RUNS)
+def test_verbs_on_shipped_configs(tmp_path, capsys, verb, config, prepare, args, files):
+    cfg = str(CONFIGS / f"{config}.yaml")
+    if prepare is not None:
+        prepare(cfg, tmp_path)
+    argv = [verb] + ([] if prepare else ["--config", cfg])
+    argv += [a.format(d=tmp_path) for a in args]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for name, schema in files.items():
+        path = tmp_path / name
+        assert path.is_file(), name
+        if name.endswith(".json"):
+            payload = io.read_json(path)
+            if schema is not None:
+                jsonschema.validate(payload, io.load_schema(schema))
 
 
 class TestArgumentErrors:

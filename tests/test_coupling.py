@@ -226,8 +226,7 @@ def test_sweep_result_column_roundtrip():
     params = QubitParams(ec=190.0, ej=9500.0)
     system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
     sweep = gate_sweep(model, params, system)
-    recs = sweep.to_records()
-    assert len(recs) == len(sweep.points)
-    assert sweep.column("f_C_GHz")[0] == recs[0]["f_C_GHz"]
+    assert sweep.column("f_C_GHz").size == len(sweep.points)
+    assert sweep.column("f_C_GHz")[0] == sweep.points[0].f_c_ghz
     with pytest.raises(KeyError):
         sweep.column("nope")

@@ -8,6 +8,11 @@ from cqedkit.lm import FitResult, lm_minimize, numeric_jacobian
 from jacobian_oracle import central_difference, forward_loop
 
 
+def _loop(fn):
+    """The oracle's per-column forward difference as an lm_minimize ``jac=``."""
+    return lambda x, *args: forward_loop(fn, x, args)
+
+
 def test_linear_problem_exact():
     # residual r = M x - y has one global minimum the normal equations hit
     rng = np.random.default_rng(1)
@@ -15,7 +20,10 @@ def test_linear_problem_exact():
     x_true = np.array([2.0, -1.0, 0.5])
     y = m @ x_true
 
-    result = lm_minimize(lambda x: m @ x - y, [0.0, 0.0, 0.0])
+    def residuals(x):
+        return m @ x - y
+
+    result = lm_minimize(residuals, [0.0, 0.0, 0.0], jac=_loop(residuals))
     assert result.converged
     np.testing.assert_allclose(result.params, x_true, rtol=1e-8)
     assert result.chi2 < 1e-16
@@ -25,7 +33,7 @@ def test_rosenbrock():
     def residuals(x):
         return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
 
-    result = lm_minimize(residuals, [-1.2, 1.0])
+    result = lm_minimize(residuals, [-1.2, 1.0], jac=_loop(residuals))
     assert result.converged
     np.testing.assert_allclose(result.params, [1.0, 1.0], atol=1e-6)
 
@@ -37,7 +45,7 @@ def test_zero_residual_exponential():
     def residuals(x):
         return x[0] * np.exp(-x[1] * t) - y
 
-    result = lm_minimize(residuals, [1.0, 1.0], names=["amp", "rate"])
+    result = lm_minimize(residuals, [1.0, 1.0], names=["amp", "rate"], jac=_loop(residuals))
     assert result.converged
     assert result.param("amp") == pytest.approx(3.0, rel=1e-8)
     assert result.param("rate") == pytest.approx(0.7, rel=1e-8)
@@ -76,7 +84,8 @@ def test_numeric_jacobian_matches_analytic():
 
 
 def test_batched_numeric_jacobian_bit_identical():
-    # both modes must reproduce the per-column loop exactly, layout too
+    # the one call on the stacked points must reproduce the per-column
+    # loop exactly, layout too
     t = np.linspace(0.1, 4.0, 25)
 
     def fn(x):
@@ -87,10 +96,9 @@ def test_batched_numeric_jacobian_bit_identical():
         # magnitudes on both sides of the max(|x|, 1) step floor
         x = rng.normal(0.0, 2.0, 3) * 10.0 ** rng.integers(-3, 2, 3)
         loop = forward_loop(fn, x)
-        for batched in (False, True):
-            j = numeric_jacobian(fn, x, batched=batched)
-            assert j.flags.c_contiguous and j.shape == loop.shape
-            assert np.array_equal(j, loop)
+        j = numeric_jacobian(fn, x)
+        assert j.flags.c_contiguous and j.shape == loop.shape
+        assert np.array_equal(j, loop)
 
 
 def test_batched_jacobian_fit_matches_default_loop():
@@ -101,29 +109,41 @@ def test_batched_jacobian_fit_matches_default_loop():
         return x[0] * np.exp(-x[1] * t) - y
 
     def jac(x):
-        return numeric_jacobian(residuals, x, batched=True)
+        return numeric_jacobian(residuals, x)
 
-    loop = lm_minimize(residuals, [1.0, 1.0])
+    loop = lm_minimize(residuals, [1.0, 1.0], jac=_loop(residuals))
     batched = lm_minimize(residuals, [1.0, 1.0], jac=jac)
     assert batched.to_dict() == loop.to_dict()
     assert np.array_equal(batched.covariance, loop.covariance)
 
 
 def test_nonfinite_start_rejected():
+    def identity(x):
+        return x
+
+    def infinite(x):
+        return np.array([np.inf])
+
     with pytest.raises(ValueError):
-        lm_minimize(lambda x: x, [np.nan])
+        lm_minimize(identity, [np.nan], jac=_loop(identity))
     with pytest.raises(ValueError):
-        lm_minimize(lambda x: np.array([np.inf]), [1.0])
+        lm_minimize(infinite, [1.0], jac=_loop(infinite))
 
 
 def test_complex_residuals_rejected():
+    def residuals(x):
+        return np.array([1j * x[0]])
+
     with pytest.raises(ValueError):
-        lm_minimize(lambda x: np.array([1j * x[0]]), [1.0])
+        lm_minimize(residuals, [1.0], jac=_loop(residuals))
 
 
 def test_names_length_checked():
+    def identity(x):
+        return x
+
     with pytest.raises(ValueError):
-        lm_minimize(lambda x: x, [1.0, 2.0], names=["only_one"])
+        lm_minimize(identity, [1.0, 2.0], names=["only_one"], jac=_loop(identity))
 
 
 def test_singular_problem_does_not_crash():
@@ -131,7 +151,10 @@ def test_singular_problem_does_not_crash():
     t = np.linspace(0.0, 1.0, 20)
     y = 2.0 * t
 
-    result = lm_minimize(lambda x: (x[0] + x[1]) * t - y, [0.5, 0.5])
+    def residuals(x):
+        return (x[0] + x[1]) * t - y
+
+    result = lm_minimize(residuals, [0.5, 0.5], jac=_loop(residuals))
     assert isinstance(result, FitResult)
     assert result.param("x0") + result.param("x1") == pytest.approx(2.0, rel=1e-6)
 
@@ -142,14 +165,20 @@ def test_error_bars_scale_with_noise():
     sigma = 0.05
     y = 1.5 * t + rng.normal(0.0, sigma, t.size)
 
-    result = lm_minimize(lambda x: x[0] * t - y, [0.0], names=["slope"])
+    def residuals(x):
+        return x[0] * t - y
+
+    result = lm_minimize(residuals, [0.0], names=["slope"], jac=_loop(residuals))
     # analytic 1-sigma error for a straight-line fit through the origin
     expected = sigma / np.sqrt(np.sum(t * t))
     assert result.error("slope") == pytest.approx(expected, rel=0.3)
 
 
 def test_result_to_dict_shape():
-    result = lm_minimize(lambda x: x - 3.0, [0.0], names=["a"])
+    def residuals(x):
+        return x - 3.0
+
+    result = lm_minimize(residuals, [0.0], names=["a"], jac=_loop(residuals))
     d = result.to_dict()
     assert d["params"]["a"] == pytest.approx(3.0)
     assert d["converged"] is True
@@ -157,7 +186,10 @@ def test_result_to_dict_shape():
 
 
 def test_zero_cost_at_start():
-    result = lm_minimize(lambda x: np.zeros(3), [1.0, 2.0])
+    def residuals(x):
+        return np.zeros(3)
+
+    result = lm_minimize(residuals, [1.0, 2.0], jac=_loop(residuals))
     assert result.converged
     assert result.iterations == 0
     assert result.chi2 == 0.0

@@ -94,6 +94,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="snr_db must be finite"):
             _refl_spec(snr_db=float("inf"))
 
+    @pytest.mark.parametrize("snr_db", [[20], "20", "loud", True, np.True_])
+    def test_non_numeric_snr_names_key(self, snr_db):
+        # a list used to escape as a TypeError, text and bools to pass
+        with pytest.raises(ConfigError, match="snr_db"):
+            _refl_spec(snr_db=snr_db)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             _refl_spec(seed=-1)
@@ -112,6 +118,14 @@ class TestSpecValidation:
         spec = _refl_spec(grid={"f_min_ghz": 5.3, "f_max_ghz": 5.2, "n_f": 101})
         with pytest.raises(ConfigError, match="must exceed"):
             spec.axis("f")
+
+    def test_negative_time_axis_rejected(self):
+        # the time axis follows the range rule of the others: it starts at 0
+        spec = SynthSpec(kind="rabi_trace", seed=1, snr_db=None,
+                         truth={"A": 1, "T_R": 260, "omega": 0.2, "B": 0, "a": 0, "b": 0},
+                         grid={"t_max_ns": -1000.0, "n_t": 251})
+        with pytest.raises(ConfigError, match="t_max_ns must exceed 0"):
+            spec.axis("t")
 
     def test_kind_mismatch_at_generator(self):
         with pytest.raises(ConfigError, match="not rabi_trace"):
