@@ -122,10 +122,8 @@ def cmd_fit_rabi(args) -> int:
 
 def _solve_spectrum(cfg):
     params = cfgmod.qubit_params(cfg)
-    opts = cfgmod.solver_options(cfg)
-    if params.is_transmon:
-        return params, transmon_levels(params, **{k: v for k, v in opts.items() if k == "n_cut"})
-    return params, gatemon_levels(params, **{k: v for k, v in opts.items() if k == "grid_n"})
+    solve = transmon_levels if params.is_transmon else gatemon_levels
+    return params, solve(params, **cfgmod.solver_options(cfg))
 
 
 def cmd_simulate_qubit(args) -> int:
@@ -150,15 +148,9 @@ def cmd_simulate_cavity(args) -> int:
     f_ghz = te_mode_frequency(geom)
     print(f"TE{geom.m}{geom.n}{geom.p} = {f_ghz:.9g} GHz")
     if args.out:
-        payload = {
-            "f_ghz": f_ghz,
-            "mode": [geom.m, geom.n, geom.p],
-            "geometry_mm": {
-                "length_a": geom.length_a * 1e3,
-                "width_b": geom.width_b * 1e3,
-                "height_d": geom.height_d * 1e3,
-            },
-        }
+        size_mm = {"length_a": geom.length_a * 1e3, "width_b": geom.width_b * 1e3,
+                   "height_d": geom.height_d * 1e3}
+        payload = {"f_ghz": f_ghz, "mode": [geom.m, geom.n, geom.p], "geometry_mm": size_mm}
         print(f"wrote {io.write_json(args.out, payload)}")
     return 0
 
@@ -169,7 +161,8 @@ def _run_sweep(cfg, voltages=None):
     system = cfgmod.dispersive_system(cfg)
     if voltages is None:
         voltages = cfgmod.sweep_voltages(cfg)
-    return gate_sweep(model, params, system, voltages=voltages)
+    return gate_sweep(model, params, system, voltages=voltages,
+                      solver_options=cfgmod.solver_options(cfg))
 
 
 def _sweep_json(sweep) -> dict:
@@ -213,20 +206,16 @@ def cmd_synth(args) -> int:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     out = args.out or f"{spec.kind}.csv"
-    truth = args.truth or Path(out).with_suffix(".truth.json")
-
+    # each kind writes its data and names its plot: (function, arguments after the path)
     if spec.kind == "reflection_trace":
         trace = synth_reflection(spec)
         data = io.write_complex_trace(out, trace)
-        if args.plot:
-            plot = svgplot.line_plot(args.plot, trace.freqs_ghz, [("|S21|", np.abs(trace.values))],
-                                     "frequency (GHz)", "|S21|", "synthetic reflection")
+        plot = (svgplot.line_plot, trace.freqs_ghz, [("|S21|", np.abs(trace.values))],
+                "frequency (GHz)", "|S21|", "synthetic reflection")
     elif spec.kind == "rabi_trace":
         t, y = synth_rabi(spec)
         data = io.write_rabi_trace(out, t, y)
-        if args.plot:
-            plot = svgplot.line_plot(args.plot, t, [("y", y)], "time (ns)", "signal",
-                                     "synthetic Rabi trace")
+        plot = (svgplot.line_plot, t, [("y", y)], "time (ns)", "signal", "synthetic Rabi trace")
     else:
         if spec.kind == "power_map":
             _, spectrum = _solve_spectrum(cfg)
@@ -237,13 +226,14 @@ def cmd_synth(args) -> int:
             sweep = _run_sweep(cfg, voltages=spec.axis("v"))
             m = synth_gate_map(spec, sweep) if spec.kind == "gate_map" else synth_two_tone(spec, sweep)
         data = io.write_map_csv(out, m)
-        if args.plot:
-            plot = svgplot.heatmap(args.plot, m.slow_values, m.fast_values, m.grid,
-                                   m.fast_name, m.slow_name, f"synthetic {spec.kind}")
+        plot = (svgplot.heatmap, m.slow_values, m.fast_values, m.grid,
+                m.fast_name, m.slow_name, f"synthetic {spec.kind}")
     print(f"wrote {data}")
+    truth = args.truth or Path(out).with_suffix(".truth.json")
     print(f"wrote {io.write_json(truth, spec.to_dict())}")
     if args.plot:
-        print(f"wrote {plot}")
+        draw, *plot_args = plot
+        print(f"wrote {draw(args.plot, *plot_args)}")
     return 0
 
 
@@ -257,13 +247,10 @@ def cmd_pipeline(args) -> int:
     """
     cfg = cfgmod.load_config(args.config)
     opts = cfgmod.pipeline_options(cfg)
-    tolerances = dict(cfgmod.PIPELINE_TOLERANCES)
-    tolerances.update(opts["tolerances"])
+    tolerances = {**cfgmod.PIPELINE_TOLERANCES, **opts["tolerances"]}
     seed = args.seed if args.seed is not None else opts["seed"]
     workdir = Path(args.workdir or ".")
-    stages = []
-    failures = []
-    checks = []
+    stages, checks, failures = [], [], []
 
     def stage(name, status, **details):
         stages.append({"name": name, "status": status, "details": details})
@@ -272,20 +259,8 @@ def cmd_pipeline(args) -> int:
                            for k, v in details.items())
         print(f"[{name}] {mark}: {pretty}")
 
-    def finish() -> int:
-        passed = not failures
-        report = {
-            "passed": passed,
-            "stages": stages,
-            "checks": checks,
-            "tolerances": tolerances,
-            "failures": failures,
-        }
-        print(f"wrote {io.write_json(workdir / 'report.json', report)}")
-        print("PASS" if passed else "FAIL: " + "; ".join(failures))
-        return 0 if passed else 2
-
     current = "cavity"
+    error = None
     try:
         if "cavity" in cfg:
             f_bare = te_mode_frequency(cfgmod.cavity_geometry(cfg))
@@ -302,30 +277,18 @@ def cmd_pipeline(args) -> int:
         sweep_csv = str(io.write_sweep_csv(workdir / "sweep.csv", sweep))
         io.write_json(workdir / "sweep.json", _sweep_json(sweep))
         n_disp = sum(p.regime == "dispersive" for p in sweep.points)
-        stage("sweep", "ok", points=len(sweep.points), dispersive=n_disp,
-              csv=sweep_csv)
+        stage("sweep", "ok", points=len(sweep.points), dispersive=n_disp, csv=sweep_csv)
 
         current = "synth"
         system = cfgmod.dispersive_system(cfg, qubit=spectrum)
         chi_mhz = system.g_mhz**2 / system.delta_mhz
         f_c = system.f_bare_ghz + chi_mhz / 1e3
         ql_true = f_c * 1e3 / system.kappa_mhz
-        truth = {
-            "a_re": 1.0,
-            "a_im": 0.0,
-            "ql": ql_true,
-            "qc": 2.0 * ql_true,
-            "theta": 0.1,
-            "f_r_ghz": f_c,
-        }
+        truth = {"a_re": 1.0, "a_im": 0.0, "ql": ql_true, "qc": 2.0 * ql_true,
+                 "theta": 0.1, "f_r_ghz": f_c}
         span = 12.0 * system.kappa_mhz / 1e3
-        spec = SynthSpec(
-            kind="reflection_trace",
-            seed=seed,
-            snr_db=40.0,
-            truth=truth,
-            grid={"f_min_ghz": f_c - span, "f_max_ghz": f_c + span, "n_f": 401},
-        )
+        spec = SynthSpec(kind="reflection_trace", seed=seed, snr_db=40.0, truth=truth,
+                         grid={"f_min_ghz": f_c - span, "f_max_ghz": f_c + span, "n_f": 401})
         trace = synth_reflection(spec)
         io.write_complex_trace(workdir / "trace.csv", trace)
         io.write_json(workdir / "trace.truth.json", spec.to_dict())
@@ -334,89 +297,72 @@ def cmd_pipeline(args) -> int:
         current = "fit"
         fit = fit_reflection(trace)
         io.write_json(workdir / "fit.json", fit.to_dict())
-        deviations = {
-            "ql_rel": abs(fit.ql - truth["ql"]) / truth["ql"],
-            "qc_rel": abs(fit.qc - truth["qc"]) / truth["qc"],
-            "f_r_mhz": abs(fit.f_r_ghz - truth["f_r_ghz"]) * 1e3,
-        }
-        fit_ok = True
-        for name, err in deviations.items():
-            ok = err <= tolerances[name]
-            checks.append(
-                {"name": name, "ok": ok, "deviation": err, "tolerance": tolerances[name]}
-            )
-            print(f"  {name}: {'ok' if ok else 'FAIL'} "
-                  f"(deviation {err:.4g}, tolerance {tolerances[name]:g})")
+        for name, err in (("ql_rel", abs(fit.ql - truth["ql"]) / truth["ql"]),
+                          ("qc_rel", abs(fit.qc - truth["qc"]) / truth["qc"]),
+                          ("f_r_mhz", abs(fit.f_r_ghz - truth["f_r_ghz"]) * 1e3)):
+            tol = tolerances[name]
+            ok = err <= tol
+            checks.append({"name": name, "ok": ok, "deviation": err, "tolerance": tol})
+            print(f"  {name}: {'ok' if ok else 'FAIL'} (deviation {err:.4g}, tolerance {tol:g})")
             if not ok:
-                fit_ok = False
-                failures.append(
-                    f"{name}: deviation {err:.4g} exceeds tolerance {tolerances[name]:g}"
-                )
-        stage("fit", "ok" if fit_ok else "fail", ql=fit.ql, qc=fit.qc,
+                failures.append(f"{name}: deviation {err:.4g} exceeds tolerance {tol:g}")
+        # failures holds only these checks: every earlier stage passed
+        stage("fit", "fail" if failures else "ok", ql=fit.ql, qc=fit.qc,
               f_r_ghz=fit.f_r_ghz, qi=fit.qi)
-    except SolverError as exc:
+    except (SolverError, InputDataError) as exc:
         stage(current, "fail", error=str(exc))
         failures.append(f"{current}: {exc}")
-    except InputDataError as exc:
-        # missing or malformed stage input: label it, record it, exit as
-        # an input error (code 1) after the report is written
-        stage(current, "fail", error=str(exc))
-        failures.append(f"{current}: {exc}")
-        finish()
-        raise InputDataError(f"pipeline stage {current}: {exc}") from exc
+        error = exc
 
-    return finish()
+    report = {"passed": not failures, "stages": stages, "checks": checks,
+              "tolerances": tolerances, "failures": failures}
+    print(f"wrote {io.write_json(workdir / 'report.json', report)}")
+    print("FAIL: " + "; ".join(failures) if failures else "PASS")
+    if isinstance(error, InputDataError):
+        # a missing or malformed stage input exits 1, after the report is written
+        raise InputDataError(f"pipeline stage {current}: {error}") from error
+    return 2 if failures else 0
+
+
+_DATA = ("data", {"help": "input CSV file"})
+_CONFIG = ("--config", {"required": True, "help": "YAML run configuration"})
+_OUT = ("--out", {"help": "write the machine-readable result here"})
+_SEED = ("--seed", {"type": int, "help": "override the configured seed"})
+_FIT_PLOT = ("--plot", {"help": "write an SVG of data and fit"})
+
+# verb: (handler, help, arguments in order)
+VERBS = {
+    "fit-resonator": (cmd_fit_resonator, "fit the complex reflection model", [
+        _DATA, _OUT,
+        ("--delay", {"action": "store_true", "help": "also fit a cable delay"}),
+        ("--residuals", {"help": "write the complex fit residuals as CSV here"}),
+        _FIT_PLOT]),
+    "fit-lorentzian": (cmd_fit_lorentzian, "fit a Lorentzian dip", [_DATA, _OUT, _FIT_PLOT]),
+    "fit-rabi": (cmd_fit_rabi, "fit a decaying Rabi oscillation", [_DATA, _OUT, _FIT_PLOT]),
+    "simulate-qubit": (cmd_simulate_qubit, "solve the qubit spectrum", [
+        _CONFIG, _OUT, ("--plot", {"help": "write an SVG of the level diagram"})]),
+    "simulate-cavity": (cmd_simulate_cavity, "rectangular cavity mode frequency",
+                        [_CONFIG, _OUT]),
+    "sweep-gate": (cmd_sweep_gate, "sweep the gate and tabulate observables", [
+        _CONFIG, _OUT, ("--json", {"help": "write the sweep as JSON here"}),
+        ("--plot", {"help": "write an SVG of the sweep"})]),
+    "synth": (cmd_synth, "generate synthetic data with a truth sidecar", [
+        _CONFIG, _OUT, _SEED,
+        ("--truth", {"help": "truth JSON path (default: out with .truth.json)"}),
+        ("--plot", {"help": "write an SVG rendering"})]),
+    "pipeline": (cmd_pipeline, "end-to-end run with tolerance checks", [
+        _CONFIG, _SEED, ("--workdir", {"help": "artifact directory (default: current)"})]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cqedkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text, data=False, needs_config=False):
+    for name, (func, help_text, arguments) in VERBS.items():
         p = sub.add_parser(name, help=help_text)
-        if data:
-            p.add_argument("data", help="input CSV file")
-        if needs_config:
-            p.add_argument("--config", required=True, help="YAML run configuration")
-        p.add_argument("--out", help="write the machine-readable result here")
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    p = add("fit-resonator", cmd_fit_resonator, "fit the complex reflection model", data=True)
-    p.add_argument("--delay", action="store_true", help="also fit a cable delay")
-    p.add_argument("--residuals", help="write the complex fit residuals as CSV here")
-    p.add_argument("--plot", help="write an SVG of data and fit")
-
-    p = add("fit-lorentzian", cmd_fit_lorentzian, "fit a Lorentzian dip", data=True)
-    p.add_argument("--plot", help="write an SVG of data and fit")
-
-    p = add("fit-rabi", cmd_fit_rabi, "fit a decaying Rabi oscillation", data=True)
-    p.add_argument("--plot", help="write an SVG of data and fit")
-
-    p = add("simulate-qubit", cmd_simulate_qubit, "solve the qubit spectrum",
-            needs_config=True)
-    p.add_argument("--plot", help="write an SVG of the level diagram")
-
-    add("simulate-cavity", cmd_simulate_cavity, "rectangular cavity mode frequency",
-        needs_config=True)
-
-    p = add("sweep-gate", cmd_sweep_gate, "sweep the gate and tabulate observables",
-            needs_config=True)
-    p.add_argument("--json", help="write the sweep as JSON here")
-    p.add_argument("--plot", help="write an SVG of the sweep")
-
-    p = add("synth", cmd_synth, "generate synthetic data with a truth sidecar",
-            needs_config=True)
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--truth", help="truth JSON path (default: out with .truth.json)")
-    p.add_argument("--plot", help="write an SVG rendering")
-
-    p = sub.add_parser("pipeline", help="end-to-end run with tolerance checks")
-    p.add_argument("--config", required=True, help="YAML run configuration")
-    p.add_argument("--seed", type=int, help="override the configured seed")
-    p.add_argument("--workdir", help="artifact directory (default: current)")
-    p.set_defaults(func=cmd_pipeline)
-
     return parser
 
 
@@ -428,16 +374,13 @@ def main(argv=None) -> int:
     except InputDataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:
-        # a ValueError subclass, but a failure of the solver, not the input
+    except (SolverError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, but it is a failure of the solver, not the input
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 1
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

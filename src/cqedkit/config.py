@@ -93,13 +93,14 @@ def qubit_params(cfg: dict) -> QubitParams:
 
 
 def solver_options(cfg: dict) -> dict:
-    """Optional truncation overrides from the qubit section."""
+    """Truncation override of the configured variant, if set: n_cut for a
+    transmon (ej_mhz given), grid_n for a gatemon; the other key is an error."""
     sec = cfg.get("qubit") or {}
-    opts = {}
-    for key in ("n_cut", "grid_n"):
-        if key in sec:
-            opts[key] = _integer(sec[key], f"qubit {key}")
-    return opts
+    variant, key, other = (("transmon", "n_cut", "grid_n") if "ej_mhz" in sec
+                           else ("gatemon", "grid_n", "n_cut"))
+    if other in sec:
+        raise ConfigError(f"qubit {other} does not apply to a {variant}; its key is {key}")
+    return {key: _integer(sec[key], f"qubit {key}")} if key in sec else {}
 
 
 def cavity_geometry(cfg: dict) -> CavityGeometry:

@@ -289,6 +289,7 @@ def gate_sweep(
     params: QubitParams,
     system: DispersiveSystem,
     voltages=None,
+    solver_options=None,
 ) -> SweepResult:
     """Sweep the gate table and record qubit and cavity observables.
 
@@ -300,8 +301,10 @@ def gate_sweep(
 
     ``voltages`` defaults to the model's own sample grid. Points are
     returned ordered by V_G no matter how they were evaluated. Every
-    spectrum runs its refinement check.
+    spectrum runs its refinement check. ``solver_options`` (``n_cut`` or
+    ``grid_n``, as from ``config.solver_options``) goes to every solve.
     """
+    solver_options = solver_options or {}
     if voltages is None:
         voltages = model.voltages
     voltages = np.sort(np.asarray(voltages, dtype=float))
@@ -319,12 +322,12 @@ def gate_sweep(
             try:
                 if is_transmon_sweep:
                     p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
-                    spectrum = transmon_levels(p)
+                    spectrum = transmon_levels(p, **solver_options)
                 else:
                     p = QubitParams(
                         ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
                     )
-                    spectrum = gatemon_levels(p)
+                    spectrum = gatemon_levels(p, **solver_options)
             except CqedkitError as exc:
                 raise type(exc)(f"V_G = {v:g}: {exc}") from exc
             f01 = spectrum.f01

@@ -501,8 +501,9 @@ def fit_rabi(t_ns, y) -> FitResult:
 
     The oscillation frequency is seeded from the discrete Fourier peak of
     the detrended data; absence of a peak above the spectral noise raises
-    FitInitError. Time units follow the input axis (ns in the file
-    formats), omega is rad per time unit.
+    FitInitError. A fit with less than half an oscillation across the
+    trace (omega * span < pi) raises NotConvergedError. Time units follow
+    the input axis (ns in the file formats), omega is rad per time unit.
     """
     t, y = _samples(t_ns, y, "t and y", 16)
     dt = float(np.median(np.diff(t)))
@@ -565,6 +566,10 @@ def fit_rabi(t_ns, y) -> FitResult:
         raise NotConvergedError(
             f"fit landed on a non-positive decay time T_R = {result.params[1]:.3g}"
         )
+    # the spectral seed proposes at least one period across the trace
+    if result.params[2] * span < np.pi:
+        raise NotConvergedError(
+            f"fit collapsed to omega = {result.params[2]:.3g}, under half an oscillation")
     return result
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cqedkit import ComplexTrace, SynthSpec, io, spectra, synth_rabi, synth_reflection
-from cqedkit.cli import main
+from cqedkit.cli import build_parser, main
 from cqedkit.fitters import lorentzian_model
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -208,6 +208,29 @@ class TestSweepGate:
         assert {p["regime"] for p in payload["points"]} <= {
             "pinch_off", "dispersive", "hybridized"}
 
+    # a gatemon at EC = 5 GHz and T = 1 needs more than the default 201-point
+    # grid: the sweep must solve every point at the configured grid_n
+    GATEMON_GRID_YAML = (
+        "qubit:\n  ec_mhz: 5000\n  gap_mhz: 45600\n  transmissions: [1.0]\n"
+        "  grid_n: 401\n"
+        "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
+        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 2.0\n"
+        "  maps_to: transmission\n"
+    )
+
+    def test_configured_grid_n_reaches_every_point(self, tmp_path, capsys):
+        cfg = _config(tmp_path, self.GATEMON_GRID_YAML)
+        assert main(["sweep-gate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.startswith("9 gate points")
+
+    def test_other_variant_key_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, SWEEP_YAML.replace("ej_mhz: 9500\n",
+                                                   "ej_mhz: 9500\n  grid_n: 301\n"))
+        assert main(["sweep-gate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "qubit grid_n does not apply to a transmon" in captured.err
+        assert captured.out == ""
+
 
 class TestSynth:
     YAML = (
@@ -343,6 +366,13 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert rc == 1
         assert "pipeline stage sweep" in captured.err
+        # the stage lines, then the report, then the verdict
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            "[cavity] ok", "[qubit] ok", "[sweep] FAIL"]
+        assert lines[3] == f"wrote {tmp_path / 'report.json'}"
+        assert lines[4].startswith(f"FAIL: sweep: cannot read {tmp_path}/missing.csv")
+        assert len(lines) == 5
         report = io.read_json(tmp_path / "report.json")
         assert report["passed"] is False
         assert report["stages"][-1]["name"] == "sweep"
@@ -419,54 +449,67 @@ def _power_map_row(cfg, d):
 
 
 SYNTH_FILES = {"data.csv": None, "data.truth.json": "synth_truth", "data.svg": None}
+SYNTH_STDOUT = (("data.csv", "data.truth.json", "data.svg"), 0)
 FIT_FILES = {"fit.json": "fit_result", "fit.svg": None}
 FIT_ARGS = ["{d}/data.csv", "--out", "{d}/fit.json", "--plot", "{d}/fit.svg"]
+RESONATOR_WROTE = ("fit.json", "resid.csv", "fit.svg")
 SPECTRUM = (["--out", "{d}/spectrum.json", "--plot", "{d}/spectrum.svg"],
-            {"spectrum.json": "spectrum", "spectrum.svg": None})
+            {"spectrum.json": "spectrum", "spectrum.svg": None},
+            (("spectrum.json", "spectrum.svg"), 4))
 
 
-# verb, shipped config, input step, arguments ({d} is the output directory)
-# and every file the verb writes, with the schema its JSON follows
+# verb, shipped config, input step, arguments ({d} is the output directory),
+# every file the verb writes with the schema its JSON follows, and its
+# stdout: the files named by its "wrote" lines, in order, and how many
+# other (summary) lines it prints
 SHIPPED_RUNS = [
     *[pytest.param("synth", name, None, ["--out", "{d}/data.csv", "--plot", "{d}/data.svg"],
-                   SYNTH_FILES, id=f"synth-{name}")
+                   SYNTH_FILES, SYNTH_STDOUT, id=f"synth-{name}")
       for name in ("synth_reflection", "synth_rabi", "synth_power_map", "synth_gate_map",
                    "synth_two_tone")],
     pytest.param("fit-resonator", "synth_reflection", _synth_input,
                  [*FIT_ARGS, "--residuals", "{d}/resid.csv"], {**FIT_FILES, "resid.csv": None},
-                 id="fit-resonator"),
+                 (RESONATOR_WROTE, 6), id="fit-resonator"),
     pytest.param("fit-resonator", "synth_reflection", _synth_input,
                  [*FIT_ARGS, "--delay", "--residuals", "{d}/resid.csv"],
-                 {**FIT_FILES, "resid.csv": None}, id="fit-resonator-delay"),
-    pytest.param("fit-rabi", "synth_rabi", _synth_input, FIT_ARGS, FIT_FILES, id="fit-rabi"),
+                 {**FIT_FILES, "resid.csv": None}, (RESONATOR_WROTE, 7),
+                 id="fit-resonator-delay"),
+    pytest.param("fit-rabi", "synth_rabi", _synth_input, FIT_ARGS, FIT_FILES,
+                 (("fit.json", "fit.svg"), 8), id="fit-rabi"),
     pytest.param("fit-lorentzian", "synth_power_map", _power_map_row, FIT_ARGS, FIT_FILES,
-                 id="fit-lorentzian"),
+                 (("fit.json", "fit.svg"), 5), id="fit-lorentzian"),
     pytest.param("simulate-qubit", "gatemon", None, *SPECTRUM, id="simulate-qubit-gatemon"),
     pytest.param("simulate-qubit", "pipeline", None, *SPECTRUM, id="simulate-qubit-pipeline"),
     pytest.param("simulate-cavity", "pipeline", None, ["--out", "{d}/cavity.json"],
-                 {"cavity.json": None}, id="simulate-cavity-pipeline"),
+                 {"cavity.json": None}, (("cavity.json",), 1), id="simulate-cavity-pipeline"),
     *[pytest.param("sweep-gate", name, None,
                    ["--out", "{d}/sweep.csv", "--json", "{d}/sweep.json",
                     "--plot", "{d}/sweep.svg"],
                    {"sweep.csv": None, "sweep.json": "sweep", "sweep.svg": None},
+                   (("sweep.csv", "sweep.json", "sweep.svg"), 2),
                    id=f"sweep-gate-{name}")
       for name in ("pipeline", "synth_gate_map", "synth_two_tone")],
     pytest.param("pipeline", "pipeline", None, ["--workdir", "{d}/w"],
                  {"w/report.json": "report", "w/sweep.json": "sweep", "w/fit.json": "fit_result",
                   "w/trace.truth.json": "synth_truth", "w/sweep.csv": None, "w/trace.csv": None},
-                 id="pipeline"),
+                 (("w/report.json",), 9), id="pipeline"),
 ]
 
 
-@pytest.mark.parametrize("verb, config, prepare, args, files", SHIPPED_RUNS)
-def test_verbs_on_shipped_configs(tmp_path, capsys, verb, config, prepare, args, files):
+@pytest.mark.parametrize("verb, config, prepare, args, files, stdout", SHIPPED_RUNS)
+def test_verbs_on_shipped_configs(tmp_path, capsys, verb, config, prepare, args, files,
+                                  stdout):
     cfg = str(CONFIGS / f"{config}.yaml")
     if prepare is not None:
         prepare(cfg, tmp_path)
     argv = [verb] + ([] if prepare else ["--config", cfg])
     argv += [a.format(d=tmp_path) for a in args]
-    assert main(argv) == 0
     capsys.readouterr()
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    wrote = [line.removeprefix("wrote ") for line in lines if line.startswith("wrote ")]
+    assert wrote == [str(tmp_path / name) for name in stdout[0]]
+    assert len(lines) - len(wrote) == stdout[1]
     for name, schema in files.items():
         path = tmp_path / name
         assert path.is_file(), name
@@ -474,6 +517,58 @@ def test_verbs_on_shipped_configs(tmp_path, capsys, verb, config, prepare, args,
             payload = io.read_json(path)
             if schema is not None:
                 jsonschema.validate(payload, io.load_schema(schema))
+
+
+# every verb's help and arguments, in order: (flags or name, help, required,
+# type, nargs); -h is left out
+VERB_ARGUMENTS = {
+    "fit-resonator": ("fit the complex reflection model", [
+        ("data", "input CSV file", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None),
+        ("--delay", "also fit a cable delay", False, None, 0),
+        ("--residuals", "write the complex fit residuals as CSV here", False, None, None),
+        ("--plot", "write an SVG of data and fit", False, None, None)]),
+    "fit-lorentzian": ("fit a Lorentzian dip", [
+        ("data", "input CSV file", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None),
+        ("--plot", "write an SVG of data and fit", False, None, None)]),
+    "fit-rabi": ("fit a decaying Rabi oscillation", [
+        ("data", "input CSV file", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None),
+        ("--plot", "write an SVG of data and fit", False, None, None)]),
+    "simulate-qubit": ("solve the qubit spectrum", [
+        ("--config", "YAML run configuration", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None),
+        ("--plot", "write an SVG of the level diagram", False, None, None)]),
+    "simulate-cavity": ("rectangular cavity mode frequency", [
+        ("--config", "YAML run configuration", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None)]),
+    "sweep-gate": ("sweep the gate and tabulate observables", [
+        ("--config", "YAML run configuration", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None),
+        ("--json", "write the sweep as JSON here", False, None, None),
+        ("--plot", "write an SVG of the sweep", False, None, None)]),
+    "synth": ("generate synthetic data with a truth sidecar", [
+        ("--config", "YAML run configuration", True, None, None),
+        ("--out", "write the machine-readable result here", False, None, None),
+        ("--seed", "override the configured seed", False, int, None),
+        ("--truth", "truth JSON path (default: out with .truth.json)", False, None, None),
+        ("--plot", "write an SVG rendering", False, None, None)]),
+    "pipeline": ("end-to-end run with tolerance checks", [
+        ("--config", "YAML run configuration", True, None, None),
+        ("--seed", "override the configured seed", False, int, None),
+        ("--workdir", "artifact directory (default: current)", False, None, None)]),
+}
+
+
+def test_verb_arguments_and_help():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert {a.dest: a.help for a in sub._choices_actions} == {
+        verb: help_text for verb, (help_text, _) in VERB_ARGUMENTS.items()}
+    for verb, (_, arguments) in VERB_ARGUMENTS.items():
+        got = [(" ".join(a.option_strings) or a.dest, a.help, a.required, a.type, a.nargs)
+               for a in sub.choices[verb]._actions if a.dest != "help"]
+        assert got == arguments, verb
 
 
 class TestArgumentErrors:

@@ -19,6 +19,7 @@ from cqedkit import (
     dispersive_shift_transmon,
     dispersive_shift_two_level,
     gate_sweep,
+    gatemon_levels,
     mean_photon_number,
     nanowire_profile,
     power_dependence,
@@ -219,6 +220,21 @@ def test_gate_sweep_labels_errors_with_voltage():
     system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
     with pytest.raises(TruncationError, match="V_G = 1"):
         gate_sweep(model, params, system)
+
+
+def test_gate_sweep_passes_solver_options_to_every_point():
+    # at EC = 5 GHz and T = 1 the default 201-point grid fails the
+    # refinement check; the configured 401 points pass it
+    model = nanowire_profile(seed=3, n=9, max_value=2.0, maps_to="transmission")
+    params = QubitParams(ec=5000.0, gap=45600.0, transmissions=(1.0,))
+    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
+    with pytest.raises(TruncationError):
+        gate_sweep(model, params, system)
+    sweep = gate_sweep(model, params, system, solver_options={"grid_n": 401})
+    for p in sweep.points:
+        if p.regime != "pinch_off":
+            single = QubitParams(ec=5000.0, gap=45600.0, transmissions=(float(model(p.vg)),))
+            assert p.f_q_mhz == gatemon_levels(single, grid_n=401).f01
 
 
 def test_sweep_result_column_roundtrip():

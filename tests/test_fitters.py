@@ -39,6 +39,7 @@ from cqedkit.errors import (
     InputDataError,
     NoDipError,
     NoResonanceError,
+    NotConvergedError,
 )
 from cqedkit.lm import numeric_jacobian
 from jacobian_oracle import central_difference, forward_loop
@@ -428,6 +429,23 @@ def test_rabi_pure_noise_rejected():
     # the spectral gate is statistical; the occasional draw with a real-
     # looking peak may pass, but the bulk must be turned away
     assert rejected >= 18
+
+
+# overdamped traces on which LM converges onto omega ~ 1e-11 rad/ns; on the
+# second the omega error bar is 0, so an error-bar rule would not see it
+@pytest.mark.parametrize("seed, snr_db, truth", [
+    (1128, 19.348725060716788, {"T_R": 85.61075194654882, "omega": 0.0023707794275971135,
+                                "B": -0.9584704827005233, "a": 8.444726910580684e-05,
+                                "b": 0.4872853477719219}),
+    (768, 12.094718257043052, {"T_R": 56.76607618076769, "omega": 0.0033182520469701494,
+                               "B": 2.5876942020376124, "a": -0.00020775381193600918,
+                               "b": 0.4943064123241732}),
+], ids=["seed1128", "seed768"])
+def test_rabi_collapsed_oscillation_rejected(seed, snr_db, truth):
+    spec = SynthSpec(kind="rabi_trace", seed=seed, snr_db=snr_db, truth={"A": 1.0, **truth},
+                     grid={"t_max_ns": 1000.0, "n_t": 501})
+    with pytest.raises(NotConvergedError, match="under half an oscillation"):
+        fit_rabi(*synth_rabi(spec))
 
 
 def test_rabi_input_checks():

@@ -306,6 +306,17 @@ class TestConfig:
         cfg = {"qubit": {"ec_mhz": 190, "ej_mhz": 9500, "n_cut": 40}}
         assert config.solver_options(cfg) == {"n_cut": 40}
         assert config.solver_options({}) == {}
+        gatemon = {"ec_mhz": 190, "gap_mhz": 45600, "transmissions": [0.9], "grid_n": 401}
+        assert config.solver_options({"qubit": gatemon}) == {"grid_n": 401}
+
+    @pytest.mark.parametrize("qubit, key", [
+        ({"ec_mhz": 190, "ej_mhz": 9500, "grid_n": 301}, "grid_n"),
+        ({"ec_mhz": 190, "gap_mhz": 45600, "transmissions": [0.9], "n_cut": 40}, "n_cut"),
+    ], ids=["transmon-grid_n", "gatemon-n_cut"])
+    def test_solver_options_rejects_other_variant_key(self, qubit, key):
+        # a key the solver never reads would be silently ignored
+        with pytest.raises(ConfigError, match=f"qubit {key} does not apply"):
+            config.solver_options({"qubit": qubit})
 
     @pytest.mark.parametrize("value, want", [(7, 7), (400.0, 400), ("4e2", 400), ("12", 12)])
     def test_integer_key_accepts_integral_values(self, value, want):

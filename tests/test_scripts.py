@@ -1,6 +1,7 @@
 """Smoke tests of scripts/: each runs in a fresh interpreter against the
 public API and must exit 0 with its artifacts written."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,3 +31,22 @@ def test_gate_sweep_demo_writes_artifacts(tmp_path):
     assert (tmp_path / "sweep.csv").stat().st_size > 0
     for name in ("sweep.svg", "gate_map.svg", "two_tone.svg", "two_tone_flat.svg"):
         assert (tmp_path / name).read_text().startswith("<svg"), name
+
+
+def test_cli_fingerprint_hashes_every_stream(tmp_path):
+    done = _run("cli_fingerprint.py", "fp", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    digests = dict(reversed(line.split("  ", 1)) for line in done.stdout.splitlines())
+    assert all(len(d) == 64 for d in digests.values())
+    exit_code = {name.removesuffix(".exit"): d for name, d in digests.items()
+                 if name.endswith(".exit")}
+    for name in exit_code:
+        assert f"{name}.stdout" in digests and f"{name}.stderr" in digests
+    sha = {code: hashlib.sha256(str(code).encode()).hexdigest() for code in (0, 1, 2)}
+    assert exit_code["pipeline"] == sha[0]
+    assert exit_code["pipeline-tolerance-miss"] == sha[2]
+    assert exit_code["pipeline-input-error"] == sha[1]
+    assert exit_code["unknown-verb"] == sha[1]
+    for written in ("pipe/report.json", "pipe_input/report.json", "envout/env.svg",
+                    "seed99/truth.json", "frd_resid.csv"):
+        assert written in digests
