@@ -10,6 +10,7 @@ lists, non-numeric text and non-finite values fail naming the key.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,9 @@ PIPELINE_TOLERANCES = {"ql_rel": 0.02, "qc_rel": 0.05, "f_r_mhz": 0.5}
 
 
 def load_config(path) -> dict:
+    """The config file as a mapping of sections. A relative
+    ``sweep.table_csv`` is resolved against the config file's directory,
+    so a config finds the table next to it from any working directory."""
     import yaml
 
     try:
@@ -43,6 +47,9 @@ def load_config(path) -> dict:
         raise ConfigError(
             f"unknown config sections {sorted(unknown)}; known: {list(KNOWN_SECTIONS)}"
         )
+    sweep = cfg.get("sweep")
+    if isinstance(sweep, dict) and isinstance(sweep.get("table_csv"), str):
+        sweep["table_csv"] = str(Path(path).parent / sweep["table_csv"])
     return cfg
 
 

@@ -300,9 +300,12 @@ def gate_sweep(
     bare cavity: f_C = f_bare, chi = 0.
 
     ``voltages`` defaults to the model's own sample grid. Points are
-    returned ordered by V_G no matter how they were evaluated. Every
-    spectrum runs its refinement check. ``solver_options`` (``n_cut`` or
-    ``grid_n``, as from ``config.solver_options``) goes to every solve.
+    returned ordered by V_G no matter how they were evaluated. Each
+    distinct junction value is solved once per call, so the points where
+    a transmission table clips at 1 share one solve, and every distinct
+    junction value runs its refinement check. ``solver_options``
+    (``n_cut`` or ``grid_n``, as from ``config.solver_options``) goes to
+    every solve.
     """
     solver_options = solver_options or {}
     if voltages is None:
@@ -313,24 +316,26 @@ def gate_sweep(
         raise ValueError("sweep table maps_to does not match the qubit variant")
 
     points = []
+    solved = {}  # junction value -> spectrum; a clipped table repeats values
     for v in voltages:
         value = float(model(v))
         if value <= 0.0:
             f01, chi, f_c, regime = math.nan, 0.0, system.f_bare_ghz, "pinch_off"
             f_plus = f_minus = math.nan
         else:
-            try:
-                if is_transmon_sweep:
-                    p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
-                    spectrum = transmon_levels(p, **solver_options)
-                else:
-                    p = QubitParams(
-                        ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
-                    )
-                    spectrum = gatemon_levels(p, **solver_options)
-            except CqedkitError as exc:
-                raise type(exc)(f"V_G = {v:g}: {exc}") from exc
-            f01 = spectrum.f01
+            if value not in solved:
+                try:
+                    if is_transmon_sweep:
+                        p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
+                        solved[value] = transmon_levels(p, **solver_options)
+                    else:
+                        p = QubitParams(
+                            ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
+                        )
+                        solved[value] = gatemon_levels(p, **solver_options)
+                except CqedkitError as exc:
+                    raise type(exc)(f"V_G = {v:g}: {exc}") from exc
+            f01 = solved[value].f01
             delta = system.f_bare_ghz * 1e3 - f01
             f_plus, f_minus = anti_crossing(system.f_bare_ghz, f01 / 1e3, system.g_mhz)
             if abs(delta) > DISPERSIVE_FACTOR * system.g_mhz:

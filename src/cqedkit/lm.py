@@ -108,7 +108,9 @@ def lm_minimize(
     ``fn(x, *args)`` returns the residual vector and ``jac(x, *args)`` its
     Jacobian, analytic or from ``numeric_jacobian``.
     Non-finite residuals at the start raise ValueError; anywhere later they
-    reject the trial step.
+    reject the trial step. The covariance comes from the Jacobian at the
+    final x, which is the last iteration's own when no step was accepted
+    after it was taken.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if names is None:
@@ -139,6 +141,8 @@ def lm_minimize(
 
     if cost == 0.0:
         converged, message = True, "zero cost at start"
+
+    j = None  # the Jacobian at x, dropped whenever x moves
 
     while not converged and iterations < MAX_ITER:
         iterations += 1
@@ -181,6 +185,7 @@ def lm_minimize(
             if cost_try < cost:
                 cost_rel = (cost - cost_try) / max(cost, _TINY)
                 x, r, cost = x_try, r_try, cost_try
+                j = None
                 lam = max(lam / 3.0, 1e-14)
                 if (step_rel < TOL and cost_rel < TOL) or cost == 0.0:
                     converged = True
@@ -199,7 +204,8 @@ def lm_minimize(
         if stalled:
             break
 
-    j = jacobian(x)
+    if j is None:
+        j = jacobian(x)
     cov, errors = _covariance(j, cost)
     return FitResult(
         names=list(names),

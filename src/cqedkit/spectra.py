@@ -209,7 +209,18 @@ def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int) -
     c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
     h = toeplitz(c.real)
     h[np.diag_indices(grid_n)] += charging
-    e0, e1 = eigvalsh(h, subset_by_index=[0, 1])
+    blocks = [h]
+    if ng == 0.0:
+        # h[k, k'] = h[-k, -k'] here, so the states (|k> -/+ |-k>)/sqrt2
+        # split h into an odd and an even block, each about half the size
+        m = (grid_n - 1) // 2
+        odd = h[m + 1:, m + 1:] - h[m + 1:, m - 1::-1]
+        even = h[m:, m:] + h[m:, m::-1]
+        even[0, :] /= np.sqrt(2.0)  # |0> is its own mirror image
+        even[:, 0] /= np.sqrt(2.0)
+        blocks = [odd, even]
+    low = np.concatenate([eigvalsh(b, subset_by_index=[0, 1]) for b in blocks])
+    e0, e1 = np.sort(low)[:2]
     return float(e1 - e0)
 
 
@@ -230,7 +241,14 @@ def gatemon_levels(
     check : when True, re-solve on a 2*grid_n+1 grid and require f01 to
         move by less than 0.01 MHz, raising TruncationError otherwise. The
         re-solve uses the real-symmetric form of the refined matrix and
-        computes its two lowest levels only.
+        computes its two lowest levels only. At ng = 0 it solves that
+        matrix as two parity blocks: U(phi) is even and so is 4*EC*k^2,
+        so the matrix commutes with the charge reflection k -> -k and has
+        no elements between the states (|k> + |-k>)/sqrt2 and
+        (|k> - |-k>)/sqrt2. The even and odd blocks in those bases hold
+        every level of the whole matrix exactly, at about a quarter of the
+        cost; the lowest two of their four lowest levels give f01. At
+        ng != 0 there is no such symmetry and the whole matrix is solved.
     """
     if params.is_transmon:
         raise ValueError("gatemon_levels needs the (gap, transmissions) variant")

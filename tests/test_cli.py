@@ -223,6 +223,20 @@ class TestSweepGate:
         assert main(["sweep-gate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("9 gate points")
 
+    def test_table_next_to_config_from_another_directory(self, tmp_path, capsys,
+                                                          monkeypatch):
+        sub = tmp_path / "sub"
+        table = sub / "table.csv"
+        io.write_gate_table(table, [-1.0, 0.0, 5.0, 10.0], [0.0, 1000.0, 9500.0, 20000.0])
+        head = SWEEP_YAML.split("sweep:")[0]
+        _config(sub, head + "sweep:\n  table_csv: table.csv\n")
+        _config(tmp_path, head + f"sweep:\n  table_csv: {table}\n", name="absolute.yaml")
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-gate", "--config", "sub/run.yaml", "--out", "relative.csv"]) == 0
+        assert main(["sweep-gate", "--config", "absolute.yaml", "--out", "absolute.csv"]) == 0
+        capsys.readouterr()
+        assert Path("relative.csv").read_bytes() == Path("absolute.csv").read_bytes()
+
     def test_other_variant_key_exit_one(self, tmp_path, capsys):
         cfg = _config(tmp_path, SWEEP_YAML.replace("ej_mhz: 9500\n",
                                                    "ej_mhz: 9500\n  grid_n: 301\n"))

@@ -4,6 +4,7 @@ nonlinear benchmark, and failure-mode behavior."""
 import numpy as np
 import pytest
 
+from cqedkit import lm
 from cqedkit.lm import FitResult, lm_minimize, numeric_jacobian
 from jacobian_oracle import central_difference, forward_loop
 
@@ -193,3 +194,31 @@ def test_zero_cost_at_start():
     assert result.converged
     assert result.iterations == 0
     assert result.chi2 == 0.0
+
+
+@pytest.mark.parametrize("seed,message,final_calls", [
+    (0, "proposed step below tolerance", 0),  # x has not moved since the last Jacobian
+    (3, "step and cost decrease below tolerance", 1),  # the last step moved x
+])
+def test_covariance_reuses_the_last_jacobian(seed, message, final_calls):
+    t = np.linspace(0.0, 5.0, 60)
+    y = 3.0 * np.exp(-0.7 * t) + np.random.default_rng(seed).normal(0.0, 0.05, t.size)
+
+    def residuals(x):
+        return x[0] * np.exp(-x[1] * t) - y
+
+    calls = []
+
+    def jac(x):
+        calls.append(x.copy())
+        return forward_loop(residuals, x)
+
+    result = lm_minimize(residuals, [1.0, 1.0], jac=jac)
+    assert result.message == message
+    assert len(calls) == result.iterations + final_calls
+    assert np.array_equal(calls[-1], result.params)
+
+    # a forced recompute: a fresh Jacobian at the final x, as before the reuse
+    cov, errors = lm._covariance(forward_loop(residuals, result.params), result.chi2)
+    assert np.array_equal(result.errors, errors)
+    assert np.array_equal(result.covariance, cov)

@@ -174,6 +174,53 @@ def test_gatemon_toeplitz_build_is_bit_identical(device, ng, monkeypatch):
     assert np.array_equal(vals, eigvalsh(want))
 
 
+def _seeded_devices(count, seed=2024):
+    """(ec, gap, transmissions, grid_n): 1-3 channels, T in (0, 1], EC 150-300 MHz."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        channels = rng.uniform(1e-3, 1.0, size=int(rng.integers(1, 4)))
+        if i % 4 == 0:
+            channels[0] = 1.0  # an open channel, where the potential has a kink
+        yield (float(rng.uniform(150.0, 300.0)), float(rng.uniform(40e3, 70e3)),
+               tuple(channels), (101, 201, 301)[i % 3])
+
+
+def _whole_refined_f01(ec, gap, transmissions, ng, grid_n):
+    # the refined real-symmetric matrix solved whole, as the ng != 0 path does
+    from scipy.linalg import eigvalsh, toeplitz
+
+    c, charging = spectra._gatemon_terms(ec, gap, transmissions, ng, grid_n)
+    h = toeplitz(c.real) + np.diag(charging)
+    e0, e1 = eigvalsh(h, subset_by_index=[0, 1])
+    return e1 - e0
+
+
+def test_gatemon_check_parity_blocks_match_whole_matrix():
+    worst = 0.0
+    for ec, gap, channels, grid_n in _seeded_devices(108):
+        refined = 2 * grid_n + 1
+        split = spectra._gatemon_f01(ec, gap, channels, 0.0, refined)
+        worst = max(worst, abs(split - _whole_refined_f01(ec, gap, channels, 0.0, refined)))
+    assert worst < 1e-7
+
+
+@pytest.mark.parametrize("ng,sizes", [(0.0, [(201, 201), (202, 202)]),
+                                      (0.23, [(403, 403)]), (0.5, [(403, 403)])])
+def test_gatemon_check_splits_only_at_zero_offset_charge(ng, sizes, monkeypatch):
+    import scipy.linalg
+
+    shapes = []
+    eigvalsh = scipy.linalg.eigvalsh
+
+    def capture(h, *args, **kwargs):
+        shapes.append(h.shape)
+        return eigvalsh(h, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", capture)
+    spectra._gatemon_f01(EC, 45600.0, (0.85, 0.3, 0.1), ng, 2 * DEFAULT_GRID_N + 1)
+    assert shapes == sizes
+
+
 def test_gatemon_grid_must_be_odd():
     p = QubitParams(ec=EC, gap=45600.0, transmissions=(0.9,))
     with pytest.raises(ValueError):
