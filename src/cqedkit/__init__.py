@@ -35,13 +35,11 @@ from .coupling import (
     anti_crossing,
     coupling_from_shift,
     critical_photon_number,
-    dispersive_shift_transmon,
     dispersive_shift_two_level,
     gate_sweep,
     mean_photon_number,
     nanowire_profile,
     power_dependence,
-    purcell_induced_cavity_loss,
 )
 from .lm import FitResult, lm_minimize, numeric_jacobian
 from .fitters import (

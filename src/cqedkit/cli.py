@@ -166,13 +166,9 @@ def _run_sweep(cfg, voltages=None):
 
 
 def _sweep_json(sweep) -> dict:
-    return {
-        "f_bare_ghz": sweep.f_bare_ghz,
-        "g_mhz": sweep.g_mhz,
-        "kappa_mhz": sweep.kappa_mhz,
-        "gamma_q_mhz": sweep.gamma_q_mhz,
-        "points": [dict(zip((*sweep.CSV_COLUMNS, "regime"), p)) for p in sweep.points],
-    }
+    keys = ("f_bare_ghz", "g_mhz", "kappa_mhz", "gamma_q_mhz")
+    points = [{**dict(zip(sweep.CSV_COLUMNS, p)), "regime": p.regime} for p in sweep.points]
+    return {**{k: getattr(sweep.system, k) for k in keys}, "points": points}
 
 
 def cmd_sweep_gate(args) -> int:

@@ -165,6 +165,8 @@ def gate_model(cfg: dict) -> GateSweepModel:
         raise ConfigError("sweep section needs exactly one of table_csv or profile")
     try:
         if has_table:
+            if not isinstance(sec["table_csv"], str):
+                raise ConfigError(f"sweep table_csv must be a path, got {sec['table_csv']!r}")
             v, values = read_gate_table(sec["table_csv"])
             return GateSweepModel(v, values, maps_to=maps_to, kind=interp)
         prof = sec["profile"]

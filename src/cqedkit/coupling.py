@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +54,13 @@ class DispersiveSystem:
             raise ValueError("system has no qubit spectrum attached")
         return self.f_bare_ghz * 1e3 - self.qubit.f01
 
+    def induced_loss_mhz(self, delta_mhz: float) -> float:
+        """Cavity loss rate the qubit adds at detuning delta (inverse
+        Purcell effect): (g/delta)^2 * gamma_q, in MHz."""
+        if delta_mhz == 0:
+            raise ValueError("delta = 0: inverse-Purcell formula needs detuning")
+        return (self.g_mhz / delta_mhz) ** 2 * self.gamma_q_mhz
+
 
 def dispersive_shift_two_level(g: float, delta: float) -> float:
     """Two-level dispersive cavity shift chi = g^2/delta (MHz)."""
@@ -65,19 +72,6 @@ def dispersive_shift_two_level(g: float, delta: float) -> float:
             stacklevel=2,
         )
     return g * g / delta
-
-
-def dispersive_shift_transmon(g: float, delta: float, alpha: float) -> float:
-    """Multi-level shift chi = g^2 * alpha / (delta * (delta + alpha)) (MHz).
-
-    Reduces to the two-level g^2/delta as |alpha| grows. The straddle point
-    delta = -alpha is a pole of the model and is rejected.
-    """
-    if delta == 0:
-        raise ValueError("delta = 0 is resonant; use anti_crossing instead")
-    if delta + alpha == 0:
-        raise ValueError("delta = -alpha sits on the straddle-point pole")
-    return g * g * alpha / (delta * (delta + alpha))
 
 
 def coupling_from_shift(chi: float, delta: float) -> float:
@@ -147,27 +141,6 @@ def power_dependence(
     chi = dispersive_shift_two_level(system.g_mhz, system.delta_mhz)
     weight = crossover_weight(system, powers_dbm, attenuation_db, width_efolds)
     return system.f_bare_ghz + chi / 1e3 * weight
-
-
-def purcell_induced_cavity_loss(
-    g_mhz: float,
-    delta_mhz: float,
-    gamma_q_mhz: float,
-    f_c_ghz: float,
-    q_i_intrinsic: float,
-) -> float:
-    """Effective internal Q with the qubit-induced loss channel added.
-
-    kappa_ind = (g/delta)^2 * gamma_q is added to the intrinsic loss rate:
-    Q_i_eff = f_C / (f_C/Q_i + kappa_ind), everything in MHz.
-    """
-    if delta_mhz == 0:
-        raise ValueError("delta = 0: inverse-Purcell formula needs detuning")
-    if q_i_intrinsic <= 0:
-        raise ValueError("q_i_intrinsic must be positive")
-    kappa_ind = (g_mhz / delta_mhz) ** 2 * gamma_q_mhz
-    f_c_mhz = f_c_ghz * 1e3
-    return f_c_mhz / (f_c_mhz / q_i_intrinsic + kappa_ind)
 
 
 @dataclass
@@ -252,9 +225,9 @@ def nanowire_profile(
 
 
 class SweepPoint(NamedTuple):
-    """One gate point of a sweep; NaN marks fields without meaning there.
-
-    The first six fields are SweepResult.CSV_COLUMNS, in that order.
+    """One gate point of a sweep, which is one row of its CSV: the fields
+    are SweepResult.CSV_COLUMNS, in that order. NaN marks fields without
+    meaning at the point, and that pattern is the point's regime.
     """
 
     vg: float
@@ -263,18 +236,23 @@ class SweepPoint(NamedTuple):
     f_c_ghz: float
     f_plus_ghz: float
     f_minus_ghz: float
-    regime: str  # "pinch_off", "dispersive", or "hybridized"
+
+    @property
+    def regime(self) -> str:
+        """"pinch_off" where f_Q is NaN, else "hybridized" where chi is
+        NaN, else "dispersive"."""
+        if math.isnan(self.f_q_mhz):
+            return "pinch_off"
+        return "hybridized" if math.isnan(self.chi_mhz) else "dispersive"
 
 
 @dataclass
 class SweepResult:
-    """Gate sweep output plus the system constants needed to resynthesize it."""
+    """Gate sweep output: the points, ordered by V_G, and the system they
+    were solved against, from which maps are resynthesized."""
 
-    points: list[SweepPoint] = field(default_factory=list)
-    f_bare_ghz: float = 0.0
-    g_mhz: float = 0.0
-    kappa_mhz: float = 1.0
-    gamma_q_mhz: float = 0.0
+    points: list[SweepPoint]
+    system: DispersiveSystem
 
     CSV_COLUMNS = ("V_G", "f_Q_MHz", "chi_MHz", "f_C_GHz", "f_plus_GHz", "f_minus_GHz")
     _INDEX = {name: i for i, name in enumerate(CSV_COLUMNS)}
@@ -293,11 +271,13 @@ def gate_sweep(
 ) -> SweepResult:
     """Sweep the gate table and record qubit and cavity observables.
 
-    Per point: the junction value from ``model`` replaces EJ (or the single
-    channel transmission) in ``params``, the spectrum is solved, and either
-    the dispersive shift (|delta| > 10 g) or the hybridized anti-crossing
-    branches are reported. Pinch-off points (EJ = 0 or T = 0) leave the
-    bare cavity: f_C = f_bare, chi = 0.
+    Per point: the junction value from ``model`` replaces EJ, or the
+    transmission of the one channel, in ``params``; a gatemon with more
+    channels is refused, as the table drives only one. The spectrum is
+    solved, and either the dispersive shift (|delta| > 10 g, chi finite)
+    or the hybridized anti-crossing branches (chi NaN) are reported.
+    Pinch-off points (EJ = 0 or T = 0) leave the bare cavity: f_Q NaN,
+    f_C = f_bare, chi = 0. The result carries ``system`` itself.
 
     ``voltages`` defaults to the model's own sample grid. Points are
     returned ordered by V_G no matter how they were evaluated. Each
@@ -314,25 +294,26 @@ def gate_sweep(
     is_transmon_sweep = model.maps_to == "ej"
     if is_transmon_sweep != params.is_transmon:
         raise ValueError("sweep table maps_to does not match the qubit variant")
+    if not is_transmon_sweep and len(params.transmissions) != 1:
+        n = len(params.transmissions)
+        raise ValueError(f"a transmission sweep drives one channel; the gatemon has {n}")
 
     points = []
     solved = {}  # junction value -> spectrum; a clipped table repeats values
     for v in voltages:
         value = float(model(v))
         if value <= 0.0:
-            f01, chi, f_c, regime = math.nan, 0.0, system.f_bare_ghz, "pinch_off"
+            f01, chi, f_c = math.nan, 0.0, system.f_bare_ghz
             f_plus = f_minus = math.nan
         else:
             if value not in solved:
                 try:
                     if is_transmon_sweep:
-                        p = QubitParams(ec=params.ec, ej=value, ng=params.ng)
-                        solved[value] = transmon_levels(p, **solver_options)
+                        solved[value] = transmon_levels(
+                            replace(params, ej=value), **solver_options)
                     else:
-                        p = QubitParams(
-                            ec=params.ec, gap=params.gap, transmissions=(value,), ng=params.ng
-                        )
-                        solved[value] = gatemon_levels(p, **solver_options)
+                        solved[value] = gatemon_levels(
+                            replace(params, transmissions=(value,)), **solver_options)
                 except CqedkitError as exc:
                     raise type(exc)(f"V_G = {v:g}: {exc}") from exc
             f01 = solved[value].f01
@@ -340,17 +321,11 @@ def gate_sweep(
             f_plus, f_minus = anti_crossing(system.f_bare_ghz, f01 / 1e3, system.g_mhz)
             if abs(delta) > DISPERSIVE_FACTOR * system.g_mhz:
                 chi = system.g_mhz**2 / delta
-                f_c, regime = system.f_bare_ghz + chi / 1e3, "dispersive"
+                f_c = system.f_bare_ghz + chi / 1e3
             else:
                 # near resonance a single shifted line is meaningless; report
                 # the branch that carries the cavity character
-                chi, regime = math.nan, "hybridized"
+                chi = math.nan
                 f_c = f_plus if f01 <= system.f_bare_ghz * 1e3 else f_minus
-        points.append(SweepPoint(float(v), f01, chi, f_c, f_plus, f_minus, regime))
-    return SweepResult(
-        points=points,
-        f_bare_ghz=system.f_bare_ghz,
-        g_mhz=system.g_mhz,
-        kappa_mhz=system.kappa_mhz,
-        gamma_q_mhz=system.gamma_q_mhz,
-    )
+        points.append(SweepPoint(float(v), f01, chi, f_c, f_plus, f_minus))
+    return SweepResult(points, system)

@@ -4,7 +4,8 @@ All CSV writers emit the shortest round-trip decimal representation of
 each value (Python repr) with LF line endings, so a given dataset always
 serializes to identical bytes. Readers reject wrong headers and report
 malformed cells with their 1-based line number. Lines starting with '#'
-and blank lines are ignored on input.
+and blank lines are ignored on input. Gate sweep CSVs are written only:
+each row is one SweepPoint, whose regime its NaN pattern gives.
 
 Every output file, SVG plots included, is written by ``write_lines``,
 which puts a relative path under the CQEDKIT_OUTDIR environment variable
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import SweepPoint, SweepResult
+from .coupling import SweepResult
 from .errors import InputDataError
 from .fitters import ComplexTrace
 from .synth import Map2D
@@ -144,22 +145,9 @@ def write_gate_table(path, voltages, values) -> Path:
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> Path:
-    n = len(SweepResult.CSV_COLUMNS)
-    return _write_rows(path, SweepResult.CSV_COLUMNS, (p[:n] for p in sweep.points))
-
-
-def read_sweep_csv(path) -> SweepResult:
-    """Rebuild a sweep from its CSV; regimes are re-derived from the NaN
-    pattern (chi NaN means hybridized, f_Q NaN means pinch-off)."""
-    points = []
-    for row in _read_table(path, SweepResult.CSV_COLUMNS):
-        p = SweepPoint(*row, regime="dispersive")
-        if math.isnan(p.f_q_mhz):
-            p = p._replace(regime="pinch_off")
-        elif math.isnan(p.chi_mhz):
-            p = p._replace(regime="hybridized")
-        points.append(p)
-    return SweepResult(points=points)
+    """One row per point, as the point is; the regimes are not written,
+    as each is read off its row's NaN pattern (SweepPoint.regime)."""
+    return _write_rows(path, SweepResult.CSV_COLUMNS, sweep.points)
 
 
 def write_map_csv(path, m: Map2D) -> Path:

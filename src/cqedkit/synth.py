@@ -223,7 +223,7 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
     f = spec.axis("f")
     delta = system.delta_mhz
     chi = dispersive_shift_two_level(system.g_mhz, delta)
-    purcell = (system.g_mhz / delta) ** 2 * system.gamma_q_mhz
+    purcell = system.induced_loss_mhz(delta)
 
     grid = np.empty((powers.size, f.size))
     for i, p in enumerate(powers):
@@ -239,9 +239,10 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     """Cavity |S21| vs (gate voltage, frequency); rows are reflection traces.
 
     Dispersive and pinched-off points give one dip at the shifted (or
-    bare) cavity frequency. Hybridized points give two dips at the
-    anti-crossing branches, each weighted by its cavity fraction
-    w = (1 +- detuning/splitting)/2 in depth, with linewidth
+    bare) cavity frequency, the dispersive one broadened by the
+    qubit-induced loss (g/Delta)^2 * gamma_q. Hybridized points give two
+    dips at the anti-crossing branches, each weighted by its cavity
+    fraction w = (1 +- detuning/splitting)/2 in depth, with linewidth
     w*kappa + (1-w)*gamma_q.
 
     Optional truth keys: depth (0.8), baseline (1.0).
@@ -250,24 +251,23 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     depth = float(t.get("depth", 0.8))
     baseline = float(t.get("baseline", 1.0))
     f = spec.axis("f")
-    kappa = sweep.kappa_mhz
-    gamma = sweep.gamma_q_mhz
-    g = sweep.g_mhz
+    system = sweep.system
+    kappa = system.kappa_mhz
+    gamma = system.gamma_q_mhz
 
     volts = sweep.column("V_G")
     grid = np.empty((volts.size, f.size))
     for i, pt in enumerate(sweep.points):
+        delta = system.f_bare_ghz * 1e3 - pt.f_q_mhz
         if pt.regime == "hybridized":
-            delta = sweep.f_bare_ghz * 1e3 - pt.f_q_mhz
-            omega = math.hypot(delta, 2.0 * g)
+            omega = math.hypot(delta, 2.0 * system.g_mhz)
             w_plus = 0.5 * (1.0 + delta / omega)
             row = np.full(f.shape, baseline)
             for center, w in ((pt.f_plus_ghz, w_plus), (pt.f_minus_ghz, 1.0 - w_plus)):
                 fwhm = w * kappa + (1.0 - w) * gamma
                 row = row * _mag_dip(f, center, fwhm, depth * w)
         elif pt.regime == "dispersive":
-            delta = sweep.f_bare_ghz * 1e3 - pt.f_q_mhz
-            fwhm = kappa + (g / delta) ** 2 * gamma
+            fwhm = kappa + system.induced_loss_mhz(delta)
             row = baseline * _mag_dip(f, pt.f_c_ghz, fwhm, depth)
         else:  # pinch_off: bare cavity line
             row = baseline * _mag_dip(f, pt.f_c_ghz, kappa, depth)

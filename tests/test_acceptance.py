@@ -13,6 +13,7 @@ import numpy as np
 
 from cqedkit import (
     CavityGeometry,
+    DispersiveSystem,
     QubitParams,
     SweepPoint,
     SweepResult,
@@ -217,10 +218,10 @@ def test_criterion_12_two_tone_dip_spacing():
     alpha = -200.0
     nan = float("nan")
     points = [SweepPoint(vg=v, f_q_mhz=4200.0, chi_mhz=0.0, f_c_ghz=5.444,
-                         f_plus_ghz=nan, f_minus_ghz=nan, regime="dispersive")
+                         f_plus_ghz=nan, f_minus_ghz=nan)
               for v in (0.0, 1.0)]
-    sweep = SweepResult(points=points, f_bare_ghz=5.443, g_mhz=100.0,
-                        kappa_mhz=1.2, gamma_q_mhz=0.3)
+    sweep = SweepResult(points, DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0,
+                                                 kappa_mhz=1.2, gamma_q_mhz=0.3))
     spec = SynthSpec(
         kind="two_tone_map", seed=1, snr_db=None,
         truth={"two_photon": True, "alpha_mhz": alpha, "depth": 0.5},

@@ -2,7 +2,9 @@
 functions at the module attributes their callers look them up in. These
 tests read the tracer's own tables, so they follow the file as shipped:
 every hook must resolve, and the CLI must call what it finds there at
-call time rather than a reference it took at import.
+call time rather than a reference it took at import. The benchmark's
+workloads (perfbench/workloads.py) also read gate sweep results, and the
+fields they read must stay.
 """
 
 import importlib
@@ -13,7 +15,16 @@ import numpy as np
 import pytest
 
 import cqedkit.cli as cli
-from cqedkit import SynthSpec, io, synth_rabi, synth_reflection
+from cqedkit import (
+    DispersiveSystem,
+    QubitParams,
+    SynthSpec,
+    gate_sweep,
+    io,
+    nanowire_profile,
+    synth_rabi,
+    synth_reflection,
+)
 from cqedkit.fitters import lorentzian_model
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -33,6 +44,21 @@ def test_every_hook_resolves():
     assert ("cqedkit.cli", "fit_rabi") in points
     for mod, attr in points:
         assert callable(getattr(importlib.import_module(mod), attr, None)), f"{mod}.{attr}"
+
+
+def test_gate_sweep_keeps_what_the_workloads_read():
+    # GateSweep.record and _verify read points, .regime, .vg, .f_q_mhz and
+    # column(name) for the five observable columns
+    model = nanowire_profile(seed=3, n=9, max_value=1.0, maps_to="transmission")
+    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0, kappa_mhz=1.2, gamma_q_mhz=0.3)
+    sweep = gate_sweep(model, QubitParams(ec=250.0, gap=60000.0, transmissions=(1.0,)), system)
+    assert len(sweep.points) == 9
+    assert {p.regime for p in sweep.points} == {"pinch_off", "dispersive", "hybridized"}
+    assert [p.vg for p in sweep.points] == model.voltages.tolist()
+    for name in ("f_Q_MHz", "chi_MHz", "f_C_GHz", "f_plus_GHz", "f_minus_GHz"):
+        assert sweep.column(name).shape == (9,)
+    assert np.array_equal(sweep.column("f_Q_MHz"), [p.f_q_mhz for p in sweep.points],
+                          equal_nan=True)
 
 
 def _reflection_csv(d):

@@ -1,15 +1,19 @@
 """End-to-end command-line tests: exit codes, stdout payloads, artifact
 files, determinism, and the pipeline's three outcomes. Everything runs
-in-process through main(argv).
+in-process through main(argv), except what needs a piped standard input.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cqedkit
 from cqedkit import ComplexTrace, SynthSpec, io, spectra, synth_rabi, synth_reflection
 from cqedkit.cli import build_parser, main
 from cqedkit.fitters import lorentzian_model
@@ -236,6 +240,26 @@ class TestSweepGate:
         assert main(["sweep-gate", "--config", "absolute.yaml", "--out", "absolute.csv"]) == 0
         capsys.readouterr()
         assert Path("relative.csv").read_bytes() == Path("absolute.csv").read_bytes()
+
+    def test_multi_channel_transmission_sweep_exit_one(self, tmp_path, capsys):
+        cfg = _config(tmp_path, self.GATEMON_GRID_YAML.replace("[1.0]", "[0.85, 0.3, 0.1]"))
+        assert main(["sweep-gate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "gatemon has 3" in captured.err
+        assert captured.out == ""
+
+    def test_non_string_table_path_exit_one(self, tmp_path):
+        # an integer path would be opened as a file descriptor: 0 reads stdin
+        cfg = _config(tmp_path, SWEEP_YAML.split("sweep:")[0] + "sweep:\n  table_csv: 0\n")
+        table = io.write_gate_table(tmp_path / "table.csv", [0.0, 5.0, 10.0],
+                                    [1000.0, 9500.0, 20000.0])
+        env = dict(os.environ)
+        src = str(Path(cqedkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "cqedkit", "sweep-gate", "--config", cfg],
+                              input=table.read_text(), env=env, capture_output=True, text=True)
+        assert done.returncode == 1, done.stdout
+        assert "sweep table_csv must be a path" in done.stderr
 
     def test_other_variant_key_exit_one(self, tmp_path, capsys):
         cfg = _config(tmp_path, SWEEP_YAML.replace("ej_mhz: 9500\n",

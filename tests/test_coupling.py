@@ -13,17 +13,16 @@ from cqedkit import (
     GateSweepModel,
     QubitParams,
     QubitSpectrum,
+    SweepPoint,
     anti_crossing,
     coupling_from_shift,
     critical_photon_number,
-    dispersive_shift_transmon,
     dispersive_shift_two_level,
     gate_sweep,
     gatemon_levels,
     mean_photon_number,
     nanowire_profile,
     power_dependence,
-    purcell_induced_cavity_loss,
 )
 from cqedkit.errors import TruncationError
 
@@ -57,17 +56,6 @@ def test_shift_inversion_identity(g, ratio, sign):
 def test_coupling_from_shift_sign_check():
     with pytest.raises(ValueError):
         coupling_from_shift(5.0, -2000.0)
-
-
-def test_transmon_shift_reduces_to_two_level():
-    # |alpha| >> |delta| recovers chi = g^2/delta
-    big = dispersive_shift_transmon(100.0, -2000.0, -1e9)
-    assert big == pytest.approx(dispersive_shift_two_level(100.0, -2000.0), rel=1e-5)
-
-
-def test_transmon_shift_straddle_pole():
-    with pytest.raises(ValueError):
-        dispersive_shift_transmon(100.0, 218.0, -218.0)
 
 
 def test_anti_crossing_minimum_split():
@@ -116,13 +104,18 @@ def test_power_dependence_crossover():
     assert np.all(diffs <= 0.0) or np.all(diffs >= 0.0)
 
 
-def test_purcell_loss_limits():
-    q = purcell_induced_cavity_loss(100.0, -2000.0, 0.5, 5.443, 30000.0)
-    assert q < 30000.0
-    nearly = purcell_induced_cavity_loss(100.0, -2000.0, 1e-12, 5.443, 30000.0)
-    assert nearly == pytest.approx(30000.0, rel=1e-6)
-    with pytest.raises(ValueError):
-        purcell_induced_cavity_loss(100.0, 0.0, 0.5, 5.443, 30000.0)
+def test_induced_loss_is_the_inverse_purcell_rate():
+    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0, gamma_q_mhz=0.5)
+    # (g/delta)^2 = 1/400 at 20 g detuning, on either side of the cavity
+    assert system.induced_loss_mhz(-2000.0) == pytest.approx(0.5 / 400.0, rel=1e-15)
+    assert system.induced_loss_mhz(2000.0) == system.induced_loss_mhz(-2000.0)
+    assert system.induced_loss_mhz(4000.0) == pytest.approx(
+        system.induced_loss_mhz(2000.0) / 4.0, rel=1e-15)
+    # a lossless qubit adds no cavity loss
+    lossless = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
+    assert lossless.induced_loss_mhz(-2000.0) == 0.0
+    with pytest.raises(ValueError, match="detuning"):
+        system.induced_loss_mhz(0.0)
 
 
 def test_gate_model_clamps_and_bounds():
@@ -194,6 +187,26 @@ def test_gate_sweep_regimes_and_order():
         else:
             assert math.isnan(p.chi_mhz)
             assert p.f_c_ghz in (p.f_plus_ghz, p.f_minus_ghz)
+
+
+def test_sweep_point_regime_reads_the_nan_pattern():
+    nan = math.nan
+    # f_Q NaN is pinch-off whatever chi holds
+    assert SweepPoint(0.0, nan, 0.0, 5.443, nan, nan).regime == "pinch_off"
+    assert SweepPoint(0.0, nan, nan, 5.443, nan, nan).regime == "pinch_off"
+    assert SweepPoint(1.0, 5440.0, nan, 5.54, 5.54, 5.34).regime == "hybridized"
+    assert SweepPoint(2.0, 4500.0, 10.0, 5.453, 5.453, 4.49).regime == "dispersive"
+    assert SweepPoint._fields == ("vg", "f_q_mhz", "chi_mhz", "f_c_ghz", "f_plus_ghz",
+                                  "f_minus_ghz")
+
+
+def test_gate_sweep_refuses_a_multi_channel_gatemon():
+    # the table drives one transmission; sweeping it would drop the others
+    model = nanowire_profile(seed=5, n=5, max_value=0.95, maps_to="transmission")
+    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
+    params = QubitParams(ec=190.0, gap=45600.0, transmissions=(0.85, 0.3, 0.1))
+    with pytest.raises(ValueError, match="gatemon has 3"):
+        gate_sweep(model, params, system)
 
 
 def test_gate_sweep_explicit_voltages():
@@ -269,6 +282,7 @@ def test_sweep_result_column_roundtrip():
     params = QubitParams(ec=190.0, ej=9500.0)
     system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
     sweep = gate_sweep(model, params, system)
+    assert sweep.system is system
     assert sweep.column("f_C_GHz").size == len(sweep.points)
     assert sweep.column("f_C_GHz")[0] == sweep.points[0].f_c_ghz
     with pytest.raises(KeyError):

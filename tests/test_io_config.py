@@ -65,28 +65,33 @@ class TestCsvRoundTrips:
         assert np.array_equal(v2, v) and np.array_equal(val2, val)
 
     def test_sweep_regimes_rederived(self, tmp_path):
+        # a sweep CSV row is a SweepPoint, whose regime its NaN pattern gives
+        def reread(sweep, name):
+            header, *rows = io.write_sweep_csv(tmp_path / name, sweep).read_text().splitlines()
+            assert header == ",".join(SweepResult.CSV_COLUMNS)
+            return [SweepPoint(*map(float, row.split(","))) for row in rows]
+
         nan = float("nan")
         points = [
-            SweepPoint(0.0, nan, nan, 5.443, nan, nan, "pinch_off"),
-            SweepPoint(1.0, 5440.0, nan, nan, 5.54, 5.34, "hybridized"),
-            SweepPoint(2.0, 4500.0, 10.0, 5.453, nan, nan, "dispersive"),
+            SweepPoint(0.0, nan, nan, 5.443, nan, nan),
+            SweepPoint(1.0, 5440.0, nan, nan, 5.54, 5.34),
+            SweepPoint(2.0, 4500.0, 10.0, 5.453, nan, nan),
         ]
-        p = io.write_sweep_csv(tmp_path / "s.csv", SweepResult(points=points))
-        back = io.read_sweep_csv(p)
-        assert [pt.regime for pt in back.points] == [
-            "pinch_off", "hybridized", "dispersive"]
-        assert back.points[2].chi_mhz == 10.0
+        system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
+        back = reread(SweepResult(points, system), "s.csv")
+        assert [pt.regime for pt in back] == ["pinch_off", "hybridized", "dispersive"]
+        assert back[2].chi_mhz == 10.0
 
         # a solved gatemon sweep crossing the cavity: all three regimes
         model = nanowire_profile(seed=3, n=9, max_value=1.0, maps_to="transmission")
         sweep = gate_sweep(model, QubitParams(ec=250.0, gap=60000.0, transmissions=(1.0,)),
-                           DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0))
+                           system)
         assert {pt.regime for pt in sweep.points} == {"pinch_off", "dispersive", "hybridized"}
-        back = io.read_sweep_csv(io.write_sweep_csv(tmp_path / "g.csv", sweep))
-        assert len(back.points) == len(sweep.points)
-        for got, want in zip(back.points, sweep.points):
+        back = reread(sweep, "g.csv")
+        assert len(back) == len(sweep.points)
+        for got, want in zip(back, sweep.points):
             assert got.regime == want.regime
-            assert np.array_equal(got[:-1], want[:-1], equal_nan=True), want
+            assert np.array_equal(got, want, equal_nan=True), want
 
     def test_write_is_byte_stable(self, tmp_path):
         t = _trace()

@@ -39,14 +39,13 @@ def _refl_spec(**over):
 
 
 def _sweep(points):
-    return SweepResult(points=points, f_bare_ghz=5.443, g_mhz=100.0,
-                       kappa_mhz=1.2, gamma_q_mhz=0.3)
+    return SweepResult(points, DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0,
+                                                kappa_mhz=1.2, gamma_q_mhz=0.3))
 
 
 def _dispersive_point(vg, f_q_mhz, f_c_ghz):
     return SweepPoint(vg=vg, f_q_mhz=f_q_mhz, chi_mhz=0.0, f_c_ghz=f_c_ghz,
-                      f_plus_ghz=float("nan"), f_minus_ghz=float("nan"),
-                      regime="dispersive")
+                      f_plus_ghz=float("nan"), f_minus_ghz=float("nan"))
 
 
 class TestSpecValidation:
@@ -221,7 +220,7 @@ class TestGateMap:
     def test_pinch_off_row_dip_at_bare_cavity(self):
         pt = SweepPoint(vg=0.0, f_q_mhz=float("nan"), chi_mhz=float("nan"),
                         f_c_ghz=5.443, f_plus_ghz=float("nan"),
-                        f_minus_ghz=float("nan"), regime="pinch_off")
+                        f_minus_ghz=float("nan"))
         m = self._map([pt])
         f_dip = m.fast_values[np.argmin(m.grid[0])]
         assert f_dip == pytest.approx(5.443, abs=2e-4)
@@ -229,7 +228,7 @@ class TestGateMap:
     def test_hybridized_row_has_both_branches(self):
         pt = SweepPoint(vg=0.0, f_q_mhz=5443.0, chi_mhz=float("nan"),
                         f_c_ghz=float("nan"), f_plus_ghz=5.543,
-                        f_minus_ghz=5.343, regime="hybridized")
+                        f_minus_ghz=5.343)
         m = self._map([pt])
         row, f = m.grid[0], m.fast_values
         upper = f > 5.443
@@ -294,7 +293,7 @@ class TestTwoTone:
     def test_pinched_off_row_is_flat(self):
         pt = SweepPoint(vg=0.0, f_q_mhz=float("nan"), chi_mhz=float("nan"),
                         f_c_ghz=5.443, f_plus_ghz=float("nan"),
-                        f_minus_ghz=float("nan"), regime="pinch_off")
+                        f_minus_ghz=float("nan"))
         m = self._map({}, points=[pt, _dispersive_point(1.0, 4200.0, 5.444)])
         assert np.all(m.grid[0] == 1.0)
 
