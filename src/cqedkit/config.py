@@ -9,7 +9,6 @@ lists, non-numeric text and non-finite values fail naming the key.
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from .coupling import DispersiveSystem, GateSweepModel, nanowire_profile
 from .errors import ConfigError
 from .io import read_gate_table
 from .spectra import CavityGeometry, QubitParams, QubitSpectrum, te_mode_frequency
-from .synth import SynthSpec, whole_number
+from .synth import SynthSpec, number, whole_number
 
 KNOWN_SECTIONS = ("qubit", "cavity", "system", "sweep", "synth", "pipeline")
 # pipeline fit checks and their defaults: relative Ql and Qc error, f_r error in MHz
@@ -86,7 +85,7 @@ def qubit_params(cfg: dict) -> QubitParams:
     if trans is not None:
         if not isinstance(trans, (list, tuple)):
             raise ConfigError("transmissions must be a list")
-        trans = tuple(_number(t, f"qubit transmissions[{i}]") for i, t in enumerate(trans))
+        trans = tuple(number(t, f"qubit transmissions[{i}]") for i, t in enumerate(trans))
     try:
         return QubitParams(
             ec=_float(sec, "ec_mhz", "qubit"),
@@ -155,10 +154,9 @@ def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> Dispersi
 
 def gate_model(cfg: dict) -> GateSweepModel:
     sec = _section(
-        cfg, "sweep", {"table_csv", "profile", "maps_to", "interp", "v_min", "v_max", "n_v"}
+        cfg, "sweep", {"table_csv", "profile", "maps_to", "v_min", "v_max", "n_v"}
     )
     maps_to = sec.get("maps_to", "ej")
-    interp = sec.get("interp", "pchip")
     has_table = "table_csv" in sec
     has_profile = "profile" in sec
     if has_table == has_profile:
@@ -168,14 +166,14 @@ def gate_model(cfg: dict) -> GateSweepModel:
             if not isinstance(sec["table_csv"], str):
                 raise ConfigError(f"sweep table_csv must be a path, got {sec['table_csv']!r}")
             v, values = read_gate_table(sec["table_csv"])
-            return GateSweepModel(v, values, maps_to=maps_to, kind=interp)
+            return GateSweepModel(v, values, maps_to=maps_to)
         prof = sec["profile"]
         if not isinstance(prof, dict):
             raise ConfigError("sweep profile must be a mapping")
-        floats = ("v_min", "v_max", "v_pinch", "max_value", "wiggle")
+        floats = ("v_min", "v_max", "v_pinch", "max_value")
         _check_keys(prof, "sweep.profile", {"seed", "n", *floats}, {"seed"})
         # keys left out take nanowire_profile's defaults
-        given = {k: _number(prof[k], f"sweep profile {k}") for k in floats if k in prof}
+        given = {k: number(prof[k], f"sweep profile {k}") for k in floats if k in prof}
         if "n" in prof:
             given["n"] = _integer(prof["n"], "sweep profile n")
         seed = _integer(prof["seed"], "sweep profile seed")
@@ -200,28 +198,17 @@ def sweep_voltages(cfg: dict):
 
 
 def synth_spec(cfg: dict) -> SynthSpec:
+    """The synth section as a SynthSpec, which checks the recipe itself."""
     sec = _section(cfg, "synth", {"kind", "seed", "snr_db", "truth", "grid"}, {"kind", "seed"})
-    truth = sec.get("truth", {})
-    grid = sec.get("grid", {})
-    if not isinstance(truth, dict) or not isinstance(grid, dict):
-        raise ConfigError("synth truth and grid must be mappings")
     return SynthSpec(
         kind=sec["kind"],
-        seed=_integer(sec["seed"], "synth seed"),
-        # null means noiseless
+        seed=sec["seed"],
+        # null means noiseless; SynthSpec refuses a text snr_db, so the
+        # numeric text PyYAML gives for 3e1 is read here
         snr_db=None if sec.get("snr_db") is None else _float(sec, "snr_db", "synth"),
-        truth=_scalars(truth, "synth truth"),
-        grid=_scalars(grid, "synth grid"),
+        truth=sec.get("truth", {}),
+        grid=sec.get("grid", {}),
     )
-
-
-def _scalars(values: dict, what: str) -> dict:
-    """Keep ints and bools; read anything else, floats included, with _number."""
-    out = dict(values)
-    for key, value in values.items():
-        if not isinstance(value, (bool, int)):
-            out[key] = _number(value, f"{what} {key}")
-    return out
 
 
 def pipeline_options(cfg: dict) -> dict:
@@ -242,25 +229,13 @@ def _integer(value, what: str) -> int:
     return int(whole_number(value, what))
 
 
-def _number(value, what: str) -> float:
-    """A finite float; numeric text passes, since PyYAML reads a number
-    written without a decimal point, such as 6e3, as a string."""
-    try:
-        x = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
-        x = math.nan
-    if not math.isfinite(x):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return x
-
-
 def _float(sec: dict, key: str, where: str, default=None):
-    """sec[key] read by _number, or default when the key is absent."""
-    return _number(sec[key], f"{where} {key}") if key in sec else default
+    """sec[key] read by number, or default when the key is absent."""
+    return number(sec[key], f"{where} {key}") if key in sec else default
 
 
 def _positive(value, what: str) -> float:
-    x = _number(value, what)
+    x = number(value, what)
     if x <= 0:
         raise ConfigError(f"{what} must be finite and positive, got {value!r}")
     return x

@@ -4,8 +4,8 @@ sweeps, power dependence, and qubit-induced cavity loss.
 Sign convention throughout: delta = f_bare - f_qubit (cavity minus qubit),
 in MHz. Cavity frequencies are GHz, couplings and linewidths MHz.
 
-scipy.interpolate, the slowest scipy module to load, is imported only
-when a gate model uses pchip interpolation.
+scipy.interpolate, the slowest scipy module to load, is imported when
+the first gate model is built.
 """
 
 from __future__ import annotations
@@ -115,22 +115,21 @@ def mean_photon_number(
     return p_watt / (PLANCK_J_S * f_ghz * 1e9 * kappa_mhz * 1e6)
 
 
-def crossover_weight(system, powers_dbm, attenuation_db=0.0, width_efolds=1.0):
-    """Weight of the dressed cavity line across the power crossover: a
-    logistic in log photon number centered on n_crit, 1 at n << n_crit
-    and 0 at n >> n_crit."""
+def crossover_weight(system, powers_dbm, attenuation_db=0.0):
+    """Weight of the dressed cavity line across the power crossover:
+    1 / (1 + n/n_crit), a logistic in log photon number centered on n_crit
+    and one e-fold wide, 1 at n << n_crit and 0 at n >> n_crit."""
     n_crit = critical_photon_number(system.g_mhz, system.delta_mhz)
     n_bar = mean_photon_number(
         powers_dbm, system.f_bare_ghz, system.kappa_mhz, attenuation_db
     )
-    return 1.0 / (1.0 + (n_bar / n_crit) ** (1.0 / width_efolds))
+    return 1.0 / (1.0 + n_bar / n_crit)
 
 
 def power_dependence(
     system: DispersiveSystem,
     powers_dbm,
     attenuation_db: float = 0.0,
-    width_efolds: float = 1.0,
 ) -> np.ndarray:
     """Apparent cavity frequency f_C(P) in GHz across the power crossover.
 
@@ -139,7 +138,7 @@ def power_dependence(
     frequency at n >> n_crit.
     """
     chi = dispersive_shift_two_level(system.g_mhz, system.delta_mhz)
-    weight = crossover_weight(system, powers_dbm, attenuation_db, width_efolds)
+    weight = crossover_weight(system, powers_dbm, attenuation_db)
     return system.f_bare_ghz + chi / 1e3 * weight
 
 
@@ -147,14 +146,14 @@ def power_dependence(
 class GateSweepModel:
     """Sampled map from gate voltage to EJ (MHz) or channel transmission.
 
-    Evaluation interpolates the table (monotone cubic by default, so no
-    overshoot between samples) and holds the end values outside its range.
+    Evaluation interpolates the table with a monotone cubic (pchip), so
+    there is no overshoot between samples, and holds the end values outside
+    its range.
     """
 
     voltages: np.ndarray
     values: np.ndarray
     maps_to: str = "ej"  # "ej" or "transmission"
-    kind: str = "pchip"  # "pchip" or "linear"
 
     def __post_init__(self):
         self.voltages = np.asarray(self.voltages, dtype=float)
@@ -167,25 +166,17 @@ class GateSweepModel:
             raise ValueError("V_G samples must be strictly increasing")
         if self.maps_to not in ("ej", "transmission"):
             raise ValueError(f"maps_to must be 'ej' or 'transmission', got {self.maps_to!r}")
-        if self.kind not in ("pchip", "linear"):
-            raise ValueError(f"kind must be 'pchip' or 'linear', got {self.kind!r}")
         if np.any(self.values < 0):
             raise ValueError("mapped values must be non-negative")
         if self.maps_to == "transmission" and np.any(self.values > 1):
             raise ValueError("transmissions must lie in [0, 1]")
-        if self.kind == "pchip":
-            from scipy.interpolate import PchipInterpolator
+        from scipy.interpolate import PchipInterpolator
 
-            self._interp = PchipInterpolator(self.voltages, self.values)
-        else:
-            self._interp = None
+        self._interp = PchipInterpolator(self.voltages, self.values)
 
     def __call__(self, v):
         v = np.clip(v, self.voltages[0], self.voltages[-1])
-        if self._interp is not None:
-            out = self._interp(v)
-        else:
-            out = np.interp(v, self.voltages, self.values)
+        out = self._interp(v)
         hi = 1.0 if self.maps_to == "transmission" else np.inf
         return np.clip(out, 0.0, hi)
 
@@ -198,12 +189,11 @@ def nanowire_profile(
     v_pinch: float = 0.0,
     max_value: float = 20000.0,
     maps_to: str = "ej",
-    wiggle: float = 0.2,
 ) -> GateSweepModel:
     """Seeded synthetic gate response: smooth turn-on plus bounded wiggles.
 
     Zero below ``v_pinch``, then a smoothstep ramp toward ``max_value``
-    modulated by a smoothed random walk of relative amplitude ``wiggle``.
+    modulated by a smoothed random walk of relative amplitude 0.2.
     Stands in for a semiconductor-junction response where no measured
     table is available.
     """
@@ -217,7 +207,7 @@ def nanowire_profile(
     peak = np.max(np.abs(walk))
     if peak > 0:
         walk /= peak
-    values = max_value * ramp * (1.0 + wiggle * walk * s)
+    values = max_value * ramp * (1.0 + 0.2 * walk * s)
     values = np.maximum(values, 0.0)
     if maps_to == "transmission":
         values = np.clip(values, 0.0, 1.0)

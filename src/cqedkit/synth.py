@@ -44,16 +44,20 @@ _AXES = {
     "t": (None, "t_max_ns", "n_t"),
 }
 
-# kind -> (grid axes, truth keys it must provide); map kinds take their
-# physics from a DispersiveSystem / SweepResult and keep only optional
-# presentation knobs in truth
+# kind -> (grid axes, truth key -> default), None marking a required key
+# and a bool default a switch; map kinds take their physics from a
+# DispersiveSystem / SweepResult and keep presentation knobs in truth
 SYNTH_KINDS = {
-    "reflection_trace": ("f", REFLECTION_PARAM_NAMES),
-    "power_map": ("fp", ()),
-    "gate_map": ("fv", ()),
-    "two_tone_map": ("fv", ()),
-    "rabi_trace": ("t", RABI_PARAM_NAMES),
+    "reflection_trace": ("f", {**dict.fromkeys(REFLECTION_PARAM_NAMES), "tau_ns": 0.0}),
+    "power_map": ("fp", {"depth": 0.8, "baseline": 1.0, "attenuation_db": 0.0}),
+    "gate_map": ("fv", {"depth": 0.8, "baseline": 1.0}),
+    "two_tone_map": ("fv", {"depth": 0.5, "baseline": 1.0, "fwhm_mhz": 5.0,
+                            "two_photon": False, "alpha_mhz": 0.0,
+                            "background_amp": 0.0, "background_period_ghz": 1.0}),
+    "rabi_trace": ("t", dict.fromkeys(RABI_PARAM_NAMES)),
 }
+_GRID_KEYS = {kind: dict.fromkeys(k for a in axes for k in _AXES[a] if k)
+              for kind, (axes, _) in SYNTH_KINDS.items()}
 
 
 def whole_number(value, what: str):
@@ -72,13 +76,41 @@ def whole_number(value, what: str):
     return x
 
 
+def number(value, what: str) -> float:
+    """A finite float; numeric text passes, since PyYAML reads a number
+    written without a decimal point, such as 6e3, as a string.
+
+    The one number rule of SynthSpec and of the config readers.
+    """
+    try:
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return x
+
+
+def _value(value, default, name: str, key: str):
+    """A truth or grid value: a bool for a switch (a key whose default is a
+    bool), else a finite number, kept as given if an int or a float, so the
+    sidecar records 12000, and read by the number rule if not."""
+    if isinstance(default, bool):
+        if not isinstance(value, (bool, np.bool_)):
+            raise ConfigError(f"synth {name} {key} must be true or false, got {value!r}")
+        return bool(value)
+    if type(value) is int or isinstance(value, float) and math.isfinite(value):
+        return value
+    return number(value, f"synth {name} {key}")
+
+
 @dataclass
 class SynthSpec:
     """Recipe for one synthetic dataset.
 
     kind selects the generator, truth carries the generating parameters,
     grid the axes. The same spec serialized next to the data is the ground
-    truth record used to score fits.
+    truth record used to score fits. Keys outside SYNTH_KINDS are refused.
     """
 
     kind: str
@@ -92,22 +124,27 @@ class SynthSpec:
             raise ConfigError(
                 f"unknown synth kind {self.kind!r}, expected one of {tuple(SYNTH_KINDS)}"
             )
-        self.seed = int(whole_number(self.seed, "seed"))
+        self.seed = int(whole_number(self.seed, "synth seed"))
         if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ConfigError(f"synth seed must be a non-negative integer, got {self.seed}")
         if self.snr_db is not None:
-            if isinstance(self.snr_db, bool) or not isinstance(self.snr_db, numbers.Real):
-                raise ConfigError(f"snr_db must be a number, got {self.snr_db!r}")
-            self.snr_db = float(self.snr_db)
-            if not math.isfinite(self.snr_db):
-                raise ConfigError("snr_db must be finite (omit it for noiseless)")
-        axes, truth_keys = SYNTH_KINDS[self.kind]
-        missing = [k for a in axes for k in _AXES[a] if k and k not in self.grid]
-        if missing:
-            raise ConfigError(f"synth grid for {self.kind} is missing {missing}")
-        missing = [k for k in truth_keys if k not in self.truth]
-        if missing:
-            raise ConfigError(f"synth truth for {self.kind} is missing {missing}")
+            # config reads YAML's numeric text; in code snr_db is a number
+            if not isinstance(self.snr_db, numbers.Real):
+                raise ConfigError(f"synth snr_db must be a number, got {self.snr_db!r}")
+            self.snr_db = number(self.snr_db, "synth snr_db")
+        if not isinstance(self.truth, dict) or not isinstance(self.grid, dict):
+            raise ConfigError("synth truth and grid must be mappings")
+        axes, defaults = SYNTH_KINDS[self.kind]
+        for name, table in (("grid", _GRID_KEYS[self.kind]), ("truth", defaults)):
+            given = getattr(self, name)
+            unknown = given.keys() - table.keys()
+            if unknown:
+                raise ConfigError(f"unknown keys in synth {name} for {self.kind}: "
+                                  f"{sorted(unknown)}; allowed: {sorted(table)}")
+            setattr(self, name, {k: _value(v, table[k], name, k) for k, v in given.items()})
+            missing = [k for k, d in table.items() if d is None and k not in given]
+            if missing:
+                raise ConfigError(f"synth {name} for {self.kind} is missing {missing}")
         for a in axes:
             n_key = _AXES[a][2]
             # the sidecar records the count as given, so it must be the
@@ -149,10 +186,11 @@ class Map2D:
 
 
 def _truth(spec: SynthSpec, kind: str) -> dict:
-    """The truth of a spec, which must be of the generator's kind."""
+    """The truth of a spec, which must be of the generator's kind, over
+    the kind's defaults."""
     if spec.kind != kind:
         raise ConfigError(f"spec kind is {spec.kind!r}, not {kind}")
-    return spec.truth
+    return {**SYNTH_KINDS[kind][1], **spec.truth}
 
 
 def _noisy(values, spec: SynthSpec, scale: float, stream):
@@ -173,15 +211,7 @@ def synth_reflection(spec: SynthSpec) -> ComplexTrace:
     t = _truth(spec, "reflection_trace")
     f = spec.axis("f")
     a = complex(float(t["a_re"]), float(t["a_im"]))
-    z = reflection_model(
-        f,
-        a,
-        float(t["ql"]),
-        float(t["qc"]),
-        float(t["theta"]),
-        float(t["f_r_ghz"]),
-        float(t.get("tau_ns", 0.0)),
-    )
+    z = reflection_model(f, a, *(float(t[k]) for k in ("ql", "qc", "theta", "f_r_ghz", "tau_ns")))
     return ComplexTrace(f, _noisy(z, spec, abs(a), spec.seed))
 
 
@@ -209,16 +239,14 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
     qubit-induced loss (g/Delta)^2 * gamma_q weighted by the same
     crossover, so the low-power line is the broader one.
 
-    Optional truth keys: depth (0.8), baseline (1.0), attenuation_db (0),
-    width_efolds (1.0).
+    Truth keys and their defaults: SYNTH_KINDS["power_map"].
     """
     t = _truth(spec, "power_map")
     if system.qubit is None:
         raise ConfigError("power_map needs a DispersiveSystem with a qubit attached")
-    depth = float(t.get("depth", 0.8))
-    baseline = float(t.get("baseline", 1.0))
-    atten = float(t.get("attenuation_db", 0.0))
-    width = float(t.get("width_efolds", 1.0))
+    depth = float(t["depth"])
+    baseline = float(t["baseline"])
+    atten = float(t["attenuation_db"])
     powers = spec.axis("p")
     f = spec.axis("f")
     delta = system.delta_mhz
@@ -227,7 +255,7 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
 
     grid = np.empty((powers.size, f.size))
     for i, p in enumerate(powers):
-        w = crossover_weight(system, p, atten, width)
+        w = crossover_weight(system, p, atten)
         f_dip = system.f_bare_ghz + w * chi / 1e3
         fwhm = system.kappa_mhz + w * purcell
         row = baseline * _mag_dip(f, f_dip, fwhm, depth)
@@ -245,11 +273,11 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     fraction w = (1 +- detuning/splitting)/2 in depth, with linewidth
     w*kappa + (1-w)*gamma_q.
 
-    Optional truth keys: depth (0.8), baseline (1.0).
+    Truth keys and their defaults: SYNTH_KINDS["gate_map"].
     """
     t = _truth(spec, "gate_map")
-    depth = float(t.get("depth", 0.8))
-    baseline = float(t.get("baseline", 1.0))
+    depth = float(t["depth"])
+    baseline = float(t["baseline"])
     f = spec.axis("f")
     system = sweep.system
     kappa = system.kappa_mhz
@@ -285,23 +313,18 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     every row, which per-frequency median subtraction along the gate axis
     removes.
 
-    Optional truth keys: depth (0.5), baseline (1.0), fwhm_mhz (5.0),
-    two_photon (False), alpha_mhz (required if two_photon),
-    two_photon_depth (depth/2), background_amp (0.0),
-    background_period_ghz (1.0).
+    Truth keys and their defaults: SYNTH_KINDS["two_tone_map"]; alpha_mhz
+    must be nonzero when two_photon is on.
     """
     t = _truth(spec, "two_tone_map")
-    depth = float(t.get("depth", 0.5))
-    baseline = float(t.get("baseline", 1.0))
-    fwhm = float(t.get("fwhm_mhz", 5.0))
-    two_photon = bool(t.get("two_photon", False))
-    alpha = float(t.get("alpha_mhz", 0.0))
-    # half the single-photon depth unless explicitly overridden
-    depth2 = float(t.get("two_photon_depth", depth / 2.0))
-    if two_photon and alpha == 0.0:
+    depth = float(t["depth"])
+    baseline = float(t["baseline"])
+    fwhm = float(t["fwhm_mhz"])
+    alpha = float(t["alpha_mhz"])
+    if t["two_photon"] and alpha == 0.0:
         raise ConfigError("two_photon requires a nonzero alpha_mhz in truth")
-    bg_amp = float(t.get("background_amp", 0.0))
-    bg_period = float(t.get("background_period_ghz", 1.0))
+    bg_amp = float(t["background_amp"])
+    bg_period = float(t["background_period_ghz"])
 
     f = spec.axis("f")
     background = bg_amp * np.sin(2.0 * np.pi * (f - f[0]) / bg_period)
@@ -312,9 +335,9 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
         if pt.f_q_mhz == pt.f_q_mhz:  # skip pinch-off NaNs
             f01 = pt.f_q_mhz / 1e3
             row = row - (baseline - _dip(f, f01, fwhm, depth, baseline))
-            if two_photon:
+            if t["two_photon"]:
                 f02_half = f01 + alpha / 2e3
-                row = row - (baseline - _dip(f, f02_half, fwhm, depth2, baseline))
+                row = row - (baseline - _dip(f, f02_half, fwhm, depth / 2.0, baseline))
         row = row + background
         grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("V_G", volts, "f_d_GHz", f, grid)
@@ -324,13 +347,5 @@ def synth_rabi(spec: SynthSpec):
     """Decaying-cosine Rabi trace, returned as (t_ns, y) arrays."""
     t = _truth(spec, "rabi_trace")
     t_ns = spec.axis("t")
-    y = rabi_model(
-        t_ns,
-        float(t["A"]),
-        float(t["T_R"]),
-        float(t["omega"]),
-        float(t["B"]),
-        float(t["a"]),
-        float(t["b"]),
-    )
+    y = rabi_model(t_ns, *(float(t[k]) for k in RABI_PARAM_NAMES))
     return t_ns, _noisy(y, spec, float(t["A"]), spec.seed)

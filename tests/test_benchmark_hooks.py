@@ -4,11 +4,13 @@ tests read the tracer's own tables, so they follow the file as shipped:
 every hook must resolve, and the CLI must call what it finds there at
 call time rather than a reference it took at import. The benchmark's
 workloads (perfbench/workloads.py) also read gate sweep results, and the
-fields they read must stay.
+fields they read must stay, and build synth specs, which SynthSpec must
+take: a spec it refuses fails here rather than as a failed benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,8 @@ from cqedkit import (
 )
 from cqedkit.fitters import lorentzian_model
 
-TRACER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PY = PERFBENCH / "tracer.py"
 
 
 def _tracer_module():
@@ -59,6 +62,35 @@ def test_gate_sweep_keeps_what_the_workloads_read():
         assert sweep.column(name).shape == (9,)
     assert np.array_equal(sweep.column("f_Q_MHz"), [p.f_q_mhz for p in sweep.points],
                           equal_nan=True)
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """perfbench's golden and workloads modules, imported from their
+    directory as the benchmark imports them."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    yield importlib.import_module("golden"), importlib.import_module("workloads")
+    for name in ("run", "golden", "workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_golden_synth_specs_build(perfbench):
+    golden, _ = perfbench
+    specs = [golden._reflection_spec(False), golden._reflection_spec(True),
+             golden._rabi_spec(), *golden._map_specs()]
+    assert [s.kind for s in specs] == ["reflection_trace", "reflection_trace", "rabi_trace",
+                                       "power_map", "gate_map", "two_tone_map"]
+    assert specs[1].truth["tau_ns"] == 150.0 and specs[-1].truth["two_photon"] is True
+
+
+@pytest.mark.parametrize("name", ["fit_campaign", "map_roundtrip"])
+def test_workload_synth_specs_build(perfbench, name, tmp_path):
+    # setup builds and synthesizes every spec of the workload, with numpy
+    # floats from its samplers in truth, grid and snr_db
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name]()
+    workload.setup(7, PERFBENCH.parent, tmp_path, False)
+    assert len(workload.items) == workload.n_items and None not in workload.items
 
 
 def _reflection_csv(d):

@@ -324,6 +324,22 @@ class TestSynth:
         assert "t_max_ns" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
+    # each edit used to exit 0 with data that ignored it and a sidecar that
+    # recorded it: the default depth under a "dept" key, a power map without
+    # a gate axis, theta = 1.0 recorded as true
+    @pytest.mark.parametrize("name, old, new, key", [
+        ("synth_gate_map", "depth: 0.8", "dept: 0.3", "dept"),
+        ("synth_power_map", "n_p: 46", "n_p: 46\n    n_v: 5", "n_v"),
+        ("synth_reflection", "theta: 0.15", "theta: true", "theta"),
+    ], ids=["misspelt-truth-key", "grid-key-of-another-kind", "bool-for-a-number"])
+    def test_recipe_key_outside_its_kind_exit_one(self, tmp_path, capsys, name, old, new, key):
+        text = (CONFIGS / f"{name}.yaml").read_text()
+        assert old in text
+        cfg = _config(tmp_path, text.replace(old, new))
+        assert main(["synth", "--config", cfg, "--out", str(tmp_path / "a.csv")]) == 1
+        assert key in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
+
     def test_outdir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(io.OUTDIR_ENV, str(tmp_path / "outputs"))
         cfg = _config(tmp_path, self.YAML)

@@ -129,11 +129,6 @@ def test_gate_model_clamps_and_bounds():
     assert out.max() <= 500.0 + 1e-12
 
 
-def test_gate_model_linear_interpolation():
-    model = GateSweepModel([0.0, 2.0], [0.0, 100.0], kind="linear")
-    assert model(1.0) == pytest.approx(50.0)
-
-
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -142,7 +137,6 @@ def test_gate_model_linear_interpolation():
         dict(voltages=[0.0, 1.0], values=[1.0, -2.0]),
         dict(voltages=[0.0, 1.0], values=[0.5, 2.0], maps_to="transmission"),
         dict(voltages=[0.0, 1.0], values=[1.0, 2.0], maps_to="other"),
-        dict(voltages=[0.0, 1.0], values=[1.0, 2.0], kind="spline"),
     ],
 )
 def test_gate_model_validation(kwargs):

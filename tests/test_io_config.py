@@ -363,8 +363,8 @@ class TestConfig:
     def test_sweep_from_table(self, tmp_path):
         table = tmp_path / "t.csv"
         io.write_gate_table(table, [0.0, 1.0, 2.0], [0.0, 500.0, 1000.0])
-        model = config.gate_model(
-            {"sweep": {"table_csv": str(table), "interp": "linear"}})
+        model = config.gate_model({"sweep": {"table_csv": str(table)}})
+        # pchip through collinear samples is the line through them
         assert model(1.5) == pytest.approx(750.0)
 
     def test_sweep_profile_unknown_key(self):
@@ -421,10 +421,16 @@ class TestConfig:
                                          "grid": {"n_f": value}}})
 
     def test_synth_numbers_and_bools_kept(self):
-        spec = self._spec(two_photon=True)
+        spec = self._spec()
         assert spec.truth["qc"] == 12000 and type(spec.truth["qc"]) is int
-        assert spec.truth["two_photon"] is True
         assert type(spec.grid["n_f"]) is int and type(spec.truth["ql"]) is float
+        # a bool is kept for a switch, which two_photon of a two-tone map is
+        two_tone = config.synth_spec({"synth": {
+            "kind": "two_tone_map", "seed": 1, "truth": {"two_photon": True, "alpha_mhz": -200},
+            "grid": {"f_min_ghz": 2.0, "f_max_ghz": 5.6, "n_f": 11,
+                     "v_min": 0.0, "v_max": 1.0, "n_v": 2},
+        }})
+        assert two_tone.truth["two_photon"] is True
 
     def test_pipeline_defaults(self):
         opts = config.pipeline_options({})

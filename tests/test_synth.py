@@ -2,6 +2,8 @@
 geometry of the generated features against their ground truth.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from cqedkit import (
 from cqedkit import io
 from cqedkit.coupling import QubitParams, dispersive_shift_two_level
 from cqedkit.errors import ConfigError
+from cqedkit.synth import SYNTH_KINDS
 
 REFL_TRUTH = {"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,
               "theta": 0.1, "f_r_ghz": 5.2816}
@@ -65,6 +68,29 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="missing"):
             _refl_spec(truth=truth)
 
+    def test_unknown_key_named_with_the_allowed_keys(self):
+        with pytest.raises(ConfigError, match=r"truth .*\['tau'\]; allowed: .*'tau_ns'"):
+            _refl_spec(truth={**REFL_TRUTH, "tau": 5.0})
+        allowed = r"\['f_max_ghz', 'f_min_ghz', 'n_f'\]"
+        with pytest.raises(ConfigError, match=rf"grid .*\['n_t'\]; allowed: {allowed}"):
+            _refl_spec(grid={**REFL_GRID, "n_t": 5})
+
+    def test_bool_only_for_a_switch(self):
+        with pytest.raises(ConfigError, match="truth theta must be a finite number, got True"):
+            _refl_spec(truth={**REFL_TRUTH, "theta": True})
+        grid = {"f_min_ghz": 3.9, "f_max_ghz": 4.4, "n_f": 11,
+                "v_min": 0.0, "v_max": 1.0, "n_v": 2}
+        with pytest.raises(ConfigError, match="two_photon must be true or false, got 1"):
+            SynthSpec(kind="two_tone_map", seed=1, snr_db=None,
+                      truth={"two_photon": 1, "alpha_mhz": -200.0}, grid=grid)
+
+    def test_numpy_scalars_record_as_plain_numbers(self):
+        # the benchmark passes numpy floats; a float32 goes through float()
+        spec = _refl_spec(snr_db=np.float64(35.0),
+                          truth={**REFL_TRUTH, "ql": np.float64(6e3), "theta": np.float32(0.5)})
+        plain = _refl_spec(snr_db=35.0, truth={**REFL_TRUTH, "ql": 6000.0, "theta": 0.5})
+        assert json.dumps(spec.to_dict()) == json.dumps(plain.to_dict())
+
     def test_single_point_axis_rejected(self):
         with pytest.raises(ConfigError, match="at least 2"):
             _refl_spec(grid={**REFL_GRID, "n_f": 1})
@@ -85,12 +111,12 @@ class TestSpecValidation:
                       grid={**grid, key: value})
 
     def test_integral_float_grid_count_kept(self):
-        # _scalars turns a YAML "4e2" into 400.0; the sidecar keeps the value
+        # SynthSpec turns a YAML "4e2" into 400.0; the sidecar keeps the value
         spec = _refl_spec(grid={**REFL_GRID, "n_f": 4e2})
         assert spec.axis("f").size == 400 and spec.to_dict()["grid"]["n_f"] == 400.0
 
     def test_nonfinite_snr_rejected(self):
-        with pytest.raises(ConfigError, match="snr_db must be finite"):
+        with pytest.raises(ConfigError, match="snr_db must be a finite number"):
             _refl_spec(snr_db=float("inf"))
 
     @pytest.mark.parametrize("snr_db", [[20], "20", "loud", True, np.True_])
@@ -280,12 +306,6 @@ class TestTwoTone:
         # half depth by default
         assert np.min(row[lower]) == pytest.approx(0.75, abs=0.01)
 
-    def test_two_photon_depth_override(self):
-        m = self._map({"two_photon": True, "alpha_mhz": -200.0, "depth": 0.5,
-                       "two_photon_depth": 0.4})
-        row, f = m.grid[0], m.fast_values
-        assert np.min(row[f < 4.15]) == pytest.approx(0.6, abs=0.01)
-
     def test_two_photon_requires_alpha(self):
         with pytest.raises(ConfigError, match="alpha_mhz"):
             self._map({"two_photon": True})
@@ -362,3 +382,40 @@ class TestPowerMap:
 def test_map2d_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
         Map2D("V", np.arange(3.0), "f", np.arange(4.0), np.zeros((3, 5)))
+
+
+# a base truth per kind on which every truth key with a default changes the
+# data: background_period_ghz needs a background, alpha_mhz the two-photon dip
+LIVE_TRUTH = {"reflection_trace": REFL_TRUTH,
+              "two_tone_map": {"two_photon": True, "alpha_mhz": -200.0, "background_amp": 0.05}}
+
+
+def _live_data(kind, truth):
+    """The noiseless data of a spec of kind with the given truth."""
+    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0, kappa_mhz=1.2, gamma_q_mhz=0.3,
+                              qubit=QubitSpectrum(levels=[0.0, 4400.0, 8590.0]))
+    sweep = SweepResult([_dispersive_point(v, 4200.0, 5.444) for v in (0.0, 1.0)], system)
+    v = {"v_min": 0.0, "v_max": 1.0, "n_v": 2}
+    grid, make = {
+        "reflection_trace": (REFL_GRID, synth_reflection),
+        "power_map": ({"f_min_ghz": 5.425, "f_max_ghz": 5.470, "n_f": 201, "p_min_dbm": -150.0,
+                       "p_max_dbm": -90.0, "n_p": 13}, lambda s: synth_power_map(s, system)),
+        "gate_map": ({"f_min_ghz": 5.40, "f_max_ghz": 5.48, "n_f": 201, **v},
+                     lambda s: synth_gate_map(s, sweep)),
+        "two_tone_map": ({"f_min_ghz": 3.9, "f_max_ghz": 4.4, "n_f": 501, **v},
+                         lambda s: synth_two_tone(s, sweep)),
+    }[kind]
+    data = make(SynthSpec(kind=kind, seed=1, snr_db=None, truth=truth, grid=grid))
+    return data.grid if isinstance(data, Map2D) else data.values
+
+
+@pytest.mark.parametrize("kind, key", [
+    (kind, key) for kind, (_, table) in SYNTH_KINDS.items()
+    for key, default in table.items() if default is not None])
+def test_every_truth_default_is_read(kind, key):
+    # a key that no generator reads would be recorded in the sidecar and
+    # leave the data as it is
+    base = LIVE_TRUTH.get(kind, {})
+    old = {**SYNTH_KINDS[kind][1], **base}[key]
+    new = (not old) if isinstance(old, bool) else old + 0.3
+    assert not np.array_equal(_live_data(kind, base), _live_data(kind, {**base, key: new}))
