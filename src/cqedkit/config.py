@@ -161,10 +161,12 @@ def gate_model(cfg: dict) -> GateSweepModel:
     has_profile = "profile" in sec
     if has_table == has_profile:
         raise ConfigError("sweep section needs exactly one of table_csv or profile")
+    where = "sweep profile"  # what a ValueError from the model names
     try:
         if has_table:
             if not isinstance(sec["table_csv"], str):
                 raise ConfigError(f"sweep table_csv must be a path, got {sec['table_csv']!r}")
+            where = f"sweep table_csv {sec['table_csv']}"
             v, values = read_gate_table(sec["table_csv"])
             return GateSweepModel(v, values, maps_to=maps_to)
         prof = sec["profile"]
@@ -179,7 +181,7 @@ def gate_model(cfg: dict) -> GateSweepModel:
         seed = _integer(prof["seed"], "sweep profile seed")
         return nanowire_profile(seed=seed, maps_to=maps_to, **given)
     except ValueError as exc:
-        raise ConfigError(f"sweep section: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def sweep_voltages(cfg: dict):

@@ -4,8 +4,8 @@ sweeps, power dependence, and qubit-induced cavity loss.
 Sign convention throughout: delta = f_bare - f_qubit (cavity minus qubit),
 in MHz. Cavity frequencies are GHz, couplings and linewidths MHz.
 
-scipy.interpolate, the slowest scipy module to load, is imported when
-the first gate model is built.
+Gate tables are interpolated by a monotone cubic written here in numpy;
+scipy is loaded only by the spectrum solvers.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ class GateSweepModel:
             raise ValueError("voltages and values must be 1-D arrays of equal length")
         if self.voltages.size < 2:
             raise ValueError("need at least two table samples")
+        if not np.isfinite([self.voltages, self.values]).all():
+            raise ValueError("gate table voltages and values must be finite")
         if not np.all(np.diff(self.voltages) > 0):
             raise ValueError("V_G samples must be strictly increasing")
         if self.maps_to not in ("ej", "transmission"):
@@ -170,15 +172,46 @@ class GateSweepModel:
             raise ValueError("mapped values must be non-negative")
         if self.maps_to == "transmission" and np.any(self.values > 1):
             raise ValueError("transmissions must lie in [0, 1]")
-        from scipy.interpolate import PchipInterpolator
-
-        self._interp = PchipInterpolator(self.voltages, self.values)
+        self._coeffs = _pchip_coefficients(self.voltages, self.values)
 
     def __call__(self, v):
-        v = np.clip(v, self.voltages[0], self.voltages[-1])
-        out = self._interp(v)
+        x = self.voltages
+        v = np.clip(v, x[0], x[-1])
+        i = np.clip(np.searchsorted(x, v, side="right") - 1, 0, x.size - 2)
+        s = v - x[i]
+        c3, c2, c1, c0 = self._coeffs[:, i]
+        # the order of scipy's PPoly evaluation, which sums from 0.0, so the bits match
+        s2 = s * s
+        out = 0.0 + c0 + c1 * s + c2 * s2 + c3 * (s2 * s)
         hi = 1.0 if self.maps_to == "transmission" else np.inf
         return np.clip(out, 0.0, hi)
+
+
+def _pchip_coefficients(x, y):
+    """Per-interval cubic coefficients, highest power first, of the monotone
+    Hermite interpolant of Fritsch and Butland (SIAM J. Sci. Stat. Comput.
+    5, 300 (1984)): knot slopes are the weighted harmonic mean of the
+    secants, zero at an extremum, with Moler's one-sided rule at the ends.
+    The arithmetic is scipy's PchipInterpolator's, operation for operation."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if x.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        d = np.empty_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        steep = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+        d[[0, -1]] = np.where(np.sign(end) != np.sign(m0), 0.0,
+                              np.where(steep, 3.0 * m0, end))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
 
 
 def nanowire_profile(
@@ -195,8 +228,11 @@ def nanowire_profile(
     Zero below ``v_pinch``, then a smoothstep ramp toward ``max_value``
     modulated by a smoothed random walk of relative amplitude 0.2.
     Stands in for a semiconductor-junction response where no measured
-    table is available.
+    table is available. ``n`` is at least 5, the width of the walk's
+    smoothing window.
     """
+    if n < 5:
+        raise ValueError(f"n must be at least 5, got {n}")
     rng = np.random.default_rng(seed)
     v = np.linspace(v_min, v_max, n)
     v_on = v_pinch + 0.6 * (v_max - v_pinch)
@@ -290,8 +326,7 @@ def gate_sweep(
 
     points = []
     solved = {}  # junction value -> spectrum; a clipped table repeats values
-    for v in voltages:
-        value = float(model(v))
+    for v, value in zip(voltages, model(voltages).tolist()):
         if value <= 0.0:
             f01, chi, f_c = math.nan, 0.0, system.f_bare_ghz
             f_plus = f_minus = math.nan

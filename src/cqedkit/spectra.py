@@ -278,8 +278,6 @@ def infer_transmission(
 
     Returns the channel transmission T in (0, 1].
     """
-    from scipy.optimize import brentq
-
     t_min = 1e-3  # low end of the transmission bracket
 
     def alpha_at(t: float) -> float:
@@ -295,8 +293,29 @@ def infer_transmission(
             f"(T swept over [{t_min:g}, 1])",
             attainable=(alpha_hi, alpha_lo),
         )
-    t = brentq(lambda x: alpha_at(x) - alpha, t_min, 1.0, xtol=1e-12, rtol=1e-15)
+    t = _illinois_root(lambda x: alpha_at(x) - alpha,
+                       t_min, alpha_lo - alpha, 1.0, alpha_hi - alpha, xtol=1e-12)
     return float(t)
+
+
+def _illinois_root(f, x0, f0, x1, f1, xtol):
+    """Root of f between x0 and x1, where f(x0) = f0 and f(x1) = f1 differ
+    in sign, by regula falsi with the Illinois rule (an end kept twice
+    running has its value halved); a step off the bracket bisects. Stops at
+    f = 0 or at a step shorter than xtol."""
+    while f0 and f1:
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        if not min(x0, x1) < x < max(x0, x1):
+            x = 0.5 * (x0 + x1)
+        fx = f(x)
+        if abs(x - x1) < xtol:
+            return x
+        if (fx > 0.0) != (f1 > 0.0):
+            x0, f0 = x1, f1
+        else:
+            f0 *= 0.5
+        x1, f1 = x, fx
+    return x0 if f0 == 0.0 else x1
 
 
 def te_mode_frequency(geom: CavityGeometry) -> float:

@@ -261,6 +261,27 @@ class TestSweepGate:
         assert done.returncode == 1, done.stdout
         assert "sweep table_csv must be a path" in done.stderr
 
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_table_exit_one(self, tmp_path, capsys, column):
+        table = tmp_path / "table.csv"
+        rows = [[0.0, 5.0, 10.0], [1000.0, 9500.0, 20000.0]]
+        rows[column][1] = float("nan")
+        io.write_gate_table(table, *rows)
+        cfg = _config(tmp_path, SWEEP_YAML.split("sweep:")[0] + "sweep:\n  table_csv: table.csv\n")
+        assert main(["sweep-gate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert f"sweep table_csv {table}: gate table voltages and values must be finite" \
+            in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_profile_below_five_samples_exit_one(self, tmp_path, capsys, n):
+        cfg = _config(tmp_path, SWEEP_YAML.replace("    n: 9\n", f"    n: {n}\n"))
+        assert main(["sweep-gate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert f"sweep profile: n must be at least 5, got {n}" in captured.err
+        assert "broadcast" not in captured.err and captured.out == ""
+
     def test_other_variant_key_exit_one(self, tmp_path, capsys):
         cfg = _config(tmp_path, SWEEP_YAML.replace("ej_mhz: 9500\n",
                                                    "ej_mhz: 9500\n  grid_n: 301\n"))

@@ -159,6 +159,74 @@ def test_nanowire_profile_pinches_off():
     assert np.all(model.values >= 0.0)
 
 
+def _oracle_tables(rng):
+    """Seeded gate tables for the PCHIP oracle: profiles in both modes,
+    random tables with flat zero runs, integer steps, and two-point tables."""
+    for seed in range(40):
+        yield nanowire_profile(seed=seed, n=int(rng.integers(5, 62)),
+                               max_value=rng.uniform(1e3, 3e4))
+        yield nanowire_profile(seed=seed, n=int(rng.integers(5, 62)),
+                               max_value=rng.uniform(0.5, 1.2), maps_to="transmission")
+        x = np.cumsum(rng.uniform(0.05, 1.0, int(rng.integers(3, 30))))
+        y = rng.uniform(0.0, 100.0, x.size)
+        y[rng.random(x.size) < 0.4] = 0.0
+        yield GateSweepModel(x, y)
+        yield GateSweepModel(np.arange(12.0), rng.integers(0, 4, 12).astype(float))
+        yield GateSweepModel(np.sort(rng.uniform(-3.0, 3.0, 2)), rng.uniform(0.0, 1.0, 2),
+                             maps_to="transmission")
+
+
+def test_gate_model_matches_scipy_pchip_bit_for_bit():
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(14)
+    for model in _oracle_tables(rng):
+        x = model.voltages
+        # every knot, both ends, points off the table and a 61-point grid
+        v = np.concatenate([x, [x[0] - 1.0, x[-1] + 1.0],
+                            rng.uniform(x[0] - 0.5, x[-1] + 0.5, 100),
+                            np.linspace(x[0], x[-1], 61)])
+        hi = 1.0 if model.maps_to == "transmission" else np.inf
+        want = np.clip(PchipInterpolator(x, model.values)(np.clip(v, x[0], x[-1])), 0.0, hi)
+        got = model(v)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # a scalar reads the same bits as its element of the array
+        assert all(np.float64(model(u)).view(np.int64) == w
+                   for u, w in zip(v[::9], want[::9].view(np.int64)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("column", ["voltages", "values"])
+def test_gate_model_refuses_a_non_finite_table(bad, column):
+    table = {"voltages": [0.0, 1.0, 2.0], "values": [0.0, 500.0, 400.0]}
+    table[column][1] = bad
+    with pytest.raises(ValueError, match="gate table voltages and values must be finite"):
+        GateSweepModel(**table)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nanowire_profile_refuses_fewer_than_five_samples(n):
+    with pytest.raises(ValueError, match=f"n must be at least 5, got {n}"):
+        nanowire_profile(seed=3, n=n)
+
+
+def test_gate_sweep_evaluates_the_model_once():
+    calls = []
+
+    class Counted(GateSweepModel):
+        def __call__(self, v):
+            calls.append(np.shape(v))
+            return super().__call__(v)
+
+    base = nanowire_profile(seed=3, n=9)
+    model = Counted(base.voltages, base.values)
+    params = QubitParams(ec=190.0, ej=9500.0)
+    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
+    sweep = gate_sweep(model, params, system)
+    assert calls == [(9,)]
+    assert sweep.points == gate_sweep(base, params, system).points
+
+
 def test_gate_sweep_regimes_and_order():
     model = nanowire_profile(seed=3, max_value=20000.0)
     params = QubitParams(ec=190.0, ej=9500.0)

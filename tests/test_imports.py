@@ -3,6 +3,7 @@ only for the solvers on its own code path. Every check runs in a fresh
 interpreter, because this test process has long since imported scipy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -10,11 +11,14 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import cqedkit
 from cqedkit import SynthSpec, io, synth_reflection
 
 SRC = str(Path(cqedkit.__file__).resolve().parents[1])
-PIPELINE_YAML = str(Path(__file__).resolve().parents[1] / "configs" / "pipeline.yaml")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+PIPELINE_YAML = str(CONFIGS / "pipeline.yaml")
 
 
 def _loaded_after(code: str) -> set:
@@ -57,6 +61,33 @@ def test_simulate_qubit_loads_linalg_only(tmp_path):
                                   "--out", str(tmp_path / "spectrum.json")]))
     assert "scipy.linalg" in loaded
     assert "scipy.interpolate" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--config", str(CONFIGS / "synth_gate_map.yaml"), "--out", "map.csv"],
+    ["synth", "--config", str(CONFIGS / "synth_two_tone.yaml"), "--out", "map.csv"],
+    ["sweep-gate", "--config", PIPELINE_YAML, "--out", "sweep.csv"],
+    ["pipeline", "--config", PIPELINE_YAML, "--workdir", "run"],
+], ids=["synth-gate-map", "synth-two-tone", "sweep-gate", "pipeline"])
+def test_gate_verbs_load_linalg_only(argv, tmp_path, monkeypatch):
+    # gate models interpolate in numpy; only the spectrum solvers need scipy
+    monkeypatch.chdir(tmp_path)
+    loaded = _loaded_after(_main(argv))
+    assert "scipy.linalg" in loaded
+    assert not loaded & {"scipy.interpolate", "scipy.optimize"}
+
+
+def test_no_module_imports_interpolate_or_optimize():
+    banned = ("scipy.interpolate", "scipy.optimize")
+    for path in Path(SRC, "cqedkit").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith(banned) for n in names), path.name
 
 
 # the public names as they stood when __all__ was a hand-written list, less

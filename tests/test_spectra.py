@@ -284,6 +284,32 @@ def test_infer_transmission_inverts_attainable_targets(alpha):
     assert gatemon_levels(p, check=False).alpha == pytest.approx(alpha, abs=1e-5)
 
 
+@pytest.mark.parametrize("alpha", [-172.0, -700.0, -400.0, -100.0])
+def test_infer_transmission_agrees_with_brentq(alpha, monkeypatch):
+    from scipy.optimize import brentq
+
+    evals = []
+
+    def counted(p, **kwargs):
+        evals.append(p.transmissions)
+        return gatemon_levels(p, **kwargs)
+
+    def alpha_at(t):
+        p = QubitParams(ec=EC, gap=45600.0, transmissions=(t,))
+        return spectra.gatemon_levels(p, check=False).alpha
+
+    monkeypatch.setattr(spectra, "gatemon_levels", counted)
+    t = infer_transmission(alpha, EC, 45600.0)
+    ours = len(evals)
+    evals.clear()
+    # the oracle: scipy's Brent on the same bracket, after the same two
+    # end-point solves that bound the attainable interval
+    assert alpha_at(1e-3) <= alpha <= alpha_at(1.0)
+    want = brentq(lambda x: alpha_at(x) - alpha, 1e-3, 1.0, xtol=1e-12, rtol=1e-15)
+    assert abs(t - want) < 1e-10
+    assert ours <= 1.5 * len(evals)
+
+
 def test_infer_transmission_out_of_band():
     with pytest.raises(NoSolutionError) as info:
         infer_transmission(-10.0, EC, 45600.0)

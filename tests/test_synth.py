@@ -3,6 +3,7 @@ geometry of the generated features against their ground truth.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -101,14 +102,20 @@ class TestSpecValidation:
     ])
     @pytest.mark.parametrize("value", [40.5, float("inf")])
     def test_fractional_grid_count_names_key(self, kind, key, value):
-        grid = {"f_min_ghz": 5.0, "f_max_ghz": 5.1, "n_f": 41, "p_min_dbm": -40.0,
-                "p_max_dbm": 0.0, "n_p": 5, "v_min": -1.0, "v_max": 1.0, "n_v": 5,
-                "t_max_ns": 100.0, "n_t": 41}
-        truth = dict(REFL_TRUTH) if kind == "reflection_trace" else {
-            "A": 1.0, "T_R": 300.0, "omega": 0.2, "B": 0.0, "a": 0.0, "b": 0.5}
-        with pytest.raises(ConfigError, match=key):
-            SynthSpec(kind=kind, seed=1, snr_db=None, truth=truth,
-                      grid={**grid, key: value})
+        # each kind gets only its own axes, so the value rule, not the
+        # unknown-key refusal, is what names the count
+        f = {"f_min_ghz": 5.0, "f_max_ghz": 5.1, "n_f": 41}
+        grid = {"reflection_trace": f,
+                "power_map": {**f, "p_min_dbm": -40.0, "p_max_dbm": 0.0, "n_p": 5},
+                "gate_map": {**f, "v_min": -1.0, "v_max": 1.0, "n_v": 5},
+                "rabi_trace": {"t_max_ns": 100.0, "n_t": 41}}[kind]
+        truth = {"reflection_trace": REFL_TRUTH,
+                 "rabi_trace": {"A": 1.0, "T_R": 300.0, "omega": 0.2, "B": 0.0,
+                                "a": 0.0, "b": 0.5}}.get(kind, {})
+        rule = "an integer" if math.isfinite(value) else "a finite number"
+        with pytest.raises(ConfigError, match=f"{key} must be {rule}, got {value}") as info:
+            SynthSpec(kind=kind, seed=1, snr_db=None, truth=truth, grid={**grid, key: value})
+        assert "allowed" not in str(info.value)
 
     def test_integral_float_grid_count_kept(self):
         # SynthSpec turns a YAML "4e2" into 400.0; the sidecar keeps the value
