@@ -5,7 +5,8 @@ Sign convention throughout: delta = f_bare - f_qubit (cavity minus qubit),
 in MHz. Cavity frequencies are GHz, couplings and linewidths MHz.
 
 Gate tables are interpolated by a monotone cubic written here in numpy;
-scipy is loaded only by the spectrum solvers.
+only the spectrum solvers touch scipy, and only its compiled LAPACK
+wrappers.
 """
 
 from __future__ import annotations

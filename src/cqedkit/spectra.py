@@ -11,15 +11,27 @@ Two junction models share the same charging term 4*EC*(n - ng)^2:
 
 All energies are frequencies in MHz (E/h). Cavity frequencies are GHz.
 
-scipy is imported inside the solvers that use it, so code that never
-solves a spectrum, such as the fit verbs, does not pay for loading it.
+The eigensolvers are LAPACK's, called through scipy's compiled f2py
+wrappers (``scipy.linalg._flapack``) with the arguments scipy.linalg's
+own ``eigvalsh`` and ``eigvalsh_tridiagonal`` pass, so the levels are
+the same bits. The wrapper module is loaded from scipy's install directory
+on the first solve, without running any scipy package ``__init__``: code
+that never solves a spectrum, such as the fit verbs, loads no scipy at
+all, and code that does skips importing ``scipy.linalg`` and the numpy
+submodules it pulls in.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoSolutionError, TruncationError
 
@@ -132,13 +144,82 @@ class CavityGeometry:
             raise ValueError(f"invalid TE triple {idx}: at most one index may be zero")
 
 
-def _transmon_eigvals(ec: float, ej: float, ng: float, n_cut: int) -> np.ndarray:
-    from scipy.linalg import eigvalsh_tridiagonal
+FLAPACK = "scipy.linalg._flapack"
+LAPACK_WRAPPERS = ("zheevr", "zheevr_lwork", "dsyevr", "dsyevr_lwork", "dstevd")
+_LWORK_NAMES = {"zheevr": ("lwork", "lrwork", "liwork"), "dsyevr": ("lwork", "liwork")}
 
+
+@functools.cache
+def _flapack():
+    """scipy's f2py LAPACK wrappers, loaded once.
+
+    Taken from sys.modules when scipy.linalg is already imported, else
+    loaded from the ``linalg`` directory of scipy's install by an
+    ExtensionFileLoader, which runs none of scipy's package ``__init__``
+    files. Raises ImportError naming the module or a missing wrapper.
+    """
+    module = sys.modules.get(FLAPACK)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")
+        spec = None
+        if scipy is not None:
+            linalg = os.path.join(scipy.submodule_search_locations[0], "linalg")
+            extensions = (importlib.machinery.ExtensionFileLoader,
+                          importlib.machinery.EXTENSION_SUFFIXES)
+            spec = importlib.machinery.FileFinder(linalg, extensions).find_spec(FLAPACK)
+        if spec is None:
+            raise ImportError(f"cqedkit needs scipy's LAPACK wrappers {FLAPACK}, "
+                              "which this scipy install does not have", name=FLAPACK)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    missing = [w for w in LAPACK_WRAPPERS if not hasattr(module, w)]
+    if missing:
+        raise ImportError(f"{FLAPACK} lacks {', '.join(missing)}", name=FLAPACK)
+    return module
+
+
+def _check_info(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
+
+
+def _eigvalsh(h: np.ndarray, subset_by_index=None) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian matrix h, read from its lower
+    triangle: all of them, or those with 0-based indices lo..hi given as
+    ``subset_by_index=(lo, hi)``. LAPACK ?heevr (complex h) or ?syevr
+    (real h), called as scipy.linalg.eigvalsh calls it. A non-finite h
+    raises ValueError, as scipy's check_finite does."""
+    h = np.asarray_chkfinite(h)
+    lapack = _flapack()
+    name = "zheevr" if np.iscomplexobj(h) else "dsyevr"
+    *work, info = getattr(lapack, name + "_lwork")(n=h.shape[0], lower=1)
+    _check_info(info, name + "_lwork")
+    kwargs = dict(zip(_LWORK_NAMES[name], (int(x.real) for x in work)))
+    if subset_by_index is not None:
+        lo, hi = subset_by_index
+        kwargs.update(range="I", il=lo + 1, iu=hi + 1)
+    w, _, m, _, info = getattr(lapack, name)(a=h, compute_v=0, lower=1, overwrite_a=0, **kwargs)
+    _check_info(info, name)
+    return w if subset_by_index is None else w[:m]
+
+
+def _toeplitz(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The Toeplitz matrix with first column c and first row r (r[0] is
+    ignored), built as scipy.linalg.toeplitz builds it: one strided view of
+    a single vector, copied once."""
+    vals = np.concatenate((c[::-1], r[1:]))
+    step = vals.strides[0]
+    return as_strided(vals[len(c) - 1:], shape=(len(c), len(r)), strides=(-step, step)).copy()
+
+
+def _transmon_eigvals(ec: float, ej: float, ng: float, n_cut: int) -> np.ndarray:
+    # LAPACK dstevd, which scipy.linalg.eigvalsh_tridiagonal picks for all levels
     n = np.arange(-n_cut, n_cut + 1)
-    diag = 4.0 * ec * (n - ng) ** 2
-    off = np.full(2 * n_cut, -ej / 2.0)
-    return eigvalsh_tridiagonal(diag, off)
+    diag = np.asarray_chkfinite(4.0 * ec * (n - ng) ** 2)
+    off = np.asarray_chkfinite(np.full(2 * n_cut, -ej / 2.0))
+    vals, _, info = _flapack().dstevd(diag, off, compute_v=0)
+    _check_info(info, "dstevd")
+    return vals
 
 
 def transmon_levels(
@@ -193,21 +274,17 @@ def _gatemon_terms(
 def _gatemon_eigvals(
     ec: float, gap: float, transmissions, ng: float, grid_n: int
 ) -> np.ndarray:
-    from scipy.linalg import eigvalsh, toeplitz
-
     c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
-    h = toeplitz(c, c[-np.arange(grid_n) % grid_n])
+    h = _toeplitz(c, c[-np.arange(grid_n) % grid_n])
     h[np.diag_indices(grid_n)] += charging
-    return eigvalsh(h)
+    return _eigvalsh(h)
 
 
 def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int) -> float:
-    from scipy.linalg import eigvalsh, toeplitz
-
     # U is even in phi, so c is real up to rounding: the real-symmetric
     # matrix has the same levels, and only the lowest two are needed
     c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
-    h = toeplitz(c.real)
+    h = _toeplitz(c.real, c.real)
     h[np.diag_indices(grid_n)] += charging
     blocks = [h]
     if ng == 0.0:
@@ -219,7 +296,7 @@ def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int) -
         even[0, :] /= np.sqrt(2.0)  # |0> is its own mirror image
         even[:, 0] /= np.sqrt(2.0)
         blocks = [odd, even]
-    low = np.concatenate([eigvalsh(b, subset_by_index=[0, 1]) for b in blocks])
+    low = np.concatenate([_eigvalsh(b, subset_by_index=(0, 1)) for b in blocks])
     e0, e1 = np.sort(low)[:2]
     return float(e1 - e0)
 

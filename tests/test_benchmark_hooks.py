@@ -10,6 +10,7 @@ take: a spec it refuses fails here rather than as a failed benchmark run.
 
 import importlib
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -72,6 +73,12 @@ def perfbench(monkeypatch):
     yield importlib.import_module("golden"), importlib.import_module("workloads")
     for name in ("run", "golden", "workloads"):
         sys.modules.pop(name, None)
+
+
+def test_suite_sets_every_thread_variable_the_benchmark_pins(perfbench):
+    # tests/conftest.py sets them before numpy loads
+    run = importlib.import_module("run")
+    assert not [var for var in run.THREAD_VARS if var not in os.environ]
 
 
 def test_golden_synth_specs_build(perfbench):

@@ -227,6 +227,17 @@ class TestSweepGate:
         assert main(["sweep-gate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("9 gate points")
 
+    @pytest.mark.parametrize("routine", ["dstevd", "zheevr", "dsyevr"])
+    def test_lapack_failure_exit_two(self, routine, tmp_path, capsys, fail_lapack):
+        # a LAPACK wrapper reporting info = 1 is a solver failure
+        fail_lapack(routine)
+        yaml = SWEEP_YAML if routine == "dstevd" else self.GATEMON_GRID_YAML
+        assert main(["sweep-gate", "--config", _config(tmp_path, yaml)]) == 2
+        captured = capsys.readouterr()
+        assert "solver failure" in captured.err
+        assert f"LAPACK {routine} failed with info = 1" in captured.err
+        assert captured.out == ""
+
     def test_table_next_to_config_from_another_directory(self, tmp_path, capsys,
                                                           monkeypatch):
         sub = tmp_path / "sub"

@@ -5,7 +5,14 @@ machine, default truncation) and guard against regressions, not against
 physics; asymptotic and symmetry checks cover the physics.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,16 +163,14 @@ def test_gatemon_check_f01_matches_complex_full_solve(device, ng):
 @pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
 @pytest.mark.parametrize("device", GATEMON_DEVICES)
 def test_gatemon_toeplitz_build_is_bit_identical(device, ng, monkeypatch):
-    import scipy.linalg
-
     built = []
-    eigvalsh = scipy.linalg.eigvalsh
+    eigvalsh = spectra._eigvalsh
 
     def capture(h, *args, **kwargs):
         built.append(h.copy())
         return eigvalsh(h, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", capture)
+    monkeypatch.setattr(spectra, "_eigvalsh", capture)
     vals = spectra._gatemon_eigvals(*device, ng, DEFAULT_GRID_N)
     want = _modulo_hamiltonian(*device, ng, DEFAULT_GRID_N)
     assert np.array_equal(built[0], want)
@@ -207,18 +212,153 @@ def test_gatemon_check_parity_blocks_match_whole_matrix():
 @pytest.mark.parametrize("ng,sizes", [(0.0, [(201, 201), (202, 202)]),
                                       (0.23, [(403, 403)]), (0.5, [(403, 403)])])
 def test_gatemon_check_splits_only_at_zero_offset_charge(ng, sizes, monkeypatch):
-    import scipy.linalg
-
     shapes = []
-    eigvalsh = scipy.linalg.eigvalsh
+    eigvalsh = spectra._eigvalsh
 
     def capture(h, *args, **kwargs):
         shapes.append(h.shape)
         return eigvalsh(h, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", capture)
+    monkeypatch.setattr(spectra, "_eigvalsh", capture)
     spectra._gatemon_f01(EC, 45600.0, (0.85, 0.3, 0.1), ng, 2 * DEFAULT_GRID_N + 1)
     assert shapes == sizes
+
+
+# The solvers call LAPACK through scipy's compiled wrappers; scipy.linalg's
+# own functions are the oracles, and the levels must be the same bits.
+
+def _oracle_devices(count, seed=1517):
+    """(ec, gap, transmissions, ng, grid_n): 1-3 channels, each ng on both grids."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        channels = tuple(rng.uniform(1e-3, 1.0, size=int(rng.integers(1, 4))))
+        yield (float(rng.uniform(150.0, 300.0)), float(rng.uniform(40e3, 70e3)), channels,
+               (0.0, 0.23, 0.5)[i % 3], (201, 403)[(i // 3) % 2])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_gatemon_solves_match_scipy_eigvalsh_bit_for_bit(monkeypatch):
+    from scipy.linalg import eigvalsh
+
+    solves = []
+    ours = spectra._eigvalsh
+
+    def capture(h, subset_by_index=None):
+        solves.append((h.copy(), subset_by_index))
+        return ours(h, subset_by_index)
+
+    monkeypatch.setattr(spectra, "_eigvalsh", capture)
+    for ec, gap, channels, ng, grid_n in _oracle_devices(12):
+        solves.clear()
+        gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels, ng=ng),
+                       grid_n=grid_n, check=False)
+        spectra._gatemon_f01(ec, gap, channels, ng, grid_n)
+        # the complex primary solve, then one or two real parity blocks
+        assert solves[0][0].dtype == complex and solves[0][1] is None
+        assert len(solves) == (3 if ng == 0.0 else 2)
+        for h, subset in solves:
+            if subset is None:
+                want = eigvalsh(h)
+            else:
+                assert h.dtype == float and subset == (0, 1)
+                want = eigvalsh(h, subset_by_index=[0, 1])
+            assert _same_bits(ours(h, subset), want)
+
+
+@pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
+def test_transmon_solve_matches_scipy_tridiagonal_bit_for_bit(ng):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    for n_cut in (10, 17, 25, 33, 40):
+        for ratio in (1.0, 30.0, 100.0):
+            n = np.arange(-n_cut, n_cut + 1)
+            want = eigvalsh_tridiagonal(4.0 * EC * (n - ng) ** 2, np.full(2 * n_cut, -EC * ratio / 2.0))
+            assert _same_bits(spectra._transmon_eigvals(EC, EC * ratio, ng, n_cut), want)
+
+
+def test_wrappers_give_the_same_bits_before_and_after_scipy_linalg(tmp_path):
+    # a fresh interpreter, so the wrappers load before scipy.linalg does
+    probe = """
+import sys
+import numpy as np
+from cqedkit import spectra
+args = (190.0, 45600.0, (0.85, 0.3, 0.1), 0.0, 403)
+def solve():
+    return (spectra._gatemon_eigvals(*args), np.array([spectra._gatemon_f01(*args)]),
+            spectra._transmon_eigvals(190.0, 9500.0, 0.23, 30))
+before = solve()
+assert "scipy.linalg" not in sys.modules and spectra.FLAPACK in sys.modules
+import scipy.linalg
+spectra._flapack.cache_clear()
+after = solve()
+assert spectra._flapack() is scipy.linalg.lapack._flapack
+assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(before, after))
+print("same")
+"""
+    env = dict(os.environ)
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["same"]
+
+
+def test_non_finite_hamiltonian_raises_value_error():
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        spectra._eigvalsh(np.full((3, 3), np.nan))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        transmon_levels(QubitParams(ec=EC, ej=math.inf))
+    with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+        gatemon_levels(QubitParams(ec=math.nan, gap=45600.0, transmissions=(0.5,)))
+
+
+@pytest.mark.parametrize("routine", ["zheevr", "dsyevr", "dstevd"])
+def test_lapack_info_raises_linalg_error(routine, fail_lapack):
+    fail_lapack(routine)
+    with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed with info = 1"):
+        if routine == "dstevd":
+            transmon_levels(QubitParams(ec=EC, ej=50 * EC))
+        else:
+            gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,)))
+
+
+@pytest.fixture
+def uncached_flapack():
+    spectra._flapack.cache_clear()
+    yield
+    spectra._flapack.cache_clear()
+
+
+@pytest.mark.parametrize("installed", [False, True], ids=["no-scipy", "no-flapack"])
+def test_missing_flapack_raises_import_error(installed, tmp_path, monkeypatch, uncached_flapack):
+    linalg = tmp_path / "scipy" / "linalg"
+    linalg.mkdir(parents=True)
+    spec = None
+    if installed:
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations.append(str(linalg.parent))
+    monkeypatch.delitem(sys.modules, spectra.FLAPACK, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(ImportError, match="scipy.linalg._flapack") as info:
+        spectra._flapack()
+    assert info.value.name == spectra.FLAPACK
+
+
+@pytest.mark.parametrize("wrapper", spectra.LAPACK_WRAPPERS)
+def test_missing_wrapper_raises_import_error(wrapper, monkeypatch, uncached_flapack):
+    real = spectra._flapack()
+    module = types.ModuleType(spectra.FLAPACK)
+    for name in spectra.LAPACK_WRAPPERS:
+        if name != wrapper:
+            setattr(module, name, getattr(real, name))
+    monkeypatch.setitem(sys.modules, spectra.FLAPACK, module)
+    spectra._flapack.cache_clear()
+    with pytest.raises(ImportError, match=f"lacks {wrapper}$"):
+        spectra._flapack()
 
 
 def test_gatemon_grid_must_be_odd():
