@@ -205,9 +205,8 @@ def synth_spec(cfg: dict) -> SynthSpec:
     return SynthSpec(
         kind=sec["kind"],
         seed=sec["seed"],
-        # null means noiseless; SynthSpec refuses a text snr_db, so the
-        # numeric text PyYAML gives for 3e1 is read here
-        snr_db=None if sec.get("snr_db") is None else _float(sec, "snr_db", "synth"),
+        # null means noiseless; SynthSpec reads the rest by the number rule
+        snr_db=sec.get("snr_db"),
         truth=sec.get("truth", {}),
         grid=sec.get("grid", {}),
     )

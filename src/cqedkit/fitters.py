@@ -179,13 +179,27 @@ def _moving_mean(y: np.ndarray) -> np.ndarray:
     return num / den
 
 
+def _median(a: np.ndarray) -> float:
+    """np.median of a non-empty 1-D float array, bit for bit: the middle
+    one or two values of a partition, averaged by np.mean as np.median
+    does, or the NaN that sorts last. np.median imports numpy.ma for its
+    NaN check on its first call, which each fresh fit-verb process would
+    pay for."""
+    n = a.size
+    lo, hi = (n - 1) // 2, n // 2
+    part = np.partition(a, [hi, -1] if n % 2 else [lo, hi, -1])
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    return float(np.mean(part[lo : hi + 1]))
+
+
 def _noise_rms(values: np.ndarray) -> float:
     # median |successive difference| of white noise is 1.1774 (complex) or
     # 0.9539 (real) times the per-sample rms
     if values.size < 3:
         return 0.0
     ratio = 1.1774 if np.iscomplexobj(values) else 0.9539
-    return float(np.median(np.abs(np.diff(values))) / ratio)
+    return _median(np.abs(np.diff(values))) / ratio
 
 
 def _baseline(z: np.ndarray):
@@ -251,7 +265,7 @@ def initial_guess_reflection(
             df = np.diff(f)
             q = max(3, n // 4)
             sel = np.r_[0:q, n - 1 - q : n - 1]
-            tau0 = float(np.median((dphi / df)[sel]) / (2.0 * np.pi))
+            tau0 = _median((dphi / df)[sel]) / (2.0 * np.pi)
         z = z * np.exp(-2j * np.pi * f * tau0)
 
     edge, a0, noise = _baseline(z)
@@ -282,7 +296,7 @@ def initial_guess_reflection(
     else:
         # scalar fallback: work on |S21| alone
         mag = _moving_mean(np.abs(z))
-        base = float(np.median(np.concatenate([mag[:edge], mag[-edge:]])))
+        base = _median(np.concatenate([mag[:edge], mag[-edge:]]))
         idx = int(np.argmin(mag))
         f_r0 = float(f[idx])
         depth_rel = max((base - mag[idx]) / max(base, 1e-12), 1e-3)
@@ -459,7 +473,7 @@ def fit_lorentzian(freqs, mags) -> FitResult:
 
     smooth = _moving_mean(y)
     edge = max(3, f.size // 20)
-    offset0 = float(np.median(np.concatenate([smooth[:edge], smooth[-edge:]])))
+    offset0 = _median(np.concatenate([smooth[:edge], smooth[-edge:]]))
     idx = int(np.argmin(smooth))
     depth0 = offset0 - float(smooth[idx])
     noise = _noise_rms(y)
@@ -506,7 +520,7 @@ def fit_rabi(t_ns, y) -> FitResult:
     the input axis (ns in the file formats), omega is rad per time unit.
     """
     t, y = _samples(t_ns, y, "t and y", 16)
-    dt = float(np.median(np.diff(t)))
+    dt = _median(np.diff(t))
     if dt <= 0:
         raise InputDataError("time axis must be increasing")
 
@@ -525,9 +539,9 @@ def fit_rabi(t_ns, y) -> FitResult:
     mask = np.ones(body.size, dtype=bool)
     mask[max(kb - 1, 0) : kb + 2] = False
     others = body[mask]
-    floor = float(np.median(others)) / math.log(2.0) if others.size else 0.0
+    floor = _median(others) / math.log(2.0) if others.size else 0.0
     threshold = (math.log(max(body.size, 2)) + 5.0) * floor
-    amp_scale = max(float(np.ptp(y)), abs(float(np.median(y))), 1e-300)
+    amp_scale = max(float(np.ptp(y)), abs(_median(y)), 1e-300)
     if (
         power[k] <= 0
         or power[k] < threshold

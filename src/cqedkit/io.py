@@ -1,11 +1,16 @@
 """File formats: CSV readers and writers, JSON reports, schema access.
 
-All CSV writers emit the shortest round-trip decimal representation of
-each value (Python repr) with LF line endings, so a given dataset always
-serializes to identical bytes. Readers reject wrong headers and report
-malformed cells with their 1-based line number. Lines starting with '#'
-and blank lines are ignored on input. Gate sweep CSVs are written only:
-each row is one SweepPoint, whose regime its NaN pattern gives.
+Every CSV writer hands ``_write_rows`` one 2-D float table, which it
+writes row by row: the row becomes Python floats (``tolist``) and each
+cell is the float's repr, the shortest decimal that reads back to the
+same bits. Lines end in LF, so a given dataset always serializes to
+identical bytes. Readers parse each split row with numpy's string cast,
+``np.array(cells, dtype=float)``, which calls ``float`` on every cell and
+so accepts and rejects exactly what ``float`` does. They reject wrong
+headers and report malformed cells with their 1-based line number.
+Lines starting with '#' and blank lines are ignored on input. Gate sweep
+CSVs are written only: each row is one SweepPoint, whose regime its NaN
+pattern gives.
 
 Every output file, SVG plots included, is written by ``write_lines``,
 which puts a relative path under the CQEDKIT_OUTDIR environment variable
@@ -37,10 +42,6 @@ RABI_HEADER = ("t_ns", "y")
 GATE_HEADER = ("V_G", "value")
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def write_lines(path, lines) -> Path:
     """Write text lines, each ended by LF, making the parent directories."""
     p = Path(path)
@@ -54,8 +55,9 @@ def write_lines(path, lines) -> Path:
     return p
 
 
-def _write_rows(path, header, rows) -> Path:
-    body = (",".join(_fmt(c) for c in row) for row in rows)
+def _write_rows(path, header, table) -> Path:
+    """The header line, then one line per row of the 2-D float ``table``."""
+    body = (",".join(map(repr, row.tolist())) for row in np.asarray(table, dtype=float))
     return write_lines(path, itertools.chain([",".join(header)], body))
 
 
@@ -88,12 +90,12 @@ def _numeric_rows(path, lines, width: int) -> np.ndarray:
         if len(cells) != width:
             raise InputDataError(f"expected {width} columns, got {len(cells)}", line=no)
         try:
-            rows.append([float(c) for c in cells])
+            rows.append(np.array(cells, dtype=float))
         except ValueError:
             raise InputDataError(f"non-numeric cell in {text!r}", line=no) from None
     if not rows:
         raise InputDataError(f"{path} has a header but no data rows")
-    return np.asarray(rows, dtype=float)
+    return np.stack(rows)
 
 
 def _read_table(path, header) -> np.ndarray:
@@ -112,8 +114,8 @@ def read_complex_trace(path) -> ComplexTrace:
 
 
 def write_complex_trace(path, trace: ComplexTrace) -> Path:
-    rows = zip(trace.freqs_ghz, trace.values.real, trace.values.imag)
-    return _write_rows(path, TRACE_HEADER, rows)
+    table = np.column_stack([trace.freqs_ghz, trace.values.real, trace.values.imag])
+    return _write_rows(path, TRACE_HEADER, table)
 
 
 def read_magnitude_trace(path):
@@ -122,7 +124,7 @@ def read_magnitude_trace(path):
 
 
 def write_magnitude_trace(path, freqs_ghz, mags_db) -> Path:
-    return _write_rows(path, MAG_HEADER, zip(freqs_ghz, mags_db))
+    return _write_rows(path, MAG_HEADER, np.column_stack([freqs_ghz, mags_db]))
 
 
 def read_rabi_trace(path):
@@ -131,7 +133,7 @@ def read_rabi_trace(path):
 
 
 def write_rabi_trace(path, t_ns, y) -> Path:
-    return _write_rows(path, RABI_HEADER, zip(t_ns, y))
+    return _write_rows(path, RABI_HEADER, np.column_stack([t_ns, y]))
 
 
 def read_gate_table(path):
@@ -141,7 +143,7 @@ def read_gate_table(path):
 
 
 def write_gate_table(path, voltages, values) -> Path:
-    return _write_rows(path, GATE_HEADER, zip(voltages, values))
+    return _write_rows(path, GATE_HEADER, np.column_stack([voltages, values]))
 
 
 def write_sweep_csv(path, sweep: SweepResult) -> Path:
@@ -152,7 +154,7 @@ def write_sweep_csv(path, sweep: SweepResult) -> Path:
 
 def write_map_csv(path, m: Map2D) -> Path:
     """Corner cell 'slow\\fast' and the fast axis, then one row per slow value."""
-    header = [f"{m.slow_name}\\{m.fast_name}"] + [_fmt(v) for v in m.fast_values]
+    header = [f"{m.slow_name}\\{m.fast_name}", *map(repr, m.fast_values.tolist())]
     return _write_rows(path, header, np.column_stack([m.slow_values, m.grid]))
 
 
@@ -166,7 +168,7 @@ def read_map_csv(path) -> Map2D:
         )
     slow_name, fast_name = cells[0].split("\\", 1)
     try:
-        fast = np.array([float(c) for c in cells[1:]], dtype=float)
+        fast = np.array(cells[1:], dtype=float)
     except ValueError:
         raise InputDataError("non-numeric fast-axis value in header", line=no) from None
     if fast.size < 1:

@@ -15,7 +15,6 @@ generated and rows can be produced in any order.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -83,7 +82,7 @@ def number(value, what: str) -> float:
     The one number rule of SynthSpec and of the config readers.
     """
     try:
-        x = math.nan if isinstance(value, bool) else float(value)
+        x = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         x = math.nan
     if not math.isfinite(x):
@@ -128,9 +127,6 @@ class SynthSpec:
         if self.seed < 0:
             raise ConfigError(f"synth seed must be a non-negative integer, got {self.seed}")
         if self.snr_db is not None:
-            # config reads YAML's numeric text; in code snr_db is a number
-            if not isinstance(self.snr_db, numbers.Real):
-                raise ConfigError(f"synth snr_db must be a number, got {self.snr_db!r}")
             self.snr_db = number(self.snr_db, "synth snr_db")
         if not isinstance(self.truth, dict) or not isinstance(self.grid, dict):
             raise ConfigError("synth truth and grid must be mappings")

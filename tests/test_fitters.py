@@ -484,3 +484,31 @@ def test_subtract_background_median_zero(rows, cols):
     grid = rng.normal(size=(rows, cols))
     flat = subtract_background(grid)
     assert np.allclose(np.median(flat, axis=0), 0.0, atol=1e-12)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [3.0], [-0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0, -0.0],
+    [-0.0, 1.0], [-1.0, 1.0], [2.0, 1.0, 2.0, 2.0], [5.0, 5.0, 1.0, 9.0, 5.0],
+    [1.0, np.nan, 3.0], [np.nan, 2.0], [-np.nan, 4.0, 1.0], [np.inf, -np.inf],
+    [np.inf, 1.0, np.inf], [1e308, 1e308], [5e-324, -5e-324, 5e-324],
+    [0.1, 0.2], [1.0, 3.0, 2.0, 7.0, 0.5, 0.25],
+])
+def test_median_matches_numpy_bit_for_bit(values):
+    a = np.array(values)
+    kept = a.copy()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e308 + 1e308
+        assert _bits(fitters._median(a)) == _bits(np.median(a))
+    assert a.tobytes() == kept.tobytes()
+
+
+@given(st.lists(st.floats(allow_nan=True) | st.sampled_from([0.0, -0.0, 1.0]),
+                min_size=1, max_size=41))
+@settings(max_examples=200, deadline=None)
+def test_median_matches_numpy_on_any_sample(values):
+    a = np.array(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _bits(fitters._median(a)) == _bits(np.median(a))

@@ -3,7 +3,8 @@ only for the solvers on its own code path. The spectrum solvers load
 scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, and nothing
 else of scipy: no verb imports the ``scipy.linalg`` package. Every check
 runs in a fresh interpreter, because this test process has long since
-imported scipy.
+imported scipy. The fit verbs also leave ``numpy.ma`` unloaded, which
+np.median imports on its first call.
 """
 
 import ast
@@ -14,10 +15,12 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cqedkit
-from cqedkit import SynthSpec, io, synth_reflection
+from cqedkit import SynthSpec, io, lorentzian_model, synth_reflection
+from cqedkit.cli import main
 
 SRC = str(Path(cqedkit.__file__).resolve().parents[1])
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -25,11 +28,12 @@ PIPELINE_YAML = str(CONFIGS / "pipeline.yaml")
 
 
 def _loaded_after(code: str) -> set:
-    """Third-party modules (scipy*, yaml*) loaded after running ``code``."""
+    """Third-party modules (scipy*, yaml*) and numpy.ma, if loaded, after
+    running ``code``."""
     probe = code + (
         "\nimport json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'yaml'))))\n"
+        " if m.split('.')[0] in ('scipy', 'yaml') or m == 'numpy.ma')))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -52,15 +56,40 @@ def test_package_import_loads_no_solver():
     assert "yaml" not in loaded
 
 
-def test_fit_resonator_loads_no_scipy(tmp_path):
+def _fit_inputs(d: Path) -> None:
+    """trace.csv (reflection), dip.csv (Lorentzian) and rabi.csv in ``d``."""
     spec = SynthSpec(kind="reflection_trace", seed=11, snr_db=35.0,
                      truth={"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,
                             "theta": 0.1, "f_r_ghz": 5.2816},
                      grid={"f_min_ghz": 5.2728, "f_max_ghz": 5.2904, "n_f": 401})
-    trace = io.write_complex_trace(tmp_path / "trace.csv", synth_reflection(spec))
-    loaded = _loaded_after(_main(["fit-resonator", str(trace),
+    io.write_complex_trace(d / "trace.csv", synth_reflection(spec))
+    f = np.linspace(4900.0, 5100.0, 301)
+    noise = np.random.default_rng(5).normal(0.0, 0.02, f.size)
+    io.write_magnitude_trace(d / "dip.csv", f, lorentzian_model(f, 5000.0, 21.0, 0.8, 1.0) + noise)
+    assert main(["synth", "--config", str(CONFIGS / "synth_rabi.yaml"),
+                 "--out", str(d / "rabi.csv")]) == 0
+
+
+def test_fit_resonator_loads_no_scipy(tmp_path):
+    _fit_inputs(tmp_path)
+    loaded = _loaded_after(_main(["fit-resonator", str(tmp_path / "trace.csv"),
                                   "--out", str(tmp_path / "fit.json")]))
     assert not _scipy(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-resonator", "trace.csv", "--out", "fit.json", "--plot", "fit.svg"],
+    ["fit-resonator", "trace.csv", "--delay", "--out", "fit.json"],
+    ["fit-lorentzian", "dip.csv", "--out", "fit.json", "--plot", "fit.svg"],
+    ["fit-rabi", "rabi.csv", "--out", "fit.json", "--plot", "fit.svg"],
+    ["pipeline", "--config", PIPELINE_YAML, "--workdir", "run"],
+], ids=["fit-resonator", "fit-resonator-delay", "fit-lorentzian", "fit-rabi", "pipeline"])
+def test_fit_verbs_load_no_numpy_ma(argv, tmp_path, monkeypatch):
+    # the fitters take medians with fitters._median, which skips the
+    # numpy.ma import np.median makes for its NaN check
+    monkeypatch.chdir(tmp_path)
+    _fit_inputs(tmp_path)
+    assert "numpy.ma" not in _loaded_after(_main(argv))
 
 
 def test_simulate_qubit_loads_linalg_only(tmp_path):

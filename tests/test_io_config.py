@@ -27,6 +27,8 @@ from cqedkit import (
 from cqedkit import config
 from cqedkit.errors import ConfigError, InputDataError
 
+import csv_oracle
+
 
 def _trace(n=101):
     f = np.linspace(5.0, 5.1, n)
@@ -141,6 +143,25 @@ class TestCsvErrors:
         with pytest.raises(InputDataError, match="cannot read"):
             io.read_complex_trace(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize("cell", [
+        " 1.5 ", "\t2", "1_0", "1__0", "_1", "nan", "-nan", "Infinity", "-inF", "1e500",
+        "4.9e-324", "-0.0", "+.5", "0x1p3", "", "1e", "NaN(1)", "\u0661\u0662", "\uff15",
+        "\u22121", "1\x00", "1 2",
+    ])
+    def test_cells_parse_as_float_does(self, tmp_path, cell):
+        # the reader's numpy cast accepts and rejects what float() does
+        p = tmp_path / "x.csv"
+        p.write_text(f"V\\f,5.4,5.5\n0.0,1.0,0.0\n1.0,{cell},0.0\n")
+        try:
+            want = float(cell)
+        except ValueError:
+            with pytest.raises(InputDataError, match="non-numeric") as err:
+                io.read_map_csv(p)
+            assert err.value.line == 3
+            return
+        got = io.read_map_csv(p).grid[1, 0]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("# provenance note\n\nfreq_ghz,re,im\n5.0,1.0,0.0\n\n"
@@ -176,6 +197,45 @@ class TestMapCsv:
         with pytest.raises(InputDataError, match="columns") as err:
             io.read_map_csv(p)
         assert err.value.line == 2
+
+    def test_edge_values_on_every_axis(self, tmp_path):
+        # each edge value sits in the grid, the fast-axis header and the
+        # slow-axis first column; the bytes are the per-cell oracle's and
+        # the values read back bit for bit, the sign of -0.0 included
+        from cqedkit import Map2D
+        edge = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5])
+        grid = np.vstack([np.roll(edge, k) for k in range(edge.size)])
+        m = Map2D("P_dBm", edge[::-1], "f_GHz", edge, grid)
+        p = io.write_map_csv(tmp_path / "m.csv", m)
+        assert p.read_text() == csv_oracle.map_text(m)
+        assert p.read_text().splitlines()[0] == "P_dBm\\f_GHz,nan,inf,-inf,-0.0,5e-324,1e+16,1e-05"
+        back = io.read_map_csv(p)
+        for got, want in ((back.slow_values, m.slow_values),
+                          (back.fast_values, m.fast_values), (back.grid, m.grid)):
+            assert got.tobytes() == want.tobytes()
+        assert np.signbit(back.grid[0, 3]) and np.signbit(back.fast_values[3])
+
+
+def test_every_writer_matches_the_per_cell_oracle(tmp_path):
+    edge = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1, 5.443])
+    other = np.roll(edge, 3)
+    # a trace holds finite samples only
+    finite = edge[np.isfinite(edge)]
+    trace = ComplexTrace(np.linspace(5.0, 5.1, finite.size), finite + 1j * finite[::-1])
+    cases = [
+        (io.write_complex_trace(tmp_path / "t.csv", trace), io.TRACE_HEADER,
+         zip(trace.freqs_ghz, trace.values.real, trace.values.imag)),
+        (io.write_magnitude_trace(tmp_path / "m.csv", edge, other), io.MAG_HEADER,
+         zip(edge, other)),
+        (io.write_rabi_trace(tmp_path / "r.csv", edge, other), io.RABI_HEADER, zip(edge, other)),
+        (io.write_gate_table(tmp_path / "g.csv", edge, other), io.GATE_HEADER, zip(edge, other)),
+    ]
+    points = [SweepPoint(*np.roll(edge, k)[:6]) for k in range(edge.size)]
+    sweep = SweepResult(points, DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0))
+    cases.append((io.write_sweep_csv(tmp_path / "s.csv", sweep), SweepResult.CSV_COLUMNS,
+                  points))
+    for path, header, rows in cases:
+        assert path.read_text() == csv_oracle.text(header, rows), path.name
 
 
 class TestJson:

@@ -126,11 +126,21 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="snr_db must be a finite number"):
             _refl_spec(snr_db=float("inf"))
 
-    @pytest.mark.parametrize("snr_db", [[20], "20", "loud", True, np.True_])
+    @pytest.mark.parametrize("snr_db", [[20], "loud", True, np.True_])
     def test_non_numeric_snr_names_key(self, snr_db):
         # a list used to escape as a TypeError, text and bools to pass
         with pytest.raises(ConfigError, match="snr_db"):
             _refl_spec(snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", ["20", "2e1", 20, np.float32(20.0)],
+                             ids=["text", "text-exponent", "int", "float32"])
+    def test_numeric_snr_passes_as_float(self, snr_db):
+        # snr_db follows the number rule of the truth and grid values, which
+        # reads numeric text as PyYAML gives it for 2e1; the sidecar
+        # records the float, as a YAML 20.0 does
+        spec = _refl_spec(snr_db=snr_db)
+        assert type(spec.snr_db) is float and spec.snr_db == 20.0
+        assert json.dumps(spec.to_dict()) == json.dumps(_refl_spec(snr_db=20.0).to_dict())
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
