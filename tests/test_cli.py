@@ -227,11 +227,14 @@ class TestSweepGate:
         assert main(["sweep-gate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("9 gate points")
 
-    @pytest.mark.parametrize("routine", ["dstevd", "zheevr", "dsyevr"])
+    @pytest.mark.parametrize("routine", ["dstevd", "zheevr", "dsyevr", "dpotrf", "dpotrs"])
     def test_lapack_failure_exit_two(self, routine, tmp_path, capsys, fail_lapack):
-        # a LAPACK wrapper reporting info = 1 is a solver failure
+        # a LAPACK wrapper reporting info = 1 is a solver failure; dsyevr
+        # runs only in the check at ng != 0, dpotrf and dpotrs at ng = 0
         fail_lapack(routine)
         yaml = SWEEP_YAML if routine == "dstevd" else self.GATEMON_GRID_YAML
+        if routine == "dsyevr":
+            yaml = yaml.replace("  grid_n: 401\n", "  grid_n: 401\n  ng: 0.23\n")
         assert main(["sweep-gate", "--config", _config(tmp_path, yaml)]) == 2
         captured = capsys.readouterr()
         assert "solver failure" in captured.err

@@ -209,19 +209,158 @@ def test_gatemon_check_parity_blocks_match_whole_matrix():
     assert worst < 1e-7
 
 
-@pytest.mark.parametrize("ng,sizes", [(0.0, [(201, 201), (202, 202)]),
+def _spy(monkeypatch, name):
+    """The positional arguments of every call to spectra.<name>, which still runs."""
+    calls, real = [], getattr(spectra, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("ng,sizes", [(0.0, [(202, 202), (201, 201)]),
                                       (0.23, [(403, 403)]), (0.5, [(403, 403)])])
 def test_gatemon_check_splits_only_at_zero_offset_charge(ng, sizes, monkeypatch):
-    shapes = []
-    eigvalsh = spectra._eigvalsh
-
-    def capture(h, *args, **kwargs):
-        shapes.append(h.shape)
-        return eigvalsh(h, *args, **kwargs)
-
-    monkeypatch.setattr(spectra, "_eigvalsh", capture)
+    # at ng = 0 the even and odd blocks go to inverse iteration and nothing
+    # to dsyevr; at ng != 0 the whole matrix goes to dsyevr
+    blocks = _spy(monkeypatch, "_lowest_level")
+    solves = _spy(monkeypatch, "_eigvalsh")
     spectra._gatemon_f01(EC, 45600.0, (0.85, 0.3, 0.1), ng, 2 * DEFAULT_GRID_N + 1)
-    assert shapes == sizes
+    shapes = ([args[0].shape for args in blocks], [args[0].shape for args in solves])
+    assert shapes == ((sizes, []) if ng == 0.0 else ([], sizes))
+
+
+def test_seeded_check_factors_each_block_once(monkeypatch):
+    # seeded with the primary levels, the check factors the even block, the
+    # odd block and the lifted even block that proves their order
+    shifts = _spy(monkeypatch, "_factor")
+    gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.85, 0.3, 0.1)))
+    assert len(shifts) == 3
+
+
+def _sliced_parity_blocks(ec, gap, transmissions, grid_n):
+    # the even and odd blocks cut out of the whole refined matrix, the way
+    # the check formed them before it built them from c directly
+    c, charging = spectra._gatemon_terms(ec, gap, transmissions, 0.0, grid_n)
+    h = spectra._toeplitz(c.real, c.real)
+    h[np.diag_indices(grid_n)] += charging
+    m = (grid_n - 1) // 2
+    odd = h[m + 1:, m + 1:] - h[m + 1:, m - 1::-1]
+    even = h[m:, m:] + h[m:, m::-1]
+    even[0, :] /= np.sqrt(2.0)
+    even[:, 0] /= np.sqrt(2.0)
+    return even, odd
+
+
+def test_gatemon_check_factors_the_sliced_parity_blocks_bit_for_bit(monkeypatch):
+    blocks = _spy(monkeypatch, "_lowest_level")
+    for ec, gap, channels, grid_n in _seeded_devices(24, seed=1701):
+        refined = 2 * grid_n + 1
+        blocks.clear()
+        spectra._gatemon_f01(ec, gap, channels, 0.0, refined)
+        got = [args[0] for args in blocks]
+        want = _sliced_parity_blocks(ec, gap, channels, refined)
+        assert len(got) == 2 and all(_same_bits(g, w) for g, w in zip(got, want))
+
+
+def _check_devices(count, seed=1702):
+    """(ec, gap, transmissions, grid_n) down to EC = 5 kHz, where an open
+    channel needs more than a 101-point grid and the check fails."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        channels = rng.uniform(1e-3, 1.0, size=int(rng.integers(1, 4)))
+        if i % 3 == 0:
+            channels[0] = 1.0
+        ec = float(np.exp(rng.uniform(np.log(5e-3), np.log(300.0))))
+        yield ec, float(rng.uniform(40e3, 70e3)), tuple(channels), (101, 101, 201)[i % 3]
+
+
+def test_gatemon_check_fails_on_the_same_devices_as_dense_solves(monkeypatch):
+    # the oracle: scipy's dense eigvalsh on each parity block, as the check
+    # solved them before; the pass/fail decision and f01 must follow it
+    from scipy.linalg import eigvalsh
+
+    found = []
+    check = spectra._gatemon_f01
+
+    def record(*args):
+        found.append((args[-1], check(*args)))  # (primary levels, refined f01)
+        return found[-1][1]
+
+    monkeypatch.setattr(spectra, "_gatemon_f01", record)
+    failed = worst = 0
+    for ec, gap, channels, grid_n in _check_devices(300):
+        try:
+            gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels), grid_n=grid_n)
+            raised = False
+        except TruncationError:
+            raised = True
+        levels, f01 = found.pop()
+        blocks = _sliced_parity_blocks(ec, gap, channels, 2 * grid_n + 1)
+        low = np.sort(np.concatenate([eigvalsh(b, subset_by_index=[0, 1]) for b in blocks]))
+        want = low[1] - low[0]
+        assert raised == (abs((levels[1] - levels[0]) - want) >= spectra.F01_CONVERGENCE_MHZ)
+        failed += raised
+        worst = max(worst, abs(f01 - want))
+    assert worst < 1e-7
+    assert 10 <= failed <= 290  # both outcomes are exercised
+
+
+def _weakly_coupled(diagonal, rng):
+    noise = rng.normal(scale=0.02, size=(len(diagonal), len(diagonal)))
+    return np.diag(diagonal) + (noise + noise.T) / 2.0
+
+
+@pytest.mark.parametrize("ground_first", [True, False], ids=["even-ground", "odd-ground"])
+def test_check_finds_a_second_level_below_the_other_blocks_lowest(ground_first, monkeypatch):
+    # the ground level's block holds its second level near 1, below the
+    # other block's lowest near 2: f01 is the gap within that block
+    from scipy.linalg import eigvalsh
+
+    rng = np.random.default_rng(1703)
+    ground = _weakly_coupled(np.concatenate(([0.0, 1.0], 3.0 + np.arange(40.0))), rng)
+    other = _weakly_coupled(2.0 * np.arange(1.0, 41.0), rng)
+    assert eigvalsh(ground)[1] < eigvalsh(other)[0]
+    blocks = [ground, other] if ground_first else [other, ground]
+    solved = _spy(monkeypatch, "_lowest_level")
+    f01 = spectra._blocks_f01(blocks, [b.diagonal().min() for b in blocks])
+    assert abs(f01 - (eigvalsh(ground)[1] - eigvalsh(ground)[0])) < 1e-12
+    assert len(solved) == 3  # both blocks, then the ground block's second level
+
+
+def test_check_takes_the_other_blocks_lowest_once_the_order_is_proved(monkeypatch):
+    from scipy.linalg import eigvalsh
+
+    rng = np.random.default_rng(1704)
+    ground = _weakly_coupled(np.concatenate(([0.0], 3.0 + np.arange(40.0))), rng)
+    other = _weakly_coupled(2.0 * np.arange(1.0, 41.0), rng)
+    solved = _spy(monkeypatch, "_lowest_level")
+    f01 = spectra._blocks_f01([ground, other], [0.0, 2.0])
+    assert abs(f01 - (eigvalsh(other)[0] - eigvalsh(ground)[0])) < 1e-12
+    assert len(solved) == 2  # one factorization proved the order
+
+
+@pytest.mark.parametrize("offset", [1e5, -1e5], ids=["far-above", "far-below"])
+def test_inverse_iteration_converges_from_a_distant_seed(offset, monkeypatch):
+    from scipy.linalg import eigvalsh
+
+    c, charging = spectra._gatemon_terms(EC, 45600.0, (0.85, 0.3, 0.1), 0.0,
+                                         2 * DEFAULT_GRID_N + 1)
+    shifts = _spy(monkeypatch, "_factor")
+    for b in spectra._parity_blocks(c.real, charging):
+        want = eigvalsh(b, subset_by_index=[0, 0])[0]
+        shifts.clear()
+        level, vector = spectra._lowest_level(b, want + offset)
+        assert abs(level - want) < 1e-7
+        assert np.linalg.norm(b @ vector - level * vector) < 1e-6
+        # the shift that converged lies below the level: far above the
+        # shift dropped to it, far below it moved up to it
+        first, last = shifts[0][1], shifts[-1][1]
+        assert (last < want < first) if offset > 0 else (first < last < want)
+        assert len(shifts) < spectra._SHIFT_TRIES
 
 
 # The solvers call LAPACK through scipy's compiled wrappers; scipy.linalg's
@@ -256,9 +395,10 @@ def test_gatemon_solves_match_scipy_eigvalsh_bit_for_bit(monkeypatch):
         gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels, ng=ng),
                        grid_n=grid_n, check=False)
         spectra._gatemon_f01(ec, gap, channels, ng, grid_n)
-        # the complex primary solve, then one or two real parity blocks
+        # the complex primary solve, then the whole real matrix at ng != 0;
+        # the ng = 0 check goes by inverse iteration and solves nothing here
         assert solves[0][0].dtype == complex and solves[0][1] is None
-        assert len(solves) == (3 if ng == 0.0 else 2)
+        assert len(solves) == (1 if ng == 0.0 else 2)
         for h, subset in solves:
             if subset is None:
                 want = eigvalsh(h)
@@ -316,14 +456,17 @@ def test_non_finite_hamiltonian_raises_value_error():
         gatemon_levels(QubitParams(ec=math.nan, gap=45600.0, transmissions=(0.5,)))
 
 
-@pytest.mark.parametrize("routine", ["zheevr", "dsyevr", "dstevd"])
+@pytest.mark.parametrize("routine", ["zheevr", "dsyevr", "dstevd", "dpotrf", "dpotrs"])
 def test_lapack_info_raises_linalg_error(routine, fail_lapack):
+    # dsyevr runs only in the ng != 0 check; a dpotrf that never factors
+    # lowers the shift a bounded number of times, then raises
     fail_lapack(routine)
     with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed with info = 1"):
         if routine == "dstevd":
             transmon_levels(QubitParams(ec=EC, ej=50 * EC))
         else:
-            gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,)))
+            ng = 0.23 if routine == "dsyevr" else 0.0
+            gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,), ng=ng))
 
 
 @pytest.fixture
@@ -448,6 +591,24 @@ def test_infer_transmission_agrees_with_brentq(alpha, monkeypatch):
     want = brentq(lambda x: alpha_at(x) - alpha, 1e-3, 1.0, xtol=1e-12, rtol=1e-15)
     assert abs(t - want) < 1e-10
     assert ours <= 1.5 * len(evals)
+
+
+def test_infer_transmission_does_not_move_with_the_blas_thread_count(tmp_path):
+    # alpha(T) jitters by about 1e-9 MHz with the BLAS thread count, which
+    # moves the root by about 1e-11, inside the root finder's 1e-10 xtol
+    probe = ("from cqedkit import infer_transmission\n"
+             "print(repr(infer_transmission(-172.0, 190.0, 45600.0)))")
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    found = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        found.append(float(done.stdout))
+    assert abs(found[0] - found[1]) < 1e-10
+    assert found[0] == pytest.approx(0.44161010923054, rel=1e-9)
 
 
 def test_infer_transmission_out_of_band():
