@@ -34,8 +34,10 @@ SYNTH_KINDS = ("reflection", "rabi", "power_map", "gate_map", "two_tone")
 VERBS = ("fit-resonator", "fit-lorentzian", "fit-rabi", "simulate-qubit",
          "simulate-cavity", "sweep-gate", "synth", "pipeline")
 
-# configs written next to the shipped ones, for the failure paths
-# (tolerance_miss.yaml is pipeline.yaml with an unreachable f_r tolerance)
+# configs written next to the shipped ones, for the failure paths and the
+# gatemon at nonzero offset charge (tolerance_miss.yaml is pipeline.yaml
+# with an unreachable f_r tolerance, gatemon_ng.yaml is gatemon.yaml at
+# ng = 0.23)
 EXTRA_CONFIGS = {
     "missing_table.yaml": (
         "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n"
@@ -43,6 +45,13 @@ EXTRA_CONFIGS = {
         "system:\n  g_mhz: 100\n"
         "sweep:\n  table_csv: missing.csv\n"),
     "bad_key.yaml": "qubit:\n  ec_mhz: 190\n  ej: 9500\n",
+    # EC = 5 GHz and an open channel need more than the default 201-point
+    # grid: the refinement check fails
+    "gatemon_truncated.yaml": (
+        "qubit:\n  ec_mhz: 5000\n  gap_mhz: 45600\n  transmissions: [1.0]\n  ng: 0.23\n"
+        "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
+        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 2.0\n"
+        "  maps_to: transmission\n"),
 }
 
 
@@ -69,6 +78,8 @@ RUNS = [
     *[(name, argv, {}) for name, argv in _fit("fit-rabi", "rabi.csv", "fb")],
     ("simulate-qubit-gatemon", ["simulate-qubit", "--config", "cfg/gatemon.yaml",
                                 "--out", "qubit.json", "--plot", "qubit.svg"], {}),
+    ("simulate-qubit-gatemon-ng", ["simulate-qubit", "--config", "cfg/gatemon_ng.yaml",
+                                   "--out", "qubit_ng.json"], {}),
     ("simulate-qubit-transmon", ["simulate-qubit", "--config", "cfg/pipeline.yaml"], {}),
     ("simulate-qubit-bad-key", ["simulate-qubit", "--config", "cfg/bad_key.yaml"], {}),
     ("simulate-cavity", ["simulate-cavity", "--config", "cfg/pipeline.yaml"], {}),
@@ -77,6 +88,7 @@ RUNS = [
     ("sweep-gate", ["sweep-gate", "--config", "cfg/pipeline.yaml"], {}),
     ("sweep-gate-files", ["sweep-gate", "--config", "cfg/synth_two_tone.yaml", "--out",
                           "sweep.csv", "--json", "sweep.json", "--plot", "sweep.svg"], {}),
+    ("sweep-gate-truncated", ["sweep-gate", "--config", "cfg/gatemon_truncated.yaml"], {}),
     ("pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "pipe"], {}),
     ("pipeline-seed", ["pipeline", "--config", "cfg/pipeline.yaml", "--seed", "3",
                        "--workdir", "pipe_seed"], {}),
@@ -137,6 +149,7 @@ def fingerprint(workdir: Path) -> list[str]:
         (cfg / name).write_text(text)
     pipeline = (cfg / "pipeline.yaml").read_text()
     (cfg / "tolerance_miss.yaml").write_text(pipeline.replace("f_r_mhz: 0.5", "f_r_mhz: 1.0e-9"))
+    (cfg / "gatemon_ng.yaml").write_text((cfg / "gatemon.yaml").read_text() + "  ng: 0.23\n")
     lines = []
     cwd = os.getcwd()
     os.chdir(workdir)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import config as cfgmod
 from . import io, svgplot
-from .coupling import gate_sweep
+from .coupling import dispersive_shift_two_level, gate_sweep
 from .errors import InputDataError, SolverError
 from .fitters import (
     ComplexTrace,
@@ -277,7 +277,7 @@ def cmd_pipeline(args) -> int:
 
         current = "synth"
         system = cfgmod.dispersive_system(cfg, qubit=spectrum)
-        chi_mhz = system.g_mhz**2 / system.delta_mhz
+        chi_mhz = dispersive_shift_two_level(system.g_mhz, system.delta_mhz)
         f_c = system.f_bare_ghz + chi_mhz / 1e3
         ql_true = f_c * 1e3 / system.kappa_mhz
         truth = {"a_re": 1.0, "a_im": 0.0, "ql": ql_true, "qc": 2.0 * ql_true,

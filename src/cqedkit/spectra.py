@@ -11,15 +11,15 @@ Two junction models share the same charging term 4*EC*(n - ng)^2:
 
 All energies are frequencies in MHz (E/h). Cavity frequencies are GHz.
 
-The eigensolvers are LAPACK's, called through scipy's compiled f2py
-wrappers (``scipy.linalg._flapack``) with the arguments scipy.linalg's
-own ``eigvalsh`` and ``eigvalsh_tridiagonal`` pass, so the levels are
-the same bits. The gatemon refinement check at ng = 0, whose value only
-decides pass or fail, finds its two levels by inverse iteration on
-Cholesky factors (``dpotrf``, ``dpotrs``) instead. The wrapper module is
-loaded from scipy's install directory on the first solve, without running
-any scipy package ``__init__``: code that never solves a spectrum, such as
-the fit verbs, loads no scipy at all, and code that does skips importing
+The primary gatemon solve is numpy's ``eigvalsh``. The routines numpy
+lacks come from scipy's compiled f2py LAPACK wrappers
+(``scipy.linalg._flapack``): ``dstevd`` for the transmon, called as
+scipy.linalg's ``eigvalsh_tridiagonal`` calls it, so the levels are the
+same bits, and ``dpotrf``/``dpotrs`` for the gatemon refinement check's
+inverse iteration. The wrapper module is loaded from scipy's install
+directory on the first solve, without running any scipy package
+``__init__``: code that never solves a spectrum, such as the fit verbs,
+loads no scipy at all, and code that does skips importing
 ``scipy.linalg`` and the numpy submodules it pulls in.
 """
 
@@ -147,9 +147,7 @@ class CavityGeometry:
 
 
 FLAPACK = "scipy.linalg._flapack"
-LAPACK_WRAPPERS = ("zheevr", "zheevr_lwork", "dsyevr", "dsyevr_lwork", "dstevd",
-                   "dpotrf", "dpotrs")
-_LWORK_NAMES = {"zheevr": ("lwork", "lrwork", "liwork"), "dsyevr": ("lwork", "liwork")}
+LAPACK_WRAPPERS = ("dstevd", "dpotrf", "dpotrs")
 
 
 @functools.cache
@@ -175,6 +173,9 @@ def _flapack():
                               "which this scipy install does not have", name=FLAPACK)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        # the extension registers itself; a later `import scipy.linalg` that
+        # found it in sys.modules would not bind it on the package
+        sys.modules.pop(FLAPACK, None)
     missing = [w for w in LAPACK_WRAPPERS if not hasattr(module, w)]
     if missing:
         raise ImportError(f"{FLAPACK} lacks {', '.join(missing)}", name=FLAPACK)
@@ -184,26 +185,6 @@ def _flapack():
 def _check_info(info: int, routine: str) -> None:
     if info != 0:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
-
-
-def _eigvalsh(h: np.ndarray, subset_by_index=None) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian matrix h, read from its lower
-    triangle: all of them, or those with 0-based indices lo..hi given as
-    ``subset_by_index=(lo, hi)``. LAPACK ?heevr (complex h) or ?syevr
-    (real h), called as scipy.linalg.eigvalsh calls it. A non-finite h
-    raises ValueError, as scipy's check_finite does."""
-    h = np.asarray_chkfinite(h)
-    lapack = _flapack()
-    name = "zheevr" if np.iscomplexobj(h) else "dsyevr"
-    *work, info = getattr(lapack, name + "_lwork")(n=h.shape[0], lower=1)
-    _check_info(info, name + "_lwork")
-    kwargs = dict(zip(_LWORK_NAMES[name], (int(x.real) for x in work)))
-    if subset_by_index is not None:
-        lo, hi = subset_by_index
-        kwargs.update(range="I", il=lo + 1, iu=hi + 1)
-    w, _, m, _, info = getattr(lapack, name)(a=h, compute_v=0, lower=1, overwrite_a=0, **kwargs)
-    _check_info(info, name)
-    return w if subset_by_index is None else w[:m]
 
 
 def _toeplitz(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -286,7 +267,7 @@ def _gatemon_eigvals(
     c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
     h = _toeplitz(c, c[-np.arange(grid_n) % grid_n])
     h[np.diag_indices(grid_n)] += charging
-    return _eigvalsh(h)
+    return np.linalg.eigvalsh(np.asarray_chkfinite(h))
 
 
 # the first shift sits this fraction of max |b_ii| below the seed: far above
@@ -309,22 +290,25 @@ def _factor(a: np.ndarray, shift: float):
     return factor, info
 
 
-def _lowest_level(b: np.ndarray, seed: float) -> tuple[float, np.ndarray]:
-    """The lowest eigenvalue of the real-symmetric b and its unit vector.
+def _lowest_level(b: np.ndarray, seed: float, x=None) -> tuple[float, np.ndarray]:
+    """The lowest eigenvalue of the real-symmetric b and its unit vector,
+    iterated from the unit vector ``x`` (uniform by default).
 
     The shift starts a small margin below ``seed``. While b - shift*I does
     not factor, some level lies at or below the shift, and the shift drops
     geometrically. Once it factors, every level lies above it, and inverse
     iteration converges to the lowest level's vector; the level is the
-    Rayleigh quotient. A shift so far below the level that the vector has
-    not settled after a few solves moves up under the Rayleigh quotient
+    Rayleigh quotient. A shift whose vector has not settled after a few
+    solves, being far below the level or farther from it than the next
+    level is, moves up to 1/64 of its distance under the Rayleigh quotient
     reached, which lies above the level, and is factored again. Raises
     LinAlgError after _SHIFT_TRIES factorizations.
     """
     lapack = _flapack()
     margin = _SHIFT_MARGIN * np.abs(b.diagonal()).max()
     top, step = seed, margin
-    x = np.full(len(b), len(b) ** -0.5)
+    if x is None:
+        x = np.full(len(b), len(b) ** -0.5)
     for _ in range(_SHIFT_TRIES):
         shift = top - step
         factor, info = _factor(b.copy(), shift)
@@ -340,7 +324,7 @@ def _lowest_level(b: np.ndarray, seed: float) -> tuple[float, np.ndarray]:
                 return float(x @ b @ x), x
         # the quotient lies above the level but far closer to it than the shift
         top = float(x @ b @ x)
-        step = max(margin, (top - shift) / 64.0)
+        step = (top - shift) / 64.0
     raise np.linalg.LinAlgError(f"LAPACK dpotrf failed with info = {info}" if info
                                 else "inverse iteration did not converge")
 
@@ -378,22 +362,33 @@ def _blocks_f01(blocks, seeds) -> float:
     return float(e1 - e0)
 
 
+def _one_block_f01(h: np.ndarray, seeds) -> float:
+    """The gap between the two lowest levels of the real-symmetric h, found
+    from ``seeds[0]`` and ``seeds[1]``."""
+    e0, v = _lowest_level(h, seeds[0])
+    # lifting e0 along v to the row-sum norm, which bounds every level,
+    # leaves h's second level the lowest whatever the seeds. Near ng = 0.5
+    # that level's vector is almost antisymmetric under k -> 1 - k, so
+    # orthogonal to a uniform start; a ramp is neither
+    lifted = h + (np.abs(h).sum(axis=1).max() - e0) * np.outer(v, v)
+    ramp = np.arange(1.0, len(h) + 1.0)
+    e1, _ = _lowest_level(lifted, seeds[1], ramp / np.linalg.norm(ramp))
+    return float(e1 - e0)
+
+
 def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int,
-                 levels=None) -> float:
+                 levels) -> float:
     """f01 of the real-symmetric form of the matrix on a ``grid_n`` grid
-    (U is even in phi, so c is real up to rounding). At ng = 0 from its
-    parity blocks, seeded with the primary ``levels[0]`` (even) and
-    ``levels[1]`` (odd), or else with each block's smallest diagonal
-    element, which lies above its lowest level; at ng != 0 by dsyevr."""
+    (U is even in phi, so c is real up to rounding), its levels found by
+    inverse iteration seeded with the primary ``levels[0]`` and
+    ``levels[1]``: at ng = 0 in its parity blocks, else in the whole
+    matrix."""
     c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
     if ng == 0.0:
-        blocks = _parity_blocks(c.real, charging)
-        seeds = levels[:2] if levels is not None else [b.diagonal().min() for b in blocks]
-        return _blocks_f01(blocks, seeds)
+        return _blocks_f01(_parity_blocks(c.real, charging), levels[:2])
     h = _toeplitz(c.real, c.real)
     h[np.diag_indices(grid_n)] += charging
-    e0, e1 = _eigvalsh(h, subset_by_index=(0, 1))
-    return float(e1 - e0)
+    return _one_block_f01(h, levels[:2])
 
 
 def gatemon_levels(
@@ -412,21 +407,17 @@ def gatemon_levels(
 
     check : when True, re-solve on a 2*grid_n+1 grid and require f01 to
         move by less than 0.01 MHz, raising TruncationError otherwise. The
-        re-solve uses the real-symmetric form of the refined matrix and
-        computes its two lowest levels only. At ng = 0 it solves that
-        matrix as two parity blocks: U(phi) is even and so is 4*EC*k^2,
-        so the matrix commutes with the charge reflection k -> -k and has
-        no elements between the states (|k> + |-k>)/sqrt2 and
-        (|k> - |-k>)/sqrt2. The even and odd blocks in those bases hold
-        every level of the whole matrix exactly. Each block's lowest level
-        comes from inverse iteration on one Cholesky factorization, at a
-        shift just below the primary solve's ground level (even block) or
-        first excited level (odd block); a third factorization proves that
-        the ground state's block has no second level below the other
-        block's lowest, or the check solves for it. The refined f01 agrees
-        with a dense solve to about 1e-8 MHz, the rounding of any dense
-        solver at this size. At ng != 0 there is no such symmetry and
-        LAPACK dsyevr solves the whole matrix for its two lowest levels.
+        re-solve finds the two lowest levels of the refined matrix's
+        real-symmetric form by inverse iteration on Cholesky factors,
+        seeded with the primary levels. At ng = 0 the matrix commutes with
+        the charge reflection k -> -k (U(phi) and 4*EC*k^2 are even), so
+        it splits into blocks in the bases (|k> +/- |-k>)/sqrt2, which
+        hold every level exactly: each block's lowest level is found, and
+        one more factorization proves their order. At ng != 0 the check
+        finds the whole matrix's ground level, then the lowest level of
+        the matrix with that level lifted past the whole spectrum. The
+        refined f01 agrees with a dense solve to about 1e-8 MHz, the
+        rounding of any dense solver at this size.
     """
     if params.is_transmon:
         raise ValueError("gatemon_levels needs the (gap, transmissions) variant")

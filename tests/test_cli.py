@@ -227,14 +227,17 @@ class TestSweepGate:
         assert main(["sweep-gate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("9 gate points")
 
-    @pytest.mark.parametrize("routine", ["dstevd", "zheevr", "dsyevr", "dpotrf", "dpotrs"])
-    def test_lapack_failure_exit_two(self, routine, tmp_path, capsys, fail_lapack):
-        # a LAPACK wrapper reporting info = 1 is a solver failure; dsyevr
-        # runs only in the check at ng != 0, dpotrf and dpotrs at ng = 0
+    @pytest.mark.parametrize("routine,ng", [("dstevd", None), ("dpotrf", None), ("dpotrs", None),
+                                            ("dpotrf", 0.23), ("dpotrs", 0.23)],
+                             ids=["dstevd", "dpotrf", "dpotrs",
+                                  "dpotrf-offset-charge", "dpotrs-offset-charge"])
+    def test_lapack_failure_exit_two(self, routine, ng, tmp_path, capsys, fail_lapack):
+        # a LAPACK wrapper reporting info = 1 is a solver failure; dpotrf and
+        # dpotrs run in the gatemon check at every ng
         fail_lapack(routine)
         yaml = SWEEP_YAML if routine == "dstevd" else self.GATEMON_GRID_YAML
-        if routine == "dsyevr":
-            yaml = yaml.replace("  grid_n: 401\n", "  grid_n: 401\n  ng: 0.23\n")
+        if ng is not None:
+            yaml = yaml.replace("  grid_n: 401\n", f"  grid_n: 401\n  ng: {ng}\n")
         assert main(["sweep-gate", "--config", _config(tmp_path, yaml)]) == 2
         captured = capsys.readouterr()
         assert "solver failure" in captured.err

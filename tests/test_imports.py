@@ -29,11 +29,16 @@ PIPELINE_YAML = str(CONFIGS / "pipeline.yaml")
 
 def _loaded_after(code: str) -> set:
     """Third-party modules (scipy*, yaml*) and numpy.ma, if loaded, after
-    running ``code``."""
+    running ``code``. The LAPACK wrapper module counts once cqedkit has
+    loaded it, although cqedkit keeps it out of sys.modules."""
     probe = code + (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'yaml') or m == 'numpy.ma')))\n"
+        "loaded = {m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'yaml') or m == 'numpy.ma'}\n"
+        "spectra = sys.modules.get('cqedkit.spectra')\n"
+        "if spectra and spectra._flapack.cache_info().currsize:\n"
+        "    loaded.add(spectra.FLAPACK)\n"
+        "print(json.dumps(sorted(loaded)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)

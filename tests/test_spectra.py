@@ -149,28 +149,40 @@ GATEMON_DEVICES = [(EC, 45600.0, (t,)) for t in (0.05, 0.5, 0.95, 1.0)] + [
 ]
 
 
+def _refined_f01(ec, gap, transmissions, ng, grid_n):
+    """The refinement check as gatemon_levels runs it for a grid_n grid:
+    on the 2*grid_n+1 grid, seeded with the primary levels."""
+    levels = spectra._gatemon_eigvals(ec, gap, transmissions, ng, grid_n)
+    return spectra._gatemon_f01(ec, gap, transmissions, ng, 2 * grid_n + 1, levels)
+
+
 @pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
 @pytest.mark.parametrize("device", GATEMON_DEVICES)
 def test_gatemon_check_f01_matches_complex_full_solve(device, ng):
     from scipy.linalg import eigvalsh
 
-    grid_n = 2 * DEFAULT_GRID_N + 1
-    full = eigvalsh(_modulo_hamiltonian(*device, ng, grid_n))
-    f01 = spectra._gatemon_f01(*device, ng, grid_n)
+    full = eigvalsh(_modulo_hamiltonian(*device, ng, 2 * DEFAULT_GRID_N + 1))
+    f01 = _refined_f01(*device, ng, DEFAULT_GRID_N)
     assert abs(f01 - (full[1] - full[0])) < 1e-6
 
 
-@pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
-@pytest.mark.parametrize("device", GATEMON_DEVICES)
-def test_gatemon_toeplitz_build_is_bit_identical(device, ng, monkeypatch):
-    built = []
-    eigvalsh = spectra._eigvalsh
+def _capture_dense_solves(monkeypatch):
+    """A copy of every matrix handed to np.linalg.eigvalsh, which still runs."""
+    built, eigvalsh = [], np.linalg.eigvalsh
 
     def capture(h, *args, **kwargs):
         built.append(h.copy())
         return eigvalsh(h, *args, **kwargs)
 
-    monkeypatch.setattr(spectra, "_eigvalsh", capture)
+    monkeypatch.setattr(np.linalg, "eigvalsh", capture)
+    return built
+
+
+@pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
+@pytest.mark.parametrize("device", GATEMON_DEVICES)
+def test_gatemon_toeplitz_build_is_bit_identical(device, ng, monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    built = _capture_dense_solves(monkeypatch)
     vals = spectra._gatemon_eigvals(*device, ng, DEFAULT_GRID_N)
     want = _modulo_hamiltonian(*device, ng, DEFAULT_GRID_N)
     assert np.array_equal(built[0], want)
@@ -191,7 +203,7 @@ def _seeded_devices(count, seed=2024):
 
 
 def _whole_refined_f01(ec, gap, transmissions, ng, grid_n):
-    # the refined real-symmetric matrix solved whole, as the ng != 0 path does
+    # the refined real-symmetric matrix solved whole by a dense solver
     from scipy.linalg import eigvalsh, toeplitz
 
     c, charging = spectra._gatemon_terms(ec, gap, transmissions, ng, grid_n)
@@ -203,9 +215,8 @@ def _whole_refined_f01(ec, gap, transmissions, ng, grid_n):
 def test_gatemon_check_parity_blocks_match_whole_matrix():
     worst = 0.0
     for ec, gap, channels, grid_n in _seeded_devices(108):
-        refined = 2 * grid_n + 1
-        split = spectra._gatemon_f01(ec, gap, channels, 0.0, refined)
-        worst = max(worst, abs(split - _whole_refined_f01(ec, gap, channels, 0.0, refined)))
+        split = _refined_f01(ec, gap, channels, 0.0, grid_n)
+        worst = max(worst, abs(split - _whole_refined_f01(ec, gap, channels, 0.0, 2 * grid_n + 1)))
     assert worst < 1e-7
 
 
@@ -222,23 +233,29 @@ def _spy(monkeypatch, name):
 
 
 @pytest.mark.parametrize("ng,sizes", [(0.0, [(202, 202), (201, 201)]),
-                                      (0.23, [(403, 403)]), (0.5, [(403, 403)])])
+                                      (0.23, [(403, 403)] * 2), (0.5, [(403, 403)] * 2)])
 def test_gatemon_check_splits_only_at_zero_offset_charge(ng, sizes, monkeypatch):
-    # at ng = 0 the even and odd blocks go to inverse iteration and nothing
-    # to dsyevr; at ng != 0 the whole matrix goes to dsyevr
+    # at ng = 0 the even and odd blocks go to inverse iteration; at ng != 0
+    # the whole matrix does, then the matrix with its ground level lifted.
+    # The check hands nothing to a dense solver
+    device = (EC, 45600.0, (0.85, 0.3, 0.1), ng)
+    levels = spectra._gatemon_eigvals(*device, DEFAULT_GRID_N)
     blocks = _spy(monkeypatch, "_lowest_level")
-    solves = _spy(monkeypatch, "_eigvalsh")
-    spectra._gatemon_f01(EC, 45600.0, (0.85, 0.3, 0.1), ng, 2 * DEFAULT_GRID_N + 1)
-    shapes = ([args[0].shape for args in blocks], [args[0].shape for args in solves])
-    assert shapes == ((sizes, []) if ng == 0.0 else ([], sizes))
+    solves = _capture_dense_solves(monkeypatch)
+    spectra._gatemon_f01(*device, 2 * DEFAULT_GRID_N + 1, levels)
+    assert [args[0].shape for args in blocks] == sizes
+    assert solves == []
 
 
 def test_seeded_check_factors_each_block_once(monkeypatch):
     # seeded with the primary levels, the check factors the even block, the
-    # odd block and the lifted even block that proves their order
+    # odd block and the lifted even block that proves their order; at
+    # ng != 0 it factors the whole matrix and the lifted one
     shifts = _spy(monkeypatch, "_factor")
-    gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.85, 0.3, 0.1)))
-    assert len(shifts) == 3
+    for ng, factorizations in ((0.0, 3), (0.23, 2), (0.5, 2)):
+        shifts.clear()
+        gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.85, 0.3, 0.1), ng=ng))
+        assert len(shifts) == factorizations
 
 
 def _sliced_parity_blocks(ec, gap, transmissions, grid_n):
@@ -258,11 +275,10 @@ def _sliced_parity_blocks(ec, gap, transmissions, grid_n):
 def test_gatemon_check_factors_the_sliced_parity_blocks_bit_for_bit(monkeypatch):
     blocks = _spy(monkeypatch, "_lowest_level")
     for ec, gap, channels, grid_n in _seeded_devices(24, seed=1701):
-        refined = 2 * grid_n + 1
         blocks.clear()
-        spectra._gatemon_f01(ec, gap, channels, 0.0, refined)
+        _refined_f01(ec, gap, channels, 0.0, grid_n)
         got = [args[0] for args in blocks]
-        want = _sliced_parity_blocks(ec, gap, channels, refined)
+        want = _sliced_parity_blocks(ec, gap, channels, 2 * grid_n + 1)
         assert len(got) == 2 and all(_same_bits(g, w) for g, w in zip(got, want))
 
 
@@ -279,8 +295,9 @@ def _check_devices(count, seed=1702):
 
 
 def test_gatemon_check_fails_on_the_same_devices_as_dense_solves(monkeypatch):
-    # the oracle: scipy's dense eigvalsh on each parity block, as the check
-    # solved them before; the pass/fail decision and f01 must follow it
+    # the oracle: scipy's dense eigvalsh on each parity block at ng = 0, as
+    # the check solved them before, and on the whole matrix at ng != 0; the
+    # pass/fail decision and f01 must follow it
     from scipy.linalg import eigvalsh
 
     found = []
@@ -291,22 +308,28 @@ def test_gatemon_check_fails_on_the_same_devices_as_dense_solves(monkeypatch):
         return found[-1][1]
 
     monkeypatch.setattr(spectra, "_gatemon_f01", record)
-    failed = worst = 0
-    for ec, gap, channels, grid_n in _check_devices(300):
-        try:
-            gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels), grid_n=grid_n)
-            raised = False
-        except TruncationError:
-            raised = True
-        levels, f01 = found.pop()
-        blocks = _sliced_parity_blocks(ec, gap, channels, 2 * grid_n + 1)
-        low = np.sort(np.concatenate([eigvalsh(b, subset_by_index=[0, 1]) for b in blocks]))
-        want = low[1] - low[0]
-        assert raised == (abs((levels[1] - levels[0]) - want) >= spectra.F01_CONVERGENCE_MHZ)
-        failed += raised
-        worst = max(worst, abs(f01 - want))
-    assert worst < 1e-7
-    assert 10 <= failed <= 290  # both outcomes are exercised
+    for ng in (0.0, 0.23, 0.5):
+        failed = worst = 0
+        for ec, gap, channels, grid_n in _check_devices(300):
+            try:
+                gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels, ng=ng),
+                               grid_n=grid_n)
+                raised = False
+            except TruncationError:
+                raised = True
+            levels, f01 = found.pop()
+            if ng == 0.0:
+                blocks = _sliced_parity_blocks(ec, gap, channels, 2 * grid_n + 1)
+                low = np.sort(np.concatenate([eigvalsh(b, subset_by_index=[0, 1])
+                                              for b in blocks]))
+                want = low[1] - low[0]
+            else:
+                want = _whole_refined_f01(ec, gap, channels, ng, 2 * grid_n + 1)
+            assert raised == (abs((levels[1] - levels[0]) - want) >= spectra.F01_CONVERGENCE_MHZ)
+            failed += raised
+            worst = max(worst, abs(f01 - want))
+        assert worst < 1e-7, ng
+        assert 10 <= failed <= 290, ng  # both outcomes are exercised
 
 
 def _weakly_coupled(diagonal, rng):
@@ -343,6 +366,50 @@ def test_check_takes_the_other_blocks_lowest_once_the_order_is_proved(monkeypatc
     assert len(solved) == 2  # one factorization proved the order
 
 
+def _whole_refined_matrix(ng, transmissions):
+    """The refined real-symmetric matrix at EC = 190 MHz, as the check builds it."""
+    grid_n = 2 * DEFAULT_GRID_N + 1
+    c, charging = spectra._gatemon_terms(EC, 45600.0, transmissions, ng, grid_n)
+    h = spectra._toeplitz(c.real, c.real)
+    h[np.diag_indices(grid_n)] += charging
+    return h
+
+
+@pytest.mark.parametrize("ng,transmissions", [(0.23, (0.85, 0.3, 0.1)), (0.5, (1e-4,)),
+                                               (0.5, (1e-5,)), (0.5, (1e-6,)), (0.5, (1e-7,))],
+                         ids=["ng0.23", "ng0.5-T1e-4", "ng0.5-T1e-5", "ng0.5-T1e-6", "ng0.5-T1e-7"])
+def test_one_block_check_does_not_lean_on_the_second_seed(ng, transmissions, monkeypatch):
+    # a second seed below (e0 + e1)/2 must not leave the lifted ground level
+    # the lowest, and one far above must not miss the second level. At
+    # ng = 0.5 the matrix is symmetric under k -> 1 - k up to rounding and
+    # the second level's vector antisymmetric, orthogonal to a uniform start
+    from scipy.linalg import eigvalsh
+
+    h = _whole_refined_matrix(ng, transmissions)
+    e0, e1 = eigvalsh(h, subset_by_index=[0, 1])
+    seeds = [e0 + f * (e1 - e0) for f in (-0.5, 0.1, 0.49)]
+    seeds += [e1 + d for d in np.linspace(0.0, 25.0 * EC, 51)]
+    shifts = _spy(monkeypatch, "_factor")
+    for seed in seeds:
+        shifts.clear()
+        f01 = spectra._one_block_f01(h, [e0, seed])
+        assert abs(f01 - (e1 - e0)) < 1e-7, seed - e1
+        assert len(shifts) < spectra._SHIFT_TRIES
+
+
+@pytest.mark.parametrize("ng", [0.5, 0.5 - 1e-9], ids=["half", "near-half"])
+@pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6, 1e-7, 3e-8])
+def test_one_block_check_parts_near_degenerate_levels(t, ng, monkeypatch):
+    # near ng = 0.5 only the potential splits the charge states 0 and 1:
+    # by 1.1 MHz at T = 1e-4, by 0.34 kHz at T = 3e-8, far less than the
+    # first shift's margin below the ground level (0.03 MHz)
+    device = (EC, 45600.0, (t,), ng)
+    shifts = _spy(monkeypatch, "_factor")
+    f01 = _refined_f01(*device, DEFAULT_GRID_N)
+    assert abs(f01 - _whole_refined_f01(*device, 2 * DEFAULT_GRID_N + 1)) < 1e-7
+    assert len(shifts) < spectra._SHIFT_TRIES
+
+
 @pytest.mark.parametrize("offset", [1e5, -1e5], ids=["far-above", "far-below"])
 def test_inverse_iteration_converges_from_a_distant_seed(offset, monkeypatch):
     from scipy.linalg import eigvalsh
@@ -363,8 +430,9 @@ def test_inverse_iteration_converges_from_a_distant_seed(offset, monkeypatch):
         assert len(shifts) < spectra._SHIFT_TRIES
 
 
-# The solvers call LAPACK through scipy's compiled wrappers; scipy.linalg's
-# own functions are the oracles, and the levels must be the same bits.
+# The primary gatemon solve is numpy's and the transmon solve calls LAPACK
+# through scipy's compiled wrappers; scipy.linalg's own functions are the
+# oracles, and the levels must be the same bits.
 
 def _oracle_devices(count, seed=1517):
     """(ec, gap, transmissions, ng, grid_n): 1-3 channels, each ng on both grids."""
@@ -382,30 +450,18 @@ def _same_bits(a, b):
 def test_gatemon_solves_match_scipy_eigvalsh_bit_for_bit(monkeypatch):
     from scipy.linalg import eigvalsh
 
-    solves = []
-    ours = spectra._eigvalsh
-
-    def capture(h, subset_by_index=None):
-        solves.append((h.copy(), subset_by_index))
-        return ours(h, subset_by_index)
-
-    monkeypatch.setattr(spectra, "_eigvalsh", capture)
+    ours = np.linalg.eigvalsh
+    solves = _capture_dense_solves(monkeypatch)
     for ec, gap, channels, ng, grid_n in _oracle_devices(12):
         solves.clear()
-        gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels, ng=ng),
-                       grid_n=grid_n, check=False)
-        spectra._gatemon_f01(ec, gap, channels, ng, grid_n)
-        # the complex primary solve, then the whole real matrix at ng != 0;
-        # the ng = 0 check goes by inverse iteration and solves nothing here
-        assert solves[0][0].dtype == complex and solves[0][1] is None
-        assert len(solves) == (1 if ng == 0.0 else 2)
-        for h, subset in solves:
-            if subset is None:
-                want = eigvalsh(h)
-            else:
-                assert h.dtype == float and subset == (0, 1)
-                want = eigvalsh(h, subset_by_index=[0, 1])
-            assert _same_bits(ours(h, subset), want)
+        s = gatemon_levels(QubitParams(ec=ec, gap=gap, transmissions=channels, ng=ng),
+                           grid_n=grid_n)
+        # the complex primary solve only: the check goes by inverse iteration
+        # at every ng and hands nothing to a dense solver
+        assert len(solves) == 1 and solves[0].dtype == complex
+        want = eigvalsh(solves[0])
+        assert _same_bits(ours(solves[0]), want)
+        assert _same_bits(s.levels, want[:spectra.N_LEVELS])
 
 
 @pytest.mark.parametrize("ng", [0.0, 0.23, 0.5])
@@ -419,53 +475,83 @@ def test_transmon_solve_matches_scipy_tridiagonal_bit_for_bit(ng):
             assert _same_bits(spectra._transmon_eigvals(EC, EC * ratio, ng, n_cut), want)
 
 
-def test_wrappers_give_the_same_bits_before_and_after_scipy_linalg(tmp_path):
-    # a fresh interpreter, so the wrappers load before scipy.linalg does
-    probe = """
+# a fresh interpreter's solves, at ng = 0 and 0.23, before scipy.linalg loads
+_SOLVES_BEFORE_SCIPY_LINALG = """
 import sys
 import numpy as np
 from cqedkit import spectra
-args = (190.0, 45600.0, (0.85, 0.3, 0.1), 0.0, 403)
 def solve():
-    return (spectra._gatemon_eigvals(*args), np.array([spectra._gatemon_f01(*args)]),
-            spectra._transmon_eigvals(190.0, 9500.0, 0.23, 30))
+    found = [spectra._transmon_eigvals(190.0, 9500.0, 0.23, 30)]
+    for ng in (0.0, 0.23):
+        args = (190.0, 45600.0, (0.85, 0.3, 0.1), ng)
+        levels = spectra._gatemon_eigvals(*args, 201)
+        found += [levels, np.array([spectra._gatemon_f01(*args, 403, levels)])]
+    return found
+def same(before, after):
+    return all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(before, after))
 before = solve()
-assert "scipy.linalg" not in sys.modules and spectra.FLAPACK in sys.modules
+assert "scipy.linalg" not in sys.modules and spectra.FLAPACK not in sys.modules
+assert spectra._flapack.cache_info().currsize == 1
+"""
+
+
+def _fresh_interpreter(probe, cwd):
+    env = dict(os.environ)
+    src = str(Path(spectra.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_wrappers_give_the_same_bits_before_and_after_scipy_linalg(tmp_path):
+    # the wrappers load before scipy.linalg does, and stay out of
+    # sys.modules; once the package is in, they are taken from it
+    probe = _SOLVES_BEFORE_SCIPY_LINALG + """
 import scipy.linalg
 spectra._flapack.cache_clear()
 after = solve()
 assert spectra._flapack() is scipy.linalg.lapack._flapack
-assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(before, after))
-print("same")
+print("same" if same(before, after) else "differ")
 """
-    env = dict(os.environ)
-    src = str(Path(spectra.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["same"]
+    assert _fresh_interpreter(probe, tmp_path) == ["same"]
+
+
+def test_scipy_linalg_binds_its_wrappers_after_cqedkit_loads_them(tmp_path):
+    # a module cqedkit left in sys.modules would be found there by the
+    # package's own import, which then never binds it as an attribute
+    probe = _SOLVES_BEFORE_SCIPY_LINALG + """
+import scipy.linalg
+assert scipy.linalg._flapack is sys.modules[spectra.FLAPACK]
+assert scipy.linalg._flapack.dpotrf is spectra._flapack().dpotrf
+print("same" if same(before, solve()) else "differ")
+"""
+    assert _fresh_interpreter(probe, tmp_path) == ["same"]
 
 
 def test_non_finite_hamiltonian_raises_value_error():
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-        spectra._eigvalsh(np.full((3, 3), np.nan))
+        spectra._gatemon_eigvals(EC, 45600.0, (0.5,), math.nan, 101)
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         transmon_levels(QubitParams(ec=EC, ej=math.inf))
     with pytest.raises(ValueError, match="must not contain infs or NaNs"):
         gatemon_levels(QubitParams(ec=math.nan, gap=45600.0, transmissions=(0.5,)))
 
 
-@pytest.mark.parametrize("routine", ["zheevr", "dsyevr", "dstevd", "dpotrf", "dpotrs"])
-def test_lapack_info_raises_linalg_error(routine, fail_lapack):
-    # dsyevr runs only in the ng != 0 check; a dpotrf that never factors
-    # lowers the shift a bounded number of times, then raises
+@pytest.mark.parametrize("routine,ng", [("dstevd", 0.0), ("dpotrf", 0.0), ("dpotrs", 0.0),
+                                        ("dpotrf", 0.23), ("dpotrs", 0.23)],
+                         ids=["dstevd", "dpotrf", "dpotrs",
+                              "dpotrf-offset-charge", "dpotrs-offset-charge"])
+def test_lapack_info_raises_linalg_error(routine, ng, fail_lapack):
+    # the gatemon check runs dpotrf and dpotrs at every ng; a dpotrf that
+    # never factors lowers the shift a bounded number of times, then raises
     fail_lapack(routine)
     with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed with info = 1"):
         if routine == "dstevd":
             transmon_levels(QubitParams(ec=EC, ej=50 * EC))
         else:
-            ng = 0.23 if routine == "dsyevr" else 0.0
             gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,), ng=ng))
 
 
