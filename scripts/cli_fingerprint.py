@@ -34,10 +34,12 @@ SYNTH_KINDS = ("reflection", "rabi", "power_map", "gate_map", "two_tone")
 VERBS = ("fit-resonator", "fit-lorentzian", "fit-rabi", "simulate-qubit",
          "simulate-cavity", "sweep-gate", "synth", "pipeline")
 
-# configs written next to the shipped ones, for the failure paths and the
-# gatemon at nonzero offset charge (tolerance_miss.yaml is pipeline.yaml
-# with an unreachable f_r tolerance, gatemon_ng.yaml is gatemon.yaml at
-# ng = 0.23)
+# configs written next to the shipped ones, for the failure paths, a
+# warning and the gatemon at nonzero offset charge (tolerance_miss.yaml is
+# pipeline.yaml with an unreachable f_r tolerance, strong_coupling.yaml is
+# pipeline.yaml with g too strong for the dispersive shift, which warns,
+# gatemon_ng.yaml is gatemon.yaml at ng = 0.23 and
+# gatemon_truncated_ng0.yaml is gatemon_truncated.yaml at ng = 0)
 EXTRA_CONFIGS = {
     "missing_table.yaml": (
         "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n"
@@ -89,6 +91,8 @@ RUNS = [
     ("sweep-gate-files", ["sweep-gate", "--config", "cfg/synth_two_tone.yaml", "--out",
                           "sweep.csv", "--json", "sweep.json", "--plot", "sweep.svg"], {}),
     ("sweep-gate-truncated", ["sweep-gate", "--config", "cfg/gatemon_truncated.yaml"], {}),
+    ("sweep-gate-truncated-ng0", ["sweep-gate", "--config", "cfg/gatemon_truncated_ng0.yaml"],
+     {}),
     ("pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "pipe"], {}),
     ("pipeline-seed", ["pipeline", "--config", "cfg/pipeline.yaml", "--seed", "3",
                        "--workdir", "pipe_seed"], {}),
@@ -96,6 +100,8 @@ RUNS = [
                                  "--workdir", "pipe_miss"], {}),
     ("pipeline-input-error", ["pipeline", "--config", "cfg/missing_table.yaml",
                               "--workdir", "pipe_input"], {}),
+    ("pipeline-strong-coupling", ["pipeline", "--config", "cfg/strong_coupling.yaml",
+                                  "--workdir", "pipe_strong"], {}),
     ("unknown-verb", ["frobnicate"], {}),
     ("missing-config", ["simulate-qubit"], {}),
     ("missing-data", ["fit-rabi"], {}),
@@ -149,7 +155,10 @@ def fingerprint(workdir: Path) -> list[str]:
         (cfg / name).write_text(text)
     pipeline = (cfg / "pipeline.yaml").read_text()
     (cfg / "tolerance_miss.yaml").write_text(pipeline.replace("f_r_mhz: 0.5", "f_r_mhz: 1.0e-9"))
+    (cfg / "strong_coupling.yaml").write_text(pipeline.replace("g_mhz: 100.0", "g_mhz: 2000.0"))
     (cfg / "gatemon_ng.yaml").write_text((cfg / "gatemon.yaml").read_text() + "  ng: 0.23\n")
+    truncated = EXTRA_CONFIGS["gatemon_truncated.yaml"]
+    (cfg / "gatemon_truncated_ng0.yaml").write_text(truncated.replace("  ng: 0.23\n", ""))
     lines = []
     cwd = os.getcwd()
     os.chdir(workdir)

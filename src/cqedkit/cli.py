@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -365,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a library warning prints as one line, as the errors below do
+    saved, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
         return args.func(args)
     except InputDataError as exc:
@@ -377,6 +380,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid value: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

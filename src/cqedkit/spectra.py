@@ -15,12 +15,12 @@ The primary gatemon solve is numpy's ``eigvalsh``. The routines numpy
 lacks come from scipy's compiled f2py LAPACK wrappers
 (``scipy.linalg._flapack``): ``dstevd`` for the transmon, called as
 scipy.linalg's ``eigvalsh_tridiagonal`` calls it, so the levels are the
-same bits, and ``dpotrf``/``dpotrs`` for the gatemon refinement check's
-inverse iteration. The wrapper module is loaded from scipy's install
-directory on the first solve, without running any scipy package
-``__init__``: code that never solves a spectrum, such as the fit verbs,
-loads no scipy at all, and code that does skips importing
-``scipy.linalg`` and the numpy submodules it pulls in.
+same bits, and ``dpotrf``/``dpotrs`` for the inverse iteration of the
+gatemon refinement check, one two-level search at every ng. The wrapper
+module is loaded from scipy's install directory on the first solve,
+without running any scipy package ``__init__``: code that never solves a
+spectrum, such as the fit verbs, loads no scipy at all, and code that does
+skips importing ``scipy.linalg`` and the numpy submodules it pulls in.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def _factor(a: np.ndarray, shift: float):
 
 def _lowest_level(b: np.ndarray, seed: float, x=None) -> tuple[float, np.ndarray]:
     """The lowest eigenvalue of the real-symmetric b and its unit vector,
-    iterated from the unit vector ``x`` (uniform by default).
+    iterated from the unit vector ``x`` (uniform unless a ramp is given).
 
     The shift starts a small margin below ``seed``. While b - shift*I does
     not factor, some level lies at or below the shift, and the shift drops
@@ -346,49 +346,42 @@ def _parity_blocks(cr: np.ndarray, charging: np.ndarray) -> tuple[np.ndarray, np
     return t, odd
 
 
-def _blocks_f01(blocks, seeds) -> float:
-    """The gap between the two lowest levels of the union of two blocks'
-    spectra, each block's lowest level found from its seed."""
-    (e0, v, block), (e1, _, _) = sorted(
-        ((*_lowest_level(b, s), b) for b, s in zip(blocks, seeds)), key=lambda found: found[0])
-    # the union's second level is e1 unless e0's block has a second level
-    # below it. Lifting e0 by 2*(e1 - e0) along v leaves that level the
-    # block's lowest (interlacing bounds it below by the block's second
-    # level whatever v is), so a Cholesky factorization of the lifted block
-    # minus e1 proves there is none, and a failed one means solving for it
-    lifted = block + 2.0 * (e1 - e0) * np.outer(v, v)
-    if _factor(lifted.copy(), e1)[1]:
-        e1 = min(e1, _lowest_level(lifted, e1)[0])
-    return float(e1 - e0)
-
-
-def _one_block_f01(h: np.ndarray, seeds) -> float:
-    """The gap between the two lowest levels of the real-symmetric h, found
-    from ``seeds[0]`` and ``seeds[1]``."""
-    e0, v = _lowest_level(h, seeds[0])
-    # lifting e0 along v to the row-sum norm, which bounds every level,
-    # leaves h's second level the lowest whatever the seeds. Near ng = 0.5
-    # that level's vector is almost antisymmetric under k -> 1 - k, so
-    # orthogonal to a uniform start; a ramp is neither
-    lifted = h + (np.abs(h).sum(axis=1).max() - e0) * np.outer(v, v)
-    ramp = np.arange(1.0, len(h) + 1.0)
-    e1, _ = _lowest_level(lifted, seeds[1], ramp / np.linalg.norm(ramp))
-    return float(e1 - e0)
+def _union_f01(blocks, levels, bound: float) -> float:
+    """The gap between the two lowest levels of the union of the
+    real-symmetric blocks' spectra, block i's lowest level found from
+    ``levels[i]``; ``bound`` lies above every level of every block."""
+    (e0, v, block), *others = sorted(
+        ((*_lowest_level(b, s), b) for b, s in zip(blocks, levels)), key=lambda found: found[0])
+    # lifting e0 along v past every level leaves the block's second level
+    # its lowest; whatever v is, interlacing keeps the lifted lowest level
+    # at or below it, so a Cholesky factorization of the lifted block at
+    # another block's lowest level proves that level the union's second
+    lifted = block + (bound - e0) * np.outer(v, v)
+    upper = [found[0] for found in others]
+    if upper and not _factor(lifted.copy(), upper[0])[1]:
+        return float(upper[0] - e0)
+    # near ng = 0.5 the second level's vector is almost antisymmetric under
+    # k -> 1 - k, so orthogonal to a uniform start; a ramp is neither
+    ramp = np.arange(1.0, len(block) + 1.0)
+    e1, _ = _lowest_level(lifted, levels[1], ramp / np.linalg.norm(ramp))
+    return float(min([e1, *upper]) - e0)
 
 
 def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int,
                  levels) -> float:
     """f01 of the real-symmetric form of the matrix on a ``grid_n`` grid
     (U is even in phi, so c is real up to rounding), its levels found by
-    inverse iteration seeded with the primary ``levels[0]`` and
-    ``levels[1]``: at ng = 0 in its parity blocks, else in the whole
-    matrix."""
+    inverse iteration seeded with the primary ``levels``: at ng = 0 in its
+    parity blocks, else in the whole matrix."""
     c, charging = _gatemon_terms(ec, gap, transmissions, ng, grid_n)
+    c = c.real
     if ng == 0.0:
-        return _blocks_f01(_parity_blocks(c.real, charging), levels[:2])
-    h = _toeplitz(c.real, c.real)
-    h[np.diag_indices(grid_n)] += charging
-    return _one_block_f01(h, levels[:2])
+        blocks = _parity_blocks(c, charging)
+    else:
+        blocks = [_toeplitz(c, c)]
+        blocks[0][np.diag_indices(grid_n)] += charging
+    # Gershgorin: no row of the matrix or of its parity blocks sums past this
+    return _union_f01(blocks, levels, charging.max() + 3.0 * np.abs(c).sum())
 
 
 def gatemon_levels(
@@ -412,12 +405,12 @@ def gatemon_levels(
         seeded with the primary levels. At ng = 0 the matrix commutes with
         the charge reflection k -> -k (U(phi) and 4*EC*k^2 are even), so
         it splits into blocks in the bases (|k> +/- |-k>)/sqrt2, which
-        hold every level exactly: each block's lowest level is found, and
-        one more factorization proves their order. At ng != 0 the check
-        finds the whole matrix's ground level, then the lowest level of
-        the matrix with that level lifted past the whole spectrum. The
-        refined f01 agrees with a dense solve to about 1e-8 MHz, the
-        rounding of any dense solver at this size.
+        hold every level exactly; at ng != 0 the whole matrix is the one
+        block. Each block's lowest level is found, the ground level is
+        lifted past a Gershgorin bound, and one more factorization proves
+        the other block's lowest level the second, or the lifted block's
+        lowest level is found. The refined f01 agrees with a dense solve
+        to about 1e-8 MHz, the rounding of any dense solver at this size.
     """
     if params.is_transmon:
         raise ValueError("gatemon_levels needs the (gap, transmissions) variant")

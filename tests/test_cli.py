@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -469,6 +470,29 @@ class TestPipeline:
         assert report["passed"] is False
         assert report["stages"][-1]["name"] == "sweep"
         assert report["stages"][-1]["status"] == "fail"
+
+    def test_library_warning_prints_one_line(self, tmp_path, capsys, monkeypatch):
+        # g = 2 GHz leaves the qubit within 10 g of the cavity, so the
+        # dispersive shift warns; the warning takes one stderr line and the
+        # run goes on. pytest records warnings in-process, so the stderr
+        # comes from a fresh interpreter and the stdout from both
+        strong = Path(PIPELINE_YAML).read_text().replace("g_mhz: 100.0", "g_mhz: 2000.0")
+        cfg = _config(tmp_path, strong)
+        monkeypatch.chdir(tmp_path)
+        formatter = warnings.formatwarning
+        with pytest.warns(UserWarning, match="10 g"):
+            assert main(["pipeline", "--config", cfg, "--workdir", "w"]) == 0
+        assert warnings.formatwarning is formatter
+        out = capsys.readouterr().out
+        env = dict(os.environ)
+        src = str(Path(cqedkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-m", "cqedkit", "pipeline", "--config", cfg,
+                               "--workdir", "w"], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ("warning: |delta| = 1.84e+03 MHz < 10 g; "
+                               "dispersive result unreliable\n")
+        assert done.stdout == out and out.rstrip().endswith("PASS")
 
 
 class TestIntegerConfigKeys:

@@ -337,6 +337,11 @@ def _weakly_coupled(diagonal, rng):
     return np.diag(diagonal) + (noise + noise.T) / 2.0
 
 
+def _row_sum_bound(blocks):
+    # Gershgorin: the largest absolute row sum bounds every level
+    return max(np.abs(b).sum(axis=1).max() for b in blocks)
+
+
 @pytest.mark.parametrize("ground_first", [True, False], ids=["even-ground", "odd-ground"])
 def test_check_finds_a_second_level_below_the_other_blocks_lowest(ground_first, monkeypatch):
     # the ground level's block holds its second level near 1, below the
@@ -349,7 +354,7 @@ def test_check_finds_a_second_level_below_the_other_blocks_lowest(ground_first, 
     assert eigvalsh(ground)[1] < eigvalsh(other)[0]
     blocks = [ground, other] if ground_first else [other, ground]
     solved = _spy(monkeypatch, "_lowest_level")
-    f01 = spectra._blocks_f01(blocks, [b.diagonal().min() for b in blocks])
+    f01 = spectra._union_f01(blocks, [b.diagonal().min() for b in blocks], _row_sum_bound(blocks))
     assert abs(f01 - (eigvalsh(ground)[1] - eigvalsh(ground)[0])) < 1e-12
     assert len(solved) == 3  # both blocks, then the ground block's second level
 
@@ -361,18 +366,34 @@ def test_check_takes_the_other_blocks_lowest_once_the_order_is_proved(monkeypatc
     ground = _weakly_coupled(np.concatenate(([0.0], 3.0 + np.arange(40.0))), rng)
     other = _weakly_coupled(2.0 * np.arange(1.0, 41.0), rng)
     solved = _spy(monkeypatch, "_lowest_level")
-    f01 = spectra._blocks_f01([ground, other], [0.0, 2.0])
+    f01 = spectra._union_f01([ground, other], [0.0, 2.0], _row_sum_bound([ground, other]))
     assert abs(f01 - (eigvalsh(other)[0] - eigvalsh(ground)[0])) < 1e-12
     assert len(solved) == 2  # one factorization proved the order
 
 
-def _whole_refined_matrix(ng, transmissions):
-    """The refined real-symmetric matrix at EC = 190 MHz, as the check builds it."""
-    grid_n = 2 * DEFAULT_GRID_N + 1
-    c, charging = spectra._gatemon_terms(EC, 45600.0, transmissions, ng, grid_n)
-    h = spectra._toeplitz(c.real, c.real)
-    h[np.diag_indices(grid_n)] += charging
-    return h
+def _searched(ec, gap, transmissions, ng, grid_n):
+    """The blocks and the bound on their levels that the check on a
+    ``grid_n`` grid hands to its two-level search, which is not run."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(spectra, "_union_f01", lambda *args: calls.append(args))
+        spectra._gatemon_f01(ec, gap, transmissions, ng, grid_n, None)
+    (blocks, _, bound), = calls
+    return blocks, bound
+
+
+def test_check_bound_lies_above_every_level_of_every_block():
+    # the check lifts the ground level past charging.max() + 3*sum|c|, an
+    # O(n) Gershgorin bound on every row of the matrix and of its parity
+    # blocks; the oracle is scipy's dense eigvalsh top level of each block
+    from scipy.linalg import eigvalsh
+
+    for ng, count in ((0.0, 2), (0.23, 1), (0.5, 1)):
+        for ec, gap, channels, grid_n in _check_devices(300):
+            blocks, bound = _searched(ec, gap, channels, ng, 2 * grid_n + 1)
+            assert len(blocks) == count
+            for b in blocks:
+                assert eigvalsh(b, subset_by_index=[len(b) - 1] * 2)[0] <= bound, (ng, ec)
 
 
 @pytest.mark.parametrize("ng,transmissions", [(0.23, (0.85, 0.3, 0.1)), (0.5, (1e-4,)),
@@ -385,14 +406,14 @@ def test_one_block_check_does_not_lean_on_the_second_seed(ng, transmissions, mon
     # the second level's vector antisymmetric, orthogonal to a uniform start
     from scipy.linalg import eigvalsh
 
-    h = _whole_refined_matrix(ng, transmissions)
+    (h,), bound = _searched(EC, 45600.0, transmissions, ng, 2 * DEFAULT_GRID_N + 1)
     e0, e1 = eigvalsh(h, subset_by_index=[0, 1])
     seeds = [e0 + f * (e1 - e0) for f in (-0.5, 0.1, 0.49)]
     seeds += [e1 + d for d in np.linspace(0.0, 25.0 * EC, 51)]
     shifts = _spy(monkeypatch, "_factor")
     for seed in seeds:
         shifts.clear()
-        f01 = spectra._one_block_f01(h, [e0, seed])
+        f01 = spectra._union_f01([h], [e0, seed], bound)
         assert abs(f01 - (e1 - e0)) < 1e-7, seed - e1
         assert len(shifts) < spectra._SHIFT_TRIES
 
