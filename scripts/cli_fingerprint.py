@@ -54,6 +54,13 @@ EXTRA_CONFIGS = {
         "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
         "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 2.0\n"
         "  maps_to: transmission\n"),
+    # EJ/EC up to about 500 at the smallest charge cutoff: the transmon
+    # refinement check fails part way up the profile
+    "transmon_truncated.yaml": (
+        "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n  ng: 0.23\n  n_cut: 10\n"
+        "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
+        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 100000.0\n"
+        "  maps_to: ej\n"),
 }
 
 
@@ -93,6 +100,8 @@ RUNS = [
     ("sweep-gate-truncated", ["sweep-gate", "--config", "cfg/gatemon_truncated.yaml"], {}),
     ("sweep-gate-truncated-ng0", ["sweep-gate", "--config", "cfg/gatemon_truncated_ng0.yaml"],
      {}),
+    ("sweep-gate-transmon-truncated", ["sweep-gate", "--config",
+                                       "cfg/transmon_truncated.yaml"], {}),
     ("pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "pipe"], {}),
     ("pipeline-seed", ["pipeline", "--config", "cfg/pipeline.yaml", "--seed", "3",
                        "--workdir", "pipe_seed"], {}),

@@ -15,8 +15,9 @@ The primary gatemon solve is numpy's ``eigvalsh``. The routines numpy
 lacks come from scipy's compiled f2py LAPACK wrappers
 (``scipy.linalg._flapack``): ``dstevd`` for the transmon, called as
 scipy.linalg's ``eigvalsh_tridiagonal`` calls it, so the levels are the
-same bits, and ``dpotrf``/``dpotrs`` for the inverse iteration of the
-gatemon refinement check, one two-level search at every ng. The wrapper
+same bits, ``dstebz`` for the transmon refinement check, which bisects
+for the two lowest levels of the doubled matrix, and ``dpotrf``/``dpotrs``
+for the inverse iteration of the gatemon check at every ng. The wrapper
 module is loaded from scipy's install directory on the first solve,
 without running any scipy package ``__init__``: code that never solves a
 spectrum, such as the fit verbs, loads no scipy at all, and code that does
@@ -147,7 +148,7 @@ class CavityGeometry:
 
 
 FLAPACK = "scipy.linalg._flapack"
-LAPACK_WRAPPERS = ("dstevd", "dpotrf", "dpotrs")
+LAPACK_WRAPPERS = ("dstevd", "dstebz", "dpotrf", "dpotrs")
 
 
 @functools.cache
@@ -202,14 +203,29 @@ def _hankel(v: np.ndarray, n: int) -> np.ndarray:
     return as_strided(v, shape=(n, n), strides=(step, step), writeable=False)
 
 
-def _transmon_eigvals(ec: float, ej: float, ng: float, n_cut: int) -> np.ndarray:
-    # LAPACK dstevd, which scipy.linalg.eigvalsh_tridiagonal picks for all levels
+def _transmon_matrix(ec: float, ej: float, ng: float, n_cut: int):
+    """The diagonal and off-diagonal of the tridiagonal charge-basis matrix."""
     n = np.arange(-n_cut, n_cut + 1)
     diag = np.asarray_chkfinite(4.0 * ec * (n - ng) ** 2)
-    off = np.asarray_chkfinite(np.full(2 * n_cut, -ej / 2.0))
-    vals, _, info = _flapack().dstevd(diag, off, compute_v=0)
+    return diag, np.asarray_chkfinite(np.full(2 * n_cut, -ej / 2.0))
+
+
+def _transmon_eigvals(ec: float, ej: float, ng: float, n_cut: int) -> np.ndarray:
+    # LAPACK dstevd, which scipy.linalg.eigvalsh_tridiagonal picks for all levels
+    vals, _, info = _flapack().dstevd(*_transmon_matrix(ec, ej, ng, n_cut), compute_v=0)
     _check_info(info, "dstevd")
     return vals
+
+
+def _transmon_f01(ec: float, ej: float, ng: float, n_cut: int) -> float:
+    """f01 from the two lowest levels alone, by LAPACK dstebz bisection
+    (RANGE = 'I', IL = 1, IU = 2, sorted) to its default tolerance, eps
+    times the matrix's 1-norm: within about 1e-14 of max |diag| of the
+    full dstevd solve."""
+    _, vals, _, _, info = _flapack().dstebz(*_transmon_matrix(ec, ej, ng, n_cut),
+                                            2, 0.0, 0.0, 1, 2, 0.0, "E")
+    _check_info(info, "dstebz")
+    return float(vals[1] - vals[0])
 
 
 def transmon_levels(
@@ -224,7 +240,8 @@ def transmon_levels(
     params : QubitParams, EJ variant.
     n_cut : charge cutoff; the matrix dimension is 2*n_cut + 1.
     check : when True, re-solve with 2*n_cut and require f01 to move by
-        less than 0.01 MHz, raising TruncationError otherwise.
+        less than 0.01 MHz, raising TruncationError otherwise. The
+        re-solve bisects for the two lowest levels of the doubled matrix.
     """
     if not params.is_transmon:
         raise ValueError("transmon_levels needs the EJ variant of QubitParams")
@@ -232,8 +249,8 @@ def transmon_levels(
         raise ValueError(f"n_cut must be at least 10, got {n_cut}")
     vals = _transmon_eigvals(params.ec, params.ej, params.ng, n_cut)
     if check:
-        ref = _transmon_eigvals(params.ec, params.ej, params.ng, 2 * n_cut)
-        _check_f01(vals, ref[1] - ref[0], f"when n_cut doubled from {n_cut}", "n_cut")
+        _check_f01(vals, _transmon_f01(params.ec, params.ej, params.ng, 2 * n_cut),
+                   f"when n_cut doubled from {n_cut}", "n_cut")
     return QubitSpectrum(vals[:N_LEVELS])
 
 

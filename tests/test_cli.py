@@ -228,15 +228,15 @@ class TestSweepGate:
         assert main(["sweep-gate", "--config", cfg]) == 0
         assert capsys.readouterr().out.startswith("9 gate points")
 
-    @pytest.mark.parametrize("routine,ng", [("dstevd", None), ("dpotrf", None), ("dpotrs", None),
-                                            ("dpotrf", 0.23), ("dpotrs", 0.23)],
-                             ids=["dstevd", "dpotrf", "dpotrs",
+    @pytest.mark.parametrize("routine,ng", [("dstevd", None), ("dstebz", None), ("dpotrf", None),
+                                            ("dpotrs", None), ("dpotrf", 0.23), ("dpotrs", 0.23)],
+                             ids=["dstevd", "dstebz", "dpotrf", "dpotrs",
                                   "dpotrf-offset-charge", "dpotrs-offset-charge"])
     def test_lapack_failure_exit_two(self, routine, ng, tmp_path, capsys, fail_lapack):
-        # a LAPACK wrapper reporting info = 1 is a solver failure; dpotrf and
-        # dpotrs run in the gatemon check at every ng
+        # a LAPACK wrapper reporting info = 1 is a solver failure; dstebz runs
+        # in the transmon check, dpotrf and dpotrs in the gatemon check at every ng
         fail_lapack(routine)
-        yaml = SWEEP_YAML if routine == "dstevd" else self.GATEMON_GRID_YAML
+        yaml = SWEEP_YAML if routine.startswith("dst") else self.GATEMON_GRID_YAML
         if ng is not None:
             yaml = yaml.replace("  grid_n: 401\n", f"  grid_n: 401\n  ng: {ng}\n")
         assert main(["sweep-gate", "--config", _config(tmp_path, yaml)]) == 2

@@ -48,6 +48,7 @@ def test_cli_fingerprint_hashes_every_stream(tmp_path):
     assert exit_code["pipeline-input-error"] == sha[1]
     assert exit_code["pipeline-strong-coupling"] == sha[0]
     assert exit_code["sweep-gate-truncated"] == exit_code["sweep-gate-truncated-ng0"] == sha[2]
+    assert exit_code["sweep-gate-transmon-truncated"] == sha[2]
     assert exit_code["unknown-verb"] == sha[1]
     for written in ("pipe/report.json", "pipe_input/report.json", "envout/env.svg",
                     "seed99/truth.json", "frd_resid.csv"):

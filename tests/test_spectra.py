@@ -88,6 +88,49 @@ def test_transmon_check_can_be_disabled():
     assert np.all(np.isfinite(s.levels))
 
 
+def test_transmon_truncation_message_is_pinned():
+    with pytest.raises(TruncationError) as info:
+        transmon_levels(QubitParams(ec=EC, ej=1e5, ng=0.23), n_cut=10)
+    assert str(info.value) == "f01 moved 0.6252 MHz when n_cut doubled from 10; increase n_cut"
+
+
+def test_transmon_check_f01_matches_the_full_doubled_solve(monkeypatch):
+    # the check bisects for the two lowest levels of the doubled matrix and
+    # solves it no further; the full dstevd solve of that matrix is its oracle
+    real_check, real_lapack = spectra._check_f01, spectra._flapack()
+    refined, calls = [], []
+
+    def check(vals, f01, *rest):
+        refined.append(f01)
+        real_check(vals, f01, *rest)
+
+    def counted(routine):
+        def call(*args, **kwargs):
+            calls.append(routine)
+            return getattr(real_lapack, routine)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(spectra, "_check_f01", check)
+    monkeypatch.setattr(spectra, "_flapack", lambda: types.SimpleNamespace(
+        **{w: counted(w) for w in spectra.LAPACK_WRAPPERS}))
+    rng = np.random.default_rng(20)
+    for n_cut in (10, 30, 75):
+        for ng in (0.0, 0.23, 0.5):
+            for ratio in (1e-3, 1e-2, 0.3, 1.0, 30.0, 1e3):
+                ec = 10.0 ** rng.uniform(0.0, 3.5)
+                refined.clear()
+                calls.clear()
+                try:
+                    transmon_levels(QubitParams(ec=ec, ej=ratio * ec, ng=ng), n_cut=n_cut)
+                except TruncationError:
+                    pass  # EJ/EC = 1e3 outgrows n_cut = 10
+                assert calls == ["dstevd", "dstebz"]
+                full = spectra._transmon_eigvals(ec, ratio * ec, ng, 2 * n_cut)
+                n = np.arange(-2 * n_cut, 2 * n_cut + 1)
+                scale = np.abs(4.0 * ec * (n - ng) ** 2).max()
+                assert refined == [pytest.approx(full[1] - full[0], rel=0.0, abs=1e-12 * scale)]
+
+
 def test_gatemon_frozen_spectrum():
     p = QubitParams(ec=EC, gap=45600.0, transmissions=(0.85, 0.3, 0.1))
     s = gatemon_levels(p)
@@ -561,16 +604,17 @@ def test_non_finite_hamiltonian_raises_value_error():
         gatemon_levels(QubitParams(ec=math.nan, gap=45600.0, transmissions=(0.5,)))
 
 
-@pytest.mark.parametrize("routine,ng", [("dstevd", 0.0), ("dpotrf", 0.0), ("dpotrs", 0.0),
-                                        ("dpotrf", 0.23), ("dpotrs", 0.23)],
-                         ids=["dstevd", "dpotrf", "dpotrs",
+@pytest.mark.parametrize("routine,ng", [("dstevd", 0.0), ("dstebz", 0.0), ("dpotrf", 0.0),
+                                        ("dpotrs", 0.0), ("dpotrf", 0.23), ("dpotrs", 0.23)],
+                         ids=["dstevd", "dstebz", "dpotrf", "dpotrs",
                               "dpotrf-offset-charge", "dpotrs-offset-charge"])
 def test_lapack_info_raises_linalg_error(routine, ng, fail_lapack):
-    # the gatemon check runs dpotrf and dpotrs at every ng; a dpotrf that
-    # never factors lowers the shift a bounded number of times, then raises
+    # the transmon check runs dstebz, the gatemon check dpotrf and dpotrs at
+    # every ng; a dpotrf that never factors lowers the shift a bounded number
+    # of times, then raises
     fail_lapack(routine)
     with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed with info = 1"):
-        if routine == "dstevd":
+        if routine.startswith("dst"):
             transmon_levels(QubitParams(ec=EC, ej=50 * EC))
         else:
             gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,), ng=ng))
