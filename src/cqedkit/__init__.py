@@ -33,7 +33,6 @@ from .coupling import (
     SweepPoint,
     SweepResult,
     anti_crossing,
-    coupling_from_shift,
     critical_photon_number,
     dispersive_shift_two_level,
     gate_sweep,

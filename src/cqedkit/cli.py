@@ -382,7 +382,3 @@ def main(argv=None) -> int:
         return 1
     finally:
         warnings.formatwarning = saved
-
-
-if __name__ == "__main__":
-    sys.exit(main())

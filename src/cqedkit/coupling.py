@@ -75,15 +75,6 @@ def dispersive_shift_two_level(g: float, delta: float) -> float:
     return g * g / delta
 
 
-def coupling_from_shift(chi: float, delta: float) -> float:
-    """Invert the two-level shift: g = sqrt(chi * delta) (MHz)."""
-    if chi * delta <= 0:
-        raise ValueError(
-            f"chi and delta must share a sign, got chi={chi:g}, delta={delta:g}"
-        )
-    return math.sqrt(chi * delta)
-
-
 def anti_crossing(f_bare_ghz: float, f_q_ghz: float, g_mhz: float):
     """Hybridized branch frequencies (f_plus, f_minus) in GHz.
 
@@ -98,10 +89,18 @@ def anti_crossing(f_bare_ghz: float, f_q_ghz: float, g_mhz: float):
 
 
 def critical_photon_number(g_mhz: float, delta_mhz: float) -> float:
-    """n_crit = (delta / 2g)^2, where the dispersive picture breaks down."""
+    """n_crit = (delta / 2g)^2, where the dispersive picture breaks down.
+    Raises ValueError when g is so small that n_crit overflows a float."""
     if g_mhz <= 0:
         raise ValueError("g_mhz must be positive")
-    return (delta_mhz / (2.0 * g_mhz)) ** 2
+    try:
+        n_crit = (delta_mhz / (2.0 * g_mhz)) ** 2
+    except OverflowError:
+        n_crit = math.inf
+    if math.isinf(n_crit):
+        raise ValueError(f"n_crit = (delta / 2g)^2 overflows at g = {g_mhz:g} MHz, "
+                         f"delta = {delta_mhz:g} MHz")
+    return n_crit
 
 
 def mean_photon_number(

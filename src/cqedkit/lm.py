@@ -19,9 +19,9 @@ those rows.
 Convergence: an accepted step whose relative size and relative cost
 decrease are both below ``TOL`` (1e-10), or a rejected step that has
 shrunk below ``TOL``. Hard cap of ``MAX_ITER`` (200) iterations. Both are
-constants. Singular normal equations escalate the damping; if damping
-maxes out the result is returned with ``converged=False`` rather than
-raising.
+constants. A singular, non-finite or rejected step escalates the
+damping; if damping maxes out the result is returned with
+``converged=False`` rather than raising.
 """
 
 from __future__ import annotations
@@ -157,51 +157,42 @@ def lm_minimize(
         floor = max(d.max(), 1.0) * 1e-14
         d[d < floor] = floor
 
-        stalled = False
-        while True:
+        while lam <= _LAMBDA_MAX:
             # damp a's diagonal in place; solve leaves a untouched
             np.fill_diagonal(a, a_diag + lam * d)
             try:
                 step = np.linalg.solve(a, -g)
             except np.linalg.LinAlgError:
                 step = None
-            if step is None or not np.isfinite(step).all():
-                lam *= 10.0
-                if lam > _LAMBDA_MAX:
-                    message = "singular normal equations; damping exhausted"
-                    stalled = True
+            if step is not None and np.isfinite(step).all():
+                x_try = x + step
+                step_rel = math.sqrt(step @ step) / max(math.sqrt(x_try @ x_try), _TINY)
+                # a wild trial step may overflow the model or its cost; a
+                # non-finite cost fails the test below, so keep the overflow quiet
+                with np.errstate(over="ignore"):
+                    try:
+                        r_try = residuals(x_try)
+                        cost_try = float(r_try @ r_try)
+                    except (ValueError, FloatingPointError):
+                        cost_try = math.inf
+                if cost_try < cost:
+                    cost_rel = (cost - cost_try) / max(cost, _TINY)
+                    x, r, cost = x_try, r_try, cost_try
+                    j = None
+                    lam = max(lam / 3.0, 1e-14)
+                    if (step_rel < TOL and cost_rel < TOL) or cost == 0.0:
+                        converged = True
+                        message = "step and cost decrease below tolerance"
                     break
-                continue
-            x_try = x + step
-            step_rel = math.sqrt(step @ step) / max(math.sqrt(x_try @ x_try), _TINY)
-            # a wild trial step may overflow the model or its cost; a
-            # non-finite cost fails the test below, so keep the overflow quiet
-            with np.errstate(over="ignore"):
-                try:
-                    r_try = residuals(x_try)
-                    cost_try = float(r_try @ r_try)
-                except (ValueError, FloatingPointError):
-                    cost_try = math.inf
-            if cost_try < cost:
-                cost_rel = (cost - cost_try) / max(cost, _TINY)
-                x, r, cost = x_try, r_try, cost_try
-                j = None
-                lam = max(lam / 3.0, 1e-14)
-                if (step_rel < TOL and cost_rel < TOL) or cost == 0.0:
+                # rejected step: a tiny one means we sit at the minimum already
+                if step_rel < TOL:
                     converged = True
-                    message = "step and cost decrease below tolerance"
-                break
-            # rejected step: a tiny one means we sit at the minimum already
-            if step_rel < TOL:
-                converged = True
-                message = "proposed step below tolerance"
-                break
+                    message = "proposed step below tolerance"
+                    break
+            # a singular, non-finite or rejected step: damp harder
             lam *= 10.0
-            if lam > _LAMBDA_MAX:
-                message = "damping exhausted without cost decrease"
-                stalled = True
-                break
-        if stalled:
+        else:
+            message = "damping exhausted without cost decrease"
             break
 
     if j is None:

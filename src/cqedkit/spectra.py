@@ -228,29 +228,25 @@ def _transmon_f01(ec: float, ej: float, ng: float, n_cut: int) -> float:
     return float(vals[1] - vals[0])
 
 
-def transmon_levels(
-    params: QubitParams,
-    n_cut: int = DEFAULT_N_CUT,
-    check: bool = True,
-) -> QubitSpectrum:
+def transmon_levels(params: QubitParams, n_cut: int = DEFAULT_N_CUT) -> QubitSpectrum:
     """Diagonalize H = 4*EC*(n-ng)^2 - (EJ/2)*sum(|n><n+1| + h.c.).
 
     Parameters
     ----------
     params : QubitParams, EJ variant.
     n_cut : charge cutoff; the matrix dimension is 2*n_cut + 1.
-    check : when True, re-solve with 2*n_cut and require f01 to move by
-        less than 0.01 MHz, raising TruncationError otherwise. The
-        re-solve bisects for the two lowest levels of the doubled matrix.
+
+    The refinement check re-solves with 2*n_cut and requires f01 to move
+    by less than 0.01 MHz, raising TruncationError otherwise. The re-solve
+    bisects for the two lowest levels of the doubled matrix.
     """
     if not params.is_transmon:
         raise ValueError("transmon_levels needs the EJ variant of QubitParams")
     if n_cut < 10:
         raise ValueError(f"n_cut must be at least 10, got {n_cut}")
     vals = _transmon_eigvals(params.ec, params.ej, params.ng, n_cut)
-    if check:
-        _check_f01(vals, _transmon_f01(params.ec, params.ej, params.ng, 2 * n_cut),
-                   f"when n_cut doubled from {n_cut}", "n_cut")
+    _check_f01(vals, _transmon_f01(params.ec, params.ej, params.ng, 2 * n_cut),
+               f"when n_cut doubled from {n_cut}", "n_cut")
     return QubitSpectrum(vals[:N_LEVELS])
 
 
@@ -401,11 +397,7 @@ def _gatemon_f01(ec: float, gap: float, transmissions, ng: float, grid_n: int,
     return _union_f01(blocks, levels, charging.max() + 3.0 * np.abs(c).sum())
 
 
-def gatemon_levels(
-    params: QubitParams,
-    grid_n: int = DEFAULT_GRID_N,
-    check: bool = True,
-) -> QubitSpectrum:
+def gatemon_levels(params: QubitParams, grid_n: int = DEFAULT_GRID_N) -> QubitSpectrum:
     """Diagonalize 4*EC*(n-ng)^2 - gap*sum_i sqrt(1 - T_i sin^2(phi/2)).
 
     The potential is 2pi-periodic, so the problem is set up in the charge
@@ -415,19 +407,19 @@ def gatemon_levels(
     With all T_i = 0 the potential is flat and the free-rotor spectrum
     (degenerate pairs at 4*EC*k^2 plus a constant) is returned as is.
 
-    check : when True, re-solve on a 2*grid_n+1 grid and require f01 to
-        move by less than 0.01 MHz, raising TruncationError otherwise. The
-        re-solve finds the two lowest levels of the refined matrix's
-        real-symmetric form by inverse iteration on Cholesky factors,
-        seeded with the primary levels. At ng = 0 the matrix commutes with
-        the charge reflection k -> -k (U(phi) and 4*EC*k^2 are even), so
-        it splits into blocks in the bases (|k> +/- |-k>)/sqrt2, which
-        hold every level exactly; at ng != 0 the whole matrix is the one
-        block. Each block's lowest level is found, the ground level is
-        lifted past a Gershgorin bound, and one more factorization proves
-        the other block's lowest level the second, or the lifted block's
-        lowest level is found. The refined f01 agrees with a dense solve
-        to about 1e-8 MHz, the rounding of any dense solver at this size.
+    The refinement check re-solves on a 2*grid_n+1 grid and requires f01
+    to move by less than 0.01 MHz, raising TruncationError otherwise. The
+    re-solve finds the two lowest levels of the refined matrix's
+    real-symmetric form by inverse iteration on Cholesky factors, seeded
+    with the primary levels. At ng = 0 the matrix commutes with the charge
+    reflection k -> -k (U(phi) and 4*EC*k^2 are even), so it splits into
+    blocks in the bases (|k> +/- |-k>)/sqrt2, which hold every level
+    exactly; at ng != 0 the whole matrix is the one block. Each block's
+    lowest level is found, the ground level is lifted past a Gershgorin
+    bound, and one more factorization proves the other block's lowest
+    level the second, or the lifted block's lowest level is found. The
+    refined f01 agrees with a dense solve to about 1e-8 MHz, the rounding
+    of any dense solver at this size.
     """
     if params.is_transmon:
         raise ValueError("gatemon_levels needs the (gap, transmissions) variant")
@@ -435,9 +427,8 @@ def gatemon_levels(
         raise ValueError(f"grid_n must be odd and at least 101, got {grid_n}")
     args = (params.ec, params.gap, params.transmissions, params.ng)
     vals = _gatemon_eigvals(*args, grid_n)
-    if check:
-        _check_f01(vals, _gatemon_f01(*args, 2 * grid_n + 1, vals),
-                   f"under grid refinement from {grid_n}", "grid_n")
+    _check_f01(vals, _gatemon_f01(*args, 2 * grid_n + 1, vals),
+               f"under grid refinement from {grid_n}", "grid_n")
     return QubitSpectrum(vals[:N_LEVELS])
 
 
@@ -461,7 +452,7 @@ def infer_transmission(
 
     def alpha_at(t: float) -> float:
         p = QubitParams(ec=ec, gap=gap, transmissions=(t,), ng=ng)
-        return gatemon_levels(p, check=False).alpha
+        return gatemon_levels(p).alpha
 
     alpha_hi = alpha_at(1.0)      # least negative end
     alpha_lo = alpha_at(t_min)    # most negative end
@@ -500,10 +491,19 @@ def _illinois_root(f, x0, f0, x1, f1, xtol):
 
 
 def te_mode_frequency(geom: CavityGeometry) -> float:
-    """Analytic TE(m,n,p) eigenfrequency of a rectangular cavity, in GHz."""
-    root = np.sqrt(
-        (geom.m / geom.length_a) ** 2
-        + (geom.n / geom.width_b) ** 2
-        + (geom.p / geom.height_d) ** 2
-    )
+    """Analytic TE(m,n,p) eigenfrequency of a rectangular cavity, in GHz.
+
+    Raises ValueError when a dimension is so small that the frequency
+    overflows a float."""
+    try:
+        root = np.sqrt(
+            (geom.m / geom.length_a) ** 2
+            + (geom.n / geom.width_b) ** 2
+            + (geom.p / geom.height_d) ** 2
+        )
+    except OverflowError:
+        root = np.inf
+    if not np.isfinite(root):
+        raise ValueError(f"TE({geom.m},{geom.n},{geom.p}) frequency overflows for a "
+                         f"{geom.length_a:g} x {geom.width_b:g} x {geom.height_d:g} m box")
     return SPEED_OF_LIGHT / 2.0 * root / 1e9

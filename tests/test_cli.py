@@ -95,6 +95,25 @@ class TestFitResonator:
         err = capsys.readouterr().err
         assert "error:" in err and "line 3" in err
 
+    @pytest.mark.parametrize("delay", [False, True], ids=["plain", "delay"])
+    @pytest.mark.parametrize("column", [1, 2], ids=["re", "im"])
+    def test_near_overflow_samples_return(self, tmp_path, column, delay):
+        # 1e308 squares to inf; in the Kasa circle's lstsq that once spun for
+        # good, so this runs in a subprocess with a timeout
+        data = _trace_csv(tmp_path)
+        lines = data.read_text().splitlines()
+        cells = lines[400].split(",")
+        cells[column] = "1e308"
+        lines[400] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        env = dict(os.environ)
+        src = str(Path(cqedkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        argv = [sys.executable, "-m", "cqedkit", "fit-resonator", str(data)] + ["--delay"] * delay
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
+        assert done.returncode in (0, 1, 2)
+        assert "Traceback" not in done.stderr
+
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["fit-resonator", str(tmp_path / "nope.csv")]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -429,6 +448,13 @@ class TestPipeline:
         sweep = next(s for s in report["stages"] if s["name"] == "sweep")
         assert Path(sweep["details"]["csv"]) == Path("rel/w/sweep.csv")
 
+    def test_bare_frequency_without_a_cavity(self, tmp_path, capsys):
+        text = SWEEP_YAML.replace(CAVITY_YAML, "")
+        text = text.replace("system:\n", "system:\n  f_bare_ghz: 5.44\n")
+        assert main(["pipeline", "--config", _config(tmp_path, text),
+                     "--workdir", str(tmp_path)]) == 0
+        assert "[cavity] ok: f_bare_ghz=5.44" in capsys.readouterr().out
+
     def test_tolerance_miss_exit_two(self, tmp_path, capsys):
         cfg = _config(tmp_path, SWEEP_YAML +
                       "pipeline:\n  tolerances:\n    f_r_mhz: 1.0e-9\n")
@@ -550,6 +576,31 @@ class TestNumberConfigKeys:
         assert main([verb, "--config", cfg, "--out", out]) == 1
         captured = capsys.readouterr()
         assert f"{key} must be a finite number" in captured.err
+        assert "wrote" not in captured.out
+
+
+class TestConfigEscapes:
+    # each case edits one value in a shipped config; each once escaped
+    # cli.main as a TypeError or OverflowError traceback
+    @pytest.mark.parametrize("name, old, new, verb, message", [
+        ("synth_reflection", "kind: reflection_trace", "kind: [reflection_trace]", "synth",
+         "unknown synth kind"),
+        ("synth_reflection", "kind: reflection_trace", "kind: {reflection_trace: 1}", "synth",
+         "unknown synth kind"),
+        ("pipeline", "length_a_mm: 70.0", "length_a_mm: 1e-300", "simulate-cavity",
+         "TE(1,0,1) frequency overflows"),
+        ("pipeline", "height_d_mm: 30.0", "height_d_mm: 1e-300", "sweep-gate",
+         "TE(1,0,1) frequency overflows"),
+        ("synth_power_map", "g_mhz: 100.0", "g_mhz: 1e-300", "synth", "n_crit"),
+    ], ids=["list-kind", "mapping-kind", "tiny-length", "tiny-height", "tiny-g"])
+    def test_exit_one_with_one_line(self, tmp_path, capsys, name, old, new, verb, message):
+        text = (Path(PIPELINE_YAML).parent / f"{name}.yaml").read_text()
+        assert old in text
+        cfg = _config(tmp_path, text.replace(old, new))
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert len(captured.err.splitlines()) == 1
         assert "wrote" not in captured.out
 
 

@@ -15,7 +15,6 @@ from cqedkit import (
     QubitSpectrum,
     SweepPoint,
     anti_crossing,
-    coupling_from_shift,
     critical_photon_number,
     dispersive_shift_two_level,
     gate_sweep,
@@ -50,17 +49,14 @@ def test_two_level_shift_rejects_resonance():
 def test_shift_inversion_identity(g, ratio, sign):
     delta = sign * ratio * g
     chi = dispersive_shift_two_level(g, delta)
-    assert coupling_from_shift(chi, delta) == pytest.approx(g, rel=1e-12)
-
-
-def test_coupling_from_shift_sign_check():
-    with pytest.raises(ValueError):
-        coupling_from_shift(5.0, -2000.0)
+    assert math.sqrt(chi * delta) == pytest.approx(g, rel=1e-12)
 
 
 def test_anti_crossing_minimum_split():
     fp, fm = anti_crossing(5.443, 5.443, 100.0)
     assert (fp - fm) * 1e3 == pytest.approx(200.0, abs=1e-10)
+    with pytest.raises(ValueError, match="g_mhz"):
+        anti_crossing(5.443, 5.443, 0.0)
 
 
 def test_anti_crossing_trace_sum():
@@ -80,6 +76,26 @@ def test_critical_photon_number():
     assert critical_photon_number(100.0, 2000.0) == pytest.approx(100.0)
     with pytest.raises(ValueError):
         critical_photon_number(0.0, 2000.0)
+
+
+@pytest.mark.parametrize("g", [1e-300, 1e-320], ids=["square-overflows", "ratio-overflows"])
+def test_critical_photon_number_refuses_to_overflow(g):
+    # a Python float square past the float limit raises OverflowError, a
+    # ratio past it is inf; both are an unusable g
+    with pytest.raises(ValueError, match="overflows"):
+        critical_photon_number(g, 1844.0)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("f_bare_ghz", 0.0), ("g_mhz", -1.0), ("kappa_mhz", 0.0), ("gamma_q_mhz", -0.1)])
+def test_dispersive_system_validation(key, value):
+    with pytest.raises(ValueError, match=key):
+        DispersiveSystem(**{"f_bare_ghz": 5.443, "g_mhz": 100.0, key: value})
+
+
+def test_detuning_needs_a_qubit():
+    with pytest.raises(ValueError, match="no qubit spectrum"):
+        DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0).delta_mhz
 
 
 def test_mean_photon_number_db_scaling():
@@ -137,6 +153,7 @@ def test_gate_model_clamps_and_bounds():
         dict(voltages=[0.0, 1.0], values=[1.0, -2.0]),
         dict(voltages=[0.0, 1.0], values=[0.5, 2.0], maps_to="transmission"),
         dict(voltages=[0.0, 1.0], values=[1.0, 2.0], maps_to="other"),
+        dict(voltages=[0.0, 1.0], values=[1.0, 2.0, 3.0]),
     ],
 )
 def test_gate_model_validation(kwargs):

@@ -272,6 +272,54 @@ def test_reflection_initial_guess_degenerate_circle_fallback():
     assert fit.qc == pytest.approx(truth["qc"], rel=0.05)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_reflection_initial_guess_on_the_shortest_traces(n):
+    # the moving mean of one sample is the sample, and two samples give no
+    # noise estimate; the guess stays finite (one sample spans no band, so
+    # its width is 0 and Ql is clipped)
+    trace = ComplexTrace(np.linspace(5.0, 5.1, n), np.full(n, 0.5 + 0.1j))
+    with np.errstate(divide="ignore"):
+        guess = initial_guess_reflection(trace)
+    assert all(math.isfinite(v) for v in guess.values())
+
+
+def test_reflection_initial_guess_on_an_all_zero_trace():
+    # no baseline and a zero-radius circle: the guess nudges the baseline
+    # off zero and falls back to the |S21| heuristics
+    trace = ComplexTrace(np.linspace(5.0, 5.1, 50), np.zeros(50))
+    with pytest.raises(np.linalg.LinAlgError, match="degenerate circle"):
+        fitters._kasa_circle(trace.values)
+    guess = initial_guess_reflection(trace)
+    assert guess["a_re"] == 1e-12 and guess["theta"] == 0.0
+
+
+def test_reflection_kasa_circle_refuses_samples_that_square_to_inf():
+    z = np.full(20, 0.5 + 0.1j)
+    z[3] = 1e308
+    with pytest.raises(np.linalg.LinAlgError, match="degenerate circle"):
+        fitters._kasa_circle(z)
+
+
+# seeded delay traces on which the fit ends in each reflection verdict
+@pytest.mark.parametrize("seed, snr_db, truth, grid, match", [
+    (71, 29.995843525393607,
+     {"ql": 8533.223052914836, "qc": 125421.42511812408, "theta": -0.10553347057550422,
+      "tau_ns": 46.28956581275415},
+     {"f_min_ghz": 4.9960433990896735, "f_max_ghz": 5.0039566009103265, "n_f": 150},
+     "reflection fit did not converge"),
+    (1, 32.59500461999415,
+     {"ql": 20755.357250273482, "qc": 237956.02771912163, "theta": -0.47244088675693163,
+      "tau_ns": 3.814331321927824},
+     {"f_min_ghz": 4.998088404164453, "f_max_ghz": 5.001911595835547, "n_f": 313},
+     "nonphysical quality factors"),
+], ids=["not-converged", "nonphysical"])
+def test_reflection_verdicts(seed, snr_db, truth, grid, match):
+    spec = SynthSpec(kind="reflection_trace", seed=seed, snr_db=snr_db, grid=grid,
+                     truth={"a_re": 1.0, "a_im": 0.0, "f_r_ghz": 5.0, **truth})
+    with pytest.raises(NotConvergedError, match=match):
+        fit_reflection(synth_reflection(spec), delay=True)
+
+
 def test_reflection_fit_to_dict_schema_fields():
     fit = fit_reflection(_trace(6000.0, 12000.0, snr_db=40.0))
     d = fit.to_dict()
@@ -318,9 +366,24 @@ def test_lorentzian_flat_rejected():
         fit_lorentzian(f, 1.0 + rng.normal(0, 0.01, f.size))
 
 
+def test_lorentzian_not_converged():
+    # |S21| of a seeded reflection trace on which LM hits its iteration cap
+    spec = SynthSpec(kind="reflection_trace", seed=550, snr_db=29.671317471319462,
+                     truth={"a_re": 1.0, "a_im": 0.0, "ql": 38875.589313912606,
+                            "qc": 584593.8686529452, "theta": 0.4826254178463568,
+                            "f_r_ghz": 5.0, "tau_ns": -44.95083676506402},
+                     grid={"f_min_ghz": 4.997452935962442, "f_max_ghz": 5.002547064037558,
+                           "n_f": 69})
+    trace = synth_reflection(spec)
+    with pytest.raises(NotConvergedError, match="Lorentzian fit did not converge"):
+        fit_lorentzian(trace.freqs_ghz, np.abs(trace.values))
+
+
 def test_lorentzian_input_checks():
     with pytest.raises(InputDataError):
         fit_lorentzian(np.arange(10.0), np.ones(10))
+    with pytest.raises(InputDataError, match="equal length"):
+        fit_lorentzian(np.arange(30.0), np.ones(29))
     f = np.linspace(0.0, 1.0, 30)
     y = np.ones(30)
     y[5] = np.inf
@@ -446,6 +509,42 @@ def test_rabi_collapsed_oscillation_rejected(seed, snr_db, truth):
                      grid={"t_max_ns": 1000.0, "n_t": 501})
     with pytest.raises(NotConvergedError, match="under half an oscillation"):
         fit_rabi(*synth_rabi(spec))
+
+
+# seeded traces on which the fit ends in each remaining Rabi verdict
+@pytest.mark.parametrize("seed, snr_db, truth, grid, match", [
+    (44, 1.9668945725525977,
+     {"A": 0.7974550228925236, "T_R": 1831.0399958875403, "omega": 0.3358127100757616,
+      "B": 1.1571733940113393},
+     {"t_max_ns": 574.850797914187, "n_t": 315}, "Rabi fit did not converge"),
+    (2019, 0.6320181923632029,
+     {"A": 0.6810978701060287, "T_R": 868.621015147783, "omega": 0.2020265712095437,
+      "B": 1.8659344247937826},
+     {"t_max_ns": 197.06974296646845, "n_t": 63}, "non-positive decay time"),
+], ids=["not-converged", "negative-decay"])
+def test_rabi_verdicts(seed, snr_db, truth, grid, match):
+    spec = SynthSpec(kind="rabi_trace", seed=seed, snr_db=snr_db, grid=grid,
+                     truth={"a": 0.0, "b": 0.5, **truth})
+    with pytest.raises(NotConvergedError, match=match):
+        fit_rabi(*synth_rabi(spec))
+
+
+def test_rabi_growing_oscillation_seeds_the_decay_with_the_span(monkeypatch):
+    # the residual does not shrink from the first half to the second, so
+    # no decay time can be read off it
+    t = np.linspace(0.0, 1000.0, 201)
+    y = 0.5 * np.exp(t / 800.0) * np.cos(0.05 * t) + 0.5
+    starts = []
+    real = fitters.lm_minimize
+
+    def spy(fn, x0, *args, **kwargs):
+        starts.append(list(x0))
+        return real(fn, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fitters, "lm_minimize", spy)
+    with pytest.raises(NotConvergedError):
+        fit_rabi(t, y)
+    assert starts[0][1] == t[-1] - t[0]
 
 
 def test_rabi_input_checks():

@@ -133,13 +133,14 @@ def test_no_module_imports_scipy():
 
 
 # the public names as they stood when __all__ was a hand-written list, less
-# dispersive_shift_transmon and purcell_induced_cavity_loss, which had no caller
+# dispersive_shift_transmon, purcell_induced_cavity_loss and
+# coupling_from_shift, which had no caller
 PUBLIC_NAMES = [
     "CavityGeometry", "ComplexTrace", "ConfigError", "CqedkitError", "DispersiveSystem",
     "FitError", "FitInitError", "FitResult", "GateSweepModel", "InputDataError", "Map2D",
     "NoDipError", "NoResonanceError", "NoSolutionError", "NotConvergedError", "QubitParams",
     "QubitSpectrum", "ResonatorFit", "SolverError", "SweepPoint", "SweepResult", "SynthSpec",
-    "TruncationError", "anti_crossing", "coupling_from_shift", "critical_photon_number",
+    "TruncationError", "anti_crossing", "critical_photon_number",
     "derive_qi", "dispersive_shift_two_level", "fit_lorentzian",
     "fit_rabi", "fit_reflection", "gate_sweep", "gatemon_levels", "infer_transmission",
     "initial_guess_reflection", "lm_minimize", "lorentzian_model", "mean_photon_number",

@@ -191,6 +191,17 @@ class TestMapCsv:
         with pytest.raises(InputDataError, match="corner"):
             io.read_map_csv(p)
 
+    @pytest.mark.parametrize("header, match", [
+        ("V\\f,5.4,high", "non-numeric fast-axis value"),
+        ("V\\f", "no fast-axis values"),
+    ], ids=["text", "none"])
+    def test_fast_axis_header_reports_line(self, tmp_path, header, match):
+        p = tmp_path / "m.csv"
+        p.write_text(header + "\n0.0,1.0,1.0\n")
+        with pytest.raises(InputDataError, match=match) as err:
+            io.read_map_csv(p)
+        assert err.value.line == 1
+
     def test_ragged_row_reports_line(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("V\\f,5.4,5.5\n0.0,1.0\n")
@@ -345,6 +356,29 @@ class TestConfig:
         p.write_text("qubit: [unclosed\n")
         with pytest.raises(ConfigError, match="invalid YAML"):
             config.load_config(p)
+
+    def test_load_config_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config"):
+            config.load_config(tmp_path / "missing.yaml")
+
+    @pytest.mark.parametrize("build, cfg, match", [
+        (config.qubit_params, {}, "no 'qubit' section"),
+        (config.qubit_params, {"qubit": [190]}, "section 'qubit' must be a mapping"),
+        (config.cavity_geometry,
+         {"cavity": {"length_a_mm": -70, "width_b_mm": 5, "height_d_mm": 30}},
+         "cavity section: length_a must be positive"),
+        (config.dispersive_system, {"system": {"f_bare_ghz": 5.4, "g_mhz": -1}},
+         "system section: g_mhz must be positive"),
+        (config.gate_model, {"sweep": {"table_csv": 0}}, "sweep table_csv must be a path"),
+        (config.gate_model, {"sweep": {"profile": [3]}}, "sweep profile must be a mapping"),
+        (config.pipeline_options, {"pipeline": [7]}, "pipeline section must be a mapping"),
+        (config.pipeline_options, {"pipeline": {"tolerances": [0.1]}},
+         "pipeline tolerances must be a mapping"),
+    ], ids=["no-section", "list-section", "negative-length", "negative-g", "integer-table",
+            "list-profile", "list-pipeline", "list-tolerances"])
+    def test_section_errors_name_the_section(self, build, cfg, match):
+        with pytest.raises(ConfigError, match=match):
+            build(cfg)
 
     def test_qubit_params_happy_path(self):
         params = config.qubit_params({"qubit": {"ec_mhz": 190, "ej_mhz": 9500}})

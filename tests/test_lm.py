@@ -222,3 +222,87 @@ def test_covariance_reuses_the_last_jacobian(seed, message, final_calls):
     cov, errors = lm._covariance(forward_loop(residuals, result.params), result.chi2)
     assert np.array_equal(result.errors, errors)
     assert np.array_equal(result.covariance, cov)
+
+
+# Damping escalation: lambda starts at 1e-3 and grows tenfold per unusable
+# trial step until it passes 1e12, so an exhausted iteration solves the
+# damped normal equations 16 times.
+EXHAUSTED_SOLVES = 16
+
+
+def _counted(monkeypatch, fail=False):
+    """Count lm's linear solves; with fail=True each raises as a singular
+    matrix does."""
+    solves = []
+    real = np.linalg.solve
+
+    def solve(a, b):
+        solves.append(a.copy())
+        if fail:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    return solves
+
+
+def _logged(calls):
+    def residuals(x):
+        calls.append(x.copy())
+        return np.array([x.sum() - 3.0])
+
+    return residuals
+
+
+def test_stall_on_steps_that_never_lower_the_cost(monkeypatch):
+    # a Jacobian of the wrong sign makes every step climb; from x = 0 each
+    # trial step is the whole of x_try, so it never counts as tiny
+    solves, calls = _counted(monkeypatch), []
+    result = lm_minimize(_logged(calls), [0.0], jac=lambda x: np.array([[-1.0]]))
+    assert not result.converged
+    assert "damping exhausted" in result.message
+    assert result.iterations == 1
+    assert len(solves) == EXHAUSTED_SOLVES
+    assert len(calls) == 1 + EXHAUSTED_SOLVES
+    assert np.array_equal(result.params, [0.0])
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["non-finite-step", "singular-solve"])
+def test_stall_on_steps_that_cannot_be_taken(monkeypatch, fail):
+    # |j| = 1e200 squares to inf in the normal equations, so every step is
+    # NaN; a solve that raises LinAlgError takes the same escalation
+    solves, calls = _counted(monkeypatch, fail), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = lm_minimize(_logged(calls), [0.0, 0.0], jac=lambda x: np.array([[1e200, 1e200]]))
+    assert not result.converged
+    assert "damping exhausted" in result.message
+    assert result.iterations == 1
+    assert len(solves) == EXHAUSTED_SOLVES
+    assert len(calls) == 1  # no trial step was evaluated
+    assert np.array_equal(result.params, [0.0, 0.0])
+
+
+def test_stop_on_a_non_finite_jacobian(monkeypatch):
+    solves, calls = _counted(monkeypatch), []
+    result = lm_minimize(_logged(calls), [0.0], jac=lambda x: np.array([[np.nan]]))
+    assert not result.converged
+    assert result.message == "Jacobian not finite"
+    assert (result.iterations, len(solves), len(calls)) == (1, 0, 1)
+
+
+def test_a_trial_point_the_residual_refuses_is_a_rejected_step():
+    # the residual raises ValueError past x = 1, as a model with a domain
+    # does; those trial steps are rejected and the fit stops at the edge
+    calls = []
+
+    def residuals(x):
+        calls.append(x.copy())
+        if x[0] > 1.0:
+            raise ValueError("outside the model's domain")
+        return x - 3.0
+
+    result = lm_minimize(residuals, [0.0], jac=lambda x: np.array([[1.0]]))
+    assert result.converged
+    assert result.message == "proposed step below tolerance"
+    assert result.param("x0") == pytest.approx(1.0, abs=1e-9)
+    assert (result.iterations, len(calls)) == (29, 57)

@@ -53,3 +53,18 @@ def test_cli_fingerprint_hashes_every_stream(tmp_path):
     for written in ("pipe/report.json", "pipe_input/report.json", "envout/env.svg",
                     "seed99/truth.json", "frd_resid.csv"):
         assert written in digests
+
+
+def test_reach_census_lists_every_module(tmp_path):
+    done = _run("reach_census.py", "-q", "-p", "no:cacheprovider",
+                str(ROOT / "tests" / "test_svgplot.py"), cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    package = Path(cqedkit.__file__).parent
+    for module in sorted(package.glob("*.py")):
+        assert any(line.startswith(f"{module.name}: ") for line in lines), module.name
+    # the plotting tests reach svgplot's import and both plots
+    svgplot = next(line for line in lines if line.startswith("svgplot.py: "))
+    reached = int(svgplot.split()[3]) - int(svgplot.split()[1])
+    assert reached > 100
+    assert lines[-1].startswith("total: ") and lines[-1].endswith(" executable lines unreached")

@@ -83,11 +83,6 @@ def test_transmon_truncation_check_fires():
         transmon_levels(QubitParams(ec=EC, ej=1.9e10))
 
 
-def test_transmon_check_can_be_disabled():
-    s = transmon_levels(QubitParams(ec=EC, ej=1.9e10), check=False)
-    assert np.all(np.isfinite(s.levels))
-
-
 def test_transmon_truncation_message_is_pinned():
     with pytest.raises(TruncationError) as info:
         transmon_levels(QubitParams(ec=EC, ej=1e5, ng=0.23), n_cut=10)
@@ -620,6 +615,21 @@ def test_lapack_info_raises_linalg_error(routine, ng, fail_lapack):
             gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,), ng=ng))
 
 
+def test_an_argument_dpotrf_refuses_raises_at_once(fail_lapack):
+    # info < 0 is an illegal argument, not a level at or below the shift
+    fail_lapack("dpotrf", info=-4)
+    with pytest.raises(np.linalg.LinAlgError, match="dpotrf failed with info = -4"):
+        gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(0.5,)))
+
+
+def test_inverse_iteration_gives_up_after_its_shift_budget(monkeypatch):
+    # a vector tolerance of 0 is never met, so every shift is spent
+    monkeypatch.setattr(spectra, "_VECTOR_TOL", 0.0)
+    b = np.diag(np.arange(1.0, 21.0)) + 0.1
+    with pytest.raises(np.linalg.LinAlgError, match="inverse iteration did not converge"):
+        spectra._lowest_level(b, 1.0)
+
+
 @pytest.fixture
 def uncached_flapack():
     spectra._flapack.cache_clear()
@@ -655,6 +665,11 @@ def test_missing_wrapper_raises_import_error(wrapper, monkeypatch, uncached_flap
         spectra._flapack()
 
 
+def test_transmon_n_cut_floor():
+    with pytest.raises(ValueError, match="n_cut must be at least 10"):
+        transmon_levels(QubitParams(ec=EC, ej=9500.0), n_cut=9)
+
+
 def test_gatemon_grid_must_be_odd():
     p = QubitParams(ec=EC, gap=45600.0, transmissions=(0.9,))
     with pytest.raises(ValueError):
@@ -682,6 +697,7 @@ def test_variant_mismatch_rejected():
         dict(ec=EC, gap=45600.0, transmissions=(1.5,)),
         dict(ec=EC, gap=45600.0, transmissions=()),
         dict(ec=EC, gap=45600.0),  # transmissions missing
+        dict(ec=EC, gap=-1.0, transmissions=(0.5,)),
     ],
 )
 def test_qubit_params_validation(kwargs):
@@ -715,7 +731,7 @@ def test_infer_transmission_inverts_attainable_targets(alpha):
     t = infer_transmission(alpha, EC, 45600.0)
     assert 0.0 < t <= 1.0
     p = QubitParams(ec=EC, gap=45600.0, transmissions=(t,))
-    assert gatemon_levels(p, check=False).alpha == pytest.approx(alpha, abs=1e-5)
+    assert gatemon_levels(p).alpha == pytest.approx(alpha, abs=1e-5)
 
 
 @pytest.mark.parametrize("alpha", [-172.0, -700.0, -400.0, -100.0])
@@ -724,13 +740,13 @@ def test_infer_transmission_agrees_with_brentq(alpha, monkeypatch):
 
     evals = []
 
-    def counted(p, **kwargs):
+    def counted(p):
         evals.append(p.transmissions)
-        return gatemon_levels(p, **kwargs)
+        return gatemon_levels(p)
 
     def alpha_at(t):
         p = QubitParams(ec=EC, gap=45600.0, transmissions=(t,))
-        return spectra.gatemon_levels(p, check=False).alpha
+        return spectra.gatemon_levels(p).alpha
 
     monkeypatch.setattr(spectra, "gatemon_levels", counted)
     t = infer_transmission(alpha, EC, 45600.0)
@@ -767,6 +783,32 @@ def test_infer_transmission_out_of_band():
         infer_transmission(-10.0, EC, 45600.0)
     hi, lo = info.value.attainable
     assert lo < hi < -10.0
+
+
+def test_infer_transmission_of_an_end_point_is_that_end():
+    # the root finder starts on an exact zero and returns that end as is
+    alpha = gatemon_levels(QubitParams(ec=EC, gap=45600.0, transmissions=(1.0,))).alpha
+    assert infer_transmission(alpha, EC, 45600.0) == 1.0
+
+
+def test_illinois_step_off_the_bracket_bisects():
+    # f(1) = 1e-300 is so small that the secant step lands on x = 1 itself,
+    # an end of the bracket, so the step bisects instead
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - 1.0 + 1e-300
+
+    root = spectra._illinois_root(f, 0.0, -1.0, 1.0, 1e-300, xtol=1e-10)
+    assert seen[0] == 0.5
+    assert root == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("length", [1e-303, 1e-323], ids=["square-overflows", "ratio-overflows"])
+def test_te_mode_frequency_refuses_to_overflow(length):
+    with pytest.raises(ValueError, match=r"TE\(1,0,1\) frequency overflows"):
+        te_mode_frequency(CavityGeometry(length, 5e-3, 30e-3))
 
 
 def test_te101_frozen_value():

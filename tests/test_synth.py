@@ -57,6 +57,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="unknown synth kind"):
             _refl_spec(kind="hologram")
 
+    @pytest.mark.parametrize("key", ["truth", "grid"])
+    def test_truth_and_grid_must_be_mappings(self, key):
+        with pytest.raises(ConfigError, match="synth truth and grid must be mappings"):
+            _refl_spec(**{key: [1.0]})
+
     def test_missing_grid_key(self):
         grid = dict(REFL_GRID)
         del grid["n_f"]
