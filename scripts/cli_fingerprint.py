@@ -35,7 +35,8 @@ VERBS = ("fit-resonator", "fit-lorentzian", "fit-rabi", "simulate-qubit",
          "simulate-cavity", "sweep-gate", "synth", "pipeline")
 
 # configs written next to the shipped ones, for the failure paths, a
-# warning and the gatemon at nonzero offset charge (tolerance_miss.yaml is
+# warning and the gatemon at nonzero offset charge (tiny_cavity.yaml makes
+# the pipeline's first stage raise a ValueError, tolerance_miss.yaml is
 # pipeline.yaml with an unreachable f_r tolerance, strong_coupling.yaml is
 # pipeline.yaml with g too strong for the dispersive shift, which warns,
 # gatemon_ng.yaml is gatemon.yaml at ng = 0.23 and
@@ -47,6 +48,10 @@ EXTRA_CONFIGS = {
         "system:\n  g_mhz: 100\n"
         "sweep:\n  table_csv: missing.csv\n"),
     "bad_key.yaml": "qubit:\n  ec_mhz: 190\n  ej: 9500\n",
+    "tiny_cavity.yaml": (
+        "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n"
+        "cavity:\n  length_a_mm: 1.0e-300\n  width_b_mm: 5\n  height_d_mm: 30\n"
+        "system:\n  g_mhz: 100\n"),
     # EC = 5 GHz and an open channel need more than the default 201-point
     # grid: the refinement check fails
     "gatemon_truncated.yaml": (
@@ -82,6 +87,7 @@ RUNS = [
     *[(f"{name}-delay", argv, {})
       for name, argv in _fit("fit-resonator", "reflection.csv", "frd", "--delay")],
     ("fit-resonator-noise", ["fit-resonator", "fr_resid.csv"], {}),
+    ("fit-resonator-overflow", ["fit-resonator", "overflow.csv"], {}),
     ("fit-resonator-missing", ["fit-resonator", "missing.csv"], {}),
     *[(name, argv, {}) for name, argv in _fit("fit-lorentzian", "row.csv", "fl")],
     *[(name, argv, {}) for name, argv in _fit("fit-rabi", "rabi.csv", "fb")],
@@ -109,6 +115,8 @@ RUNS = [
                                  "--workdir", "pipe_miss"], {}),
     ("pipeline-input-error", ["pipeline", "--config", "cfg/missing_table.yaml",
                               "--workdir", "pipe_input"], {}),
+    ("pipeline-value-error", ["pipeline", "--config", "cfg/tiny_cavity.yaml",
+                              "--workdir", "pipe_value"], {}),
     ("pipeline-strong-coupling", ["pipeline", "--config", "cfg/strong_coupling.yaml",
                                   "--workdir", "pipe_strong"], {}),
     ("unknown-verb", ["frobnicate"], {}),
@@ -143,10 +151,25 @@ def _run(argv, env):
     return out.getvalue(), err.getvalue(), code
 
 
-def _power_map_row(workdir):
+def _power_map_row():
     """|S21|^2 of the first power-map row as a magnitude trace, a Lorentzian dip."""
-    m = cqedkit.io.read_map_csv(workdir / "power_map.csv")
-    cqedkit.io.write_magnitude_trace(workdir / "row.csv", m.fast_values, m.grid[0] ** 2)
+    m = cqedkit.io.read_map_csv("power_map.csv")
+    cqedkit.io.write_magnitude_trace("row.csv", m.fast_values, m.grid[0] ** 2)
+
+
+def _overflow_trace():
+    """Every other sample of reflection.csv, 201 in all, the middle re at
+    1e308: each sample is finite but the fit's starting cost overflows."""
+    header, *rows = Path("reflection.csv").read_text().splitlines()
+    rows = rows[::2]
+    cells = rows[100].split(",")
+    cells[1] = "1e308"
+    rows[100] = ",".join(cells)
+    Path("overflow.csv").write_text("\n".join([header, *rows]) + "\n")
+
+
+# inputs made from earlier outputs, just before the run that reads them
+PREPARE = {"fit-lorentzian": _power_map_row, "fit-resonator-overflow": _overflow_trace}
 
 
 def _sha(data) -> str:
@@ -173,8 +196,8 @@ def fingerprint(workdir: Path) -> list[str]:
     os.chdir(workdir)
     try:
         for name, argv, env in RUNS:
-            if name == "fit-lorentzian":
-                _power_map_row(Path("."))
+            if name in PREPARE:
+                PREPARE[name]()
             out, err, code = _run(argv, env)
             lines += [f"{_sha(out)}  {name}.stdout", f"{_sha(err)}  {name}.stderr",
                       f"{_sha(str(code))}  {name}.exit"]

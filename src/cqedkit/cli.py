@@ -306,7 +306,7 @@ def cmd_pipeline(args) -> int:
         # failures holds only these checks: every earlier stage passed
         stage("fit", "fail" if failures else "ok", ql=fit.ql, qc=fit.qc,
               f_r_ghz=fit.f_r_ghz, qi=fit.qi)
-    except (SolverError, InputDataError) as exc:
+    except (SolverError, InputDataError, ValueError) as exc:
         stage(current, "fail", error=str(exc))
         failures.append(f"{current}: {exc}")
         error = exc
@@ -318,6 +318,9 @@ def cmd_pipeline(args) -> int:
     if isinstance(error, InputDataError):
         # a missing or malformed stage input exits 1, after the report is written
         raise InputDataError(f"pipeline stage {current}: {error}") from error
+    if isinstance(error, ValueError):
+        # main maps it as outside the pipeline: exit 1, or 2 for a LinAlgError
+        raise error
     return 2 if failures else 0
 
 

@@ -107,10 +107,10 @@ def lm_minimize(
 
     ``fn(x, *args)`` returns the residual vector and ``jac(x, *args)`` its
     Jacobian, analytic or from ``numeric_jacobian``.
-    Non-finite residuals at the start raise ValueError; anywhere later they
-    reject the trial step. The covariance comes from the Jacobian at the
-    final x, which is the last iteration's own when no step was accepted
-    after it was taken.
+    Non-finite residuals, or a cost that overflows, at the start raise
+    ValueError; anywhere later they reject the trial step. The covariance
+    comes from the Jacobian at the final x, which is the last iteration's
+    own when no step was accepted after it was taken.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if names is None:
@@ -132,7 +132,13 @@ def lm_minimize(
     r = residuals(x)
     if not np.isfinite(r).all():
         raise ValueError("residuals are not finite at the initial point")
-    cost = float(r @ r)
+    # an overflow is reported by the error below, not by a warning as well
+    with np.errstate(over="ignore"):
+        cost = float(r @ r)
+    if not math.isfinite(cost):
+        # no trial cost falls below inf, so damping would shrink the step
+        # until it "converged" at the start
+        raise ValueError("cost overflows at the initial point")
 
     lam = _LAMBDA_INIT
     iterations = 0

@@ -62,18 +62,47 @@ def _tick_label(t: float) -> str:
     return text
 
 
+_POS = np.array([p for p, _ in _VIRIDIS])
+_RGB = np.array([c for _, c in _VIRIDIS], dtype=float)
+
+
+def _color_codes(values, lo: float, hi: float) -> np.ndarray:
+    """0xRRGGBB of each value on the viridis scale from lo to hi.
+
+    A non-finite value is white. u = (value - lo) / (hi - lo), or 0 when
+    hi <= lo, is clipped to [0, 1]; each channel is interpolated between
+    the two anchors around u and rounded half to even. A u that is NaN
+    (inf / inf when hi - lo overflows) takes the top anchor.
+    """
+    v = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.zeros(v.shape) if hi <= lo else (v - lo) / (hi - lo)
+    u = np.clip(u, 0.0, 1.0)
+    # the first anchor at or above u ends the segment; NaN sorts past the last
+    seg = np.searchsorted(_POS[1:], u)
+    top = seg == _POS.size - 1
+    seg[top] = _POS.size - 2
+    p0, p1 = _POS[seg], _POS[seg + 1]
+    w = ((u - p0) / (p1 - p0))[..., None]
+    c0, c1 = _RGB[seg], _RGB[seg + 1]
+    rgb = np.rint(c0 + w * (c1 - c0))
+    rgb[top] = _RGB[-1]
+    code = (rgb.astype(np.int64) << [16, 8, 0]).sum(axis=-1)
+    code[~np.isfinite(v)] = 0xFFFFFF
+    return code
+
+
+class _Hex(dict):
+    """0xRRGGBB -> '#rrggbb', each string formatted once."""
+
+    def __missing__(self, code):
+        text = self[code] = f"#{code:06x}"
+        return text
+
+
 def color_for(value: float, lo: float, hi: float) -> str:
     """Map value in [lo, hi] to the viridis-anchored hex color."""
-    if not math.isfinite(value):
-        return "#ffffff"
-    u = 0.0 if hi <= lo else (value - lo) / (hi - lo)
-    u = min(max(u, 0.0), 1.0)
-    for (p0, c0), (p1, c1) in zip(_VIRIDIS, _VIRIDIS[1:]):
-        if u <= p1:
-            w = (u - p0) / (p1 - p0)
-            rgb = [round(a + w * (b - a)) for a, b in zip(c0, c1)]
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#{:02x}{:02x}{:02x}".format(*_VIRIDIS[-1][1])
+    return f"#{_color_codes([value], lo, hi)[0]:06x}"
 
 
 class _Canvas:
@@ -127,18 +156,18 @@ class _Canvas:
         return self.parts + ["</svg>"]
 
 
-def _rect(x, y, w, h, fill) -> str:
-    return f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="{fill}"/>'
+def _widen(lo, hi):
+    """An empty range [lo, hi] widened to 1e-3 of |lo| each way, or 1e-3 at zero."""
+    if hi > lo:
+        return lo, hi
+    pad = abs(lo) if lo else 1.0
+    return lo - 1e-3 * pad, lo + 1e-3 * pad + 1e-12
 
 
 class _Axes:
     def __init__(self, xlo, xhi, ylo, yhi):
-        if xhi <= xlo:
-            xhi = xlo + 1.0
-        if yhi <= ylo:
-            pad = abs(ylo) if ylo else 1.0
-            ylo, yhi = ylo - 1e-3 * pad, ylo + 1e-3 * pad + 1e-12
-        self.xlo, self.xhi, self.ylo, self.yhi = xlo, xhi, ylo, yhi
+        self.xlo, self.xhi = _widen(xlo, xhi)
+        self.ylo, self.yhi = _widen(ylo, yhi)
         self.x0 = MARGIN["left"]
         self.x1 = WIDTH - MARGIN["right"]
         self.y0 = HEIGHT - MARGIN["bottom"]
@@ -223,17 +252,20 @@ def heatmap(path, slow_values, fast_values, grid, xlabel="", ylabel="", title=""
     parts = canvas.finish()
     cw = (ax.x1 - ax.x0) / fast.size
     ch = (ax.y0 - ax.y1) / slow.size
+    # cell (i, j) spans x0 + j * cw and y0 - (i + 1) * ch, widened by half a
+    # pixel against seams; x is formatted once per column, y once per row and
+    # each fill once
+    heads = [f'<rect x="{_fmt(ax.x0 + j * cw)}" y="' for j in range(grid.shape[-1])]
+    size = f'" width="{_fmt(cw + 0.5)}" height="{_fmt(ch + 0.5)}" fill="'
+    hexes = _Hex()
 
     def cell_row(i):
-        y = ax.y0 - (i + 1) * ch
-        return "\n".join(
-            _rect(ax.x0 + j * cw, y, cw + 0.5, ch + 0.5, color_for(v, lo, hi))
-            for j, v in enumerate(grid[i])
-        )
+        tail = f"{_fmt(ax.y0 - (i + 1) * ch)}{size}"
+        fills = map(hexes.__getitem__, _color_codes(grid[i], lo, hi).tolist())
+        return "\n".join([f'{head}{tail}{fill}"/>' for head, fill in zip(heads, fills)])
 
     # the cells go under the axes, formatted one row at a time as they are
     # written: a 61 x 721 map is 44k rects, and holding them all as strings
     # took ~11 MB at the peak
     rows = (cell_row(i) for i in range(slow.size))
     return write_lines(path, itertools.chain(parts[:n_head], rows, parts[n_head:]))
-

@@ -1,8 +1,11 @@
 """End-to-end command-line tests: exit codes, stdout payloads, artifact
 files, determinism, and the pipeline's three outcomes. Everything runs
-in-process through main(argv), except what needs a piped standard input.
+in-process through main(argv), except what needs a fresh interpreter: a
+run under a timeout, a warning's stderr line and the process entry.
 """
 
+import gc
+import importlib
 import json
 import os
 import subprocess
@@ -26,12 +29,12 @@ REFL_TRUTH = {"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,
               "theta": 0.1, "f_r_ghz": 5.2816}
 
 
-def _trace_csv(tmp_path, snr_db=35.0, seed=11, **truth_over):
+def _trace_csv(tmp_path, snr_db=35.0, seed=11, n_f=801, **truth_over):
     truth = dict(REFL_TRUTH)
     truth.update(truth_over)
     spec = SynthSpec(kind="reflection_trace", seed=seed, snr_db=snr_db,
                      truth=truth,
-                     grid={"f_min_ghz": 5.2728, "f_max_ghz": 5.2904, "n_f": 801})
+                     grid={"f_min_ghz": 5.2728, "f_max_ghz": 5.2904, "n_f": n_f})
     return io.write_complex_trace(tmp_path / "trace.csv", synth_reflection(spec))
 
 
@@ -113,6 +116,24 @@ class TestFitResonator:
         done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=30)
         assert done.returncode in (0, 1, 2)
         assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("delay", [False, True], ids=["plain", "delay"])
+    def test_overflowing_cost_exit_one(self, tmp_path, capsys, delay):
+        # every sample is finite but the starting cost overflows; the fit
+        # once printed "converged": true, a null chi2 and its initial guess
+        data = _trace_csv(tmp_path, n_f=201)
+        lines = data.read_text().splitlines()
+        cells = lines[100].split(",")
+        cells[1] = "1e308"
+        lines[100] = ",".join(cells)
+        data.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["fit-resonator", str(data)] + ["--delay"] * delay) == 1
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.err == "invalid value: cost overflows at the initial point\n"
+        assert captured.out == ""
 
     def test_missing_file_exit_one(self, tmp_path, capsys):
         assert main(["fit-resonator", str(tmp_path / "nope.csv")]) == 1
@@ -497,6 +518,24 @@ class TestPipeline:
         assert report["stages"][-1]["name"] == "sweep"
         assert report["stages"][-1]["status"] == "fail"
 
+    def test_stage_value_error_writes_the_report(self, tmp_path, capsys):
+        # the cavity's frequency overflows: a ValueError, exit 1 as outside
+        # the pipeline, and the report names the stage
+        text = Path(PIPELINE_YAML).read_text().replace("length_a_mm: 70.0", "length_a_mm: 1e-300")
+        rc = main(["pipeline", "--config", _config(tmp_path, text), "--workdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("invalid value: TE(1,0,1) frequency overflows")
+        assert len(captured.err.splitlines()) == 1
+        message = captured.err.removeprefix("invalid value: ").rstrip("\n")
+        assert captured.out.splitlines() == [f"[cavity] FAIL: error={message}",
+                                             f"wrote {tmp_path / 'report.json'}",
+                                             f"FAIL: cavity: {message}"]
+        report = io.read_json(tmp_path / "report.json")
+        jsonschema.validate(report, io.load_schema("report"))
+        assert report["passed"] is False
+        assert [(s["name"], s["status"]) for s in report["stages"]] == [("cavity", "fail")]
+
     def test_library_warning_prints_one_line(self, tmp_path, capsys, monkeypatch):
         # g = 2 GHz leaves the qubit within 10 g of the cavity, so the
         # dispersive shift warns; the warning takes one stderr line and the
@@ -748,3 +787,81 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["simulate-qubit"])
         assert err.value.code == 1
+
+
+# what `python -m cqedkit` does, plus an exit handler that records the
+# collector's freeze count once the interpreter has begun to shut down
+_ENTRY_PROBE = """\
+import atexit, gc, runpy, sys
+
+count_file = sys.argv.pop(1)
+
+
+def record():
+    with open(count_file, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+
+atexit.register(record)
+runpy.run_module("cqedkit", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestEntryPoint:
+    """The process entry, cqedkit.__main__.run, is cli.main plus a frozen
+    collector at exit; tests call cli.main and never freeze."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["synth", "--config", str(CONFIGS / "synth_rabi.yaml"), "--out", "rabi.csv",
+          "--plot", "rabi.svg"], 0),
+        (["fit-rabi", "missing.csv"], 1),
+        (["fit-resonator", "flat.csv"], 2),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_freezes_the_collector_and_matches_main(self, tmp_path, capsys, monkeypatch,
+                                                    argv, code):
+        monkeypatch.delenv(io.OUTDIR_ENV, raising=False)
+        rng = np.random.default_rng(0)
+        flat = ComplexTrace(np.linspace(5.0, 5.2, 401),
+                            1.0 + rng.normal(0, 0.01, 401) + 1j * rng.normal(0, 0.01, 401))
+        for side in ("main", "entry"):
+            io.write_complex_trace(tmp_path / side / "flat.csv", flat)
+
+        monkeypatch.chdir(tmp_path / "main")
+        assert main(argv) == code
+        captured = capsys.readouterr()
+
+        env = dict(os.environ)
+        src = str(Path(cqedkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        count = tmp_path / "freeze_count"
+        done = subprocess.run([sys.executable, "-c", _ENTRY_PROBE, str(count), *argv],
+                              cwd=tmp_path / "entry", env=env, capture_output=True, text=True)
+        assert done.returncode == code
+        assert (done.stdout, done.stderr) == (captured.out, captured.err)
+        assert int(count.read_text()) > 0
+
+        def written(d):
+            return {p.relative_to(d).as_posix(): p.read_bytes() for p in d.rglob("*")
+                    if p.is_file()}
+
+        assert written(tmp_path / "entry") == written(tmp_path / "main")
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["fit-rabi", "missing.csv"], 1),
+        (["frobnicate"], 1),             # argparse's SystemExit passes through the finally
+    ], ids=["returns", "raises"])
+    def test_run_freezes_after_main_returns_or_raises(self, tmp_path, capsys, monkeypatch,
+                                                      argv, code):
+        entry = importlib.import_module("cqedkit.__main__")
+        frozen = []
+        monkeypatch.setattr(entry.gc, "freeze", lambda: frozen.append(True))
+        monkeypatch.setattr(sys, "argv", ["cqedkit", *argv])
+        monkeypatch.chdir(tmp_path)
+        try:
+            got = entry.run()
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert frozen == [True]
+        assert gc.get_freeze_count() == 0

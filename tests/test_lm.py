@@ -131,6 +131,16 @@ def test_nonfinite_start_rejected():
         lm_minimize(infinite, [1.0], jac=_loop(infinite))
 
 
+def test_overflowing_start_cost_rejected():
+    # every residual is finite but r @ r is inf; the search once damped its
+    # step below tolerance and reported convergence at the start
+    def huge(x):
+        return np.array([1e308, x[0] - 1.0])
+
+    with pytest.raises(ValueError, match="cost overflows"):
+        lm_minimize(huge, [0.0], jac=_loop(huge))
+
+
 def test_complex_residuals_rejected():
     def residuals(x):
         return np.array([1j * x[0]])

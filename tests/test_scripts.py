@@ -45,13 +45,14 @@ def test_cli_fingerprint_hashes_every_stream(tmp_path):
     sha = {code: hashlib.sha256(str(code).encode()).hexdigest() for code in (0, 1, 2)}
     assert exit_code["pipeline"] == sha[0]
     assert exit_code["pipeline-tolerance-miss"] == sha[2]
-    assert exit_code["pipeline-input-error"] == sha[1]
+    assert exit_code["pipeline-input-error"] == exit_code["pipeline-value-error"] == sha[1]
+    assert exit_code["fit-resonator-overflow"] == sha[1]
     assert exit_code["pipeline-strong-coupling"] == sha[0]
     assert exit_code["sweep-gate-truncated"] == exit_code["sweep-gate-truncated-ng0"] == sha[2]
     assert exit_code["sweep-gate-transmon-truncated"] == sha[2]
     assert exit_code["unknown-verb"] == sha[1]
-    for written in ("pipe/report.json", "pipe_input/report.json", "envout/env.svg",
-                    "seed99/truth.json", "frd_resid.csv"):
+    for written in ("pipe/report.json", "pipe_input/report.json", "pipe_value/report.json",
+                    "envout/env.svg", "seed99/truth.json", "frd_resid.csv"):
         assert written in digests
 
 
@@ -68,3 +69,17 @@ def test_reach_census_lists_every_module(tmp_path):
     reached = int(svgplot.split()[3]) - int(svgplot.split()[1])
     assert reached > 100
     assert lines[-1].startswith("total: ") and lines[-1].endswith(" executable lines unreached")
+
+
+def test_verb_walltime_compares_two_trees(tmp_path):
+    done = _run("verb_walltime.py", SRC, SRC, "--repeats", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[0] == "verb"
+    labels = [row.split()[0] for row in rows]
+    assert labels[:5] == ["synth-reflection", "synth-rabi", "synth-power_map",
+                          "synth-gate_map", "synth-two_tone"]
+    assert {"fit-resonator", "fit-lorentzian", "fit-rabi", "simulate-qubit-gatemon",
+            "simulate-cavity", "sweep-gate", "pipeline"} <= set(labels)
+    assert labels[-1] == "session"
+    assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
