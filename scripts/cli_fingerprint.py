@@ -10,14 +10,24 @@ paths, so two runs against two source trees compare with a plain diff:
     PYTHONPATH=old/src python3 scripts/cli_fingerprint.py a > a.txt
     PYTHONPATH=new/src python3 scripts/cli_fingerprint.py b > b.txt
     diff a.txt b.txt
+
+tests/cli_fingerprint.txt holds the output of the committed tree, and
+tests/test_scripts.py fails on any line that moves. After an intended
+change of output, regenerate it from the repository root:
+
+    PYTHONPATH=src python3 scripts/cli_fingerprint.py "$(mktemp -d)" > tests/cli_fingerprint.txt
 """
 
 import os
 
 # sweep CSV bytes depend on the BLAS thread count; pin it before numpy loads
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 # argparse wraps help text to the terminal width
 os.environ["COLUMNS"] = "80"
+# outputs land in OUTDIR; only the runs that test CQEDKIT_OUTDIR set it
+os.environ.pop("CQEDKIT_OUTDIR", None)
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -27,20 +37,23 @@ import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import cqedkit.io  # noqa: E402
-from cqedkit.cli import main  # noqa: E402
+from cqedkit.cli import VERBS, main  # noqa: E402
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SYNTH_KINDS = ("reflection", "rabi", "power_map", "gate_map", "two_tone")
-VERBS = ("fit-resonator", "fit-lorentzian", "fit-rabi", "simulate-qubit",
-         "simulate-cavity", "sweep-gate", "synth", "pipeline")
+# gatemon devices swept in transmission; no shipped config sweeps a gatemon
+GATEMON_SWEEPS = ("perfbench_gatemon", "saturating", "one_channel_ng")
+GATEMON_SYSTEM = "system: {f_bare_ghz: 5.443, g_mhz: 100, kappa_mhz: 1.2, gamma_q_mhz: 0.3}\n"
 
 # configs written next to the shipped ones, for the failure paths, a
-# warning and the gatemon at nonzero offset charge (tiny_cavity.yaml makes
-# the pipeline's first stage raise a ValueError, tolerance_miss.yaml is
-# pipeline.yaml with an unreachable f_r tolerance, strong_coupling.yaml is
+# warning, the gatemon sweeps and the gatemon at nonzero offset charge
+# (tiny_cavity.yaml makes the pipeline's first stage raise a ValueError,
+# tolerance_miss.yaml is pipeline.yaml with an unreachable f_r tolerance,
+# strong_coupling.yaml is
 # pipeline.yaml with g too strong for the dispersive shift, which warns,
-# gatemon_ng.yaml is gatemon.yaml at ng = 0.23 and
-# gatemon_truncated_ng0.yaml is gatemon_truncated.yaml at ng = 0)
+# gatemon_ng.yaml is gatemon.yaml at ng = 0.23,
+# gatemon_truncated_ng0.yaml is gatemon_truncated.yaml at ng = 0 and
+# f_bare.yaml is pipeline.yaml with an f_bare_ghz that wins over the cavity)
 EXTRA_CONFIGS = {
     "missing_table.yaml": (
         "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n"
@@ -66,6 +79,22 @@ EXTRA_CONFIGS = {
         "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
         "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 100000.0\n"
         "  maps_to: ej\n"),
+    # perfbench's check device (golden.check_devices()["gatemon"])
+    "sweep_perfbench_gatemon.yaml": (
+        "qubit: {ec_mhz: 250, gap_mhz: 60000, transmissions: [1.0]}\n" + GATEMON_SYSTEM +
+        "sweep: {maps_to: transmission, profile: {seed: 3, v_min: -2.0, v_max: 10.0, n: 9,"
+        " v_pinch: 0.0, max_value: 1.0}}\n"),
+    # 11 of the 25 points clip to T = 1 exactly
+    "sweep_saturating.yaml": (
+        "qubit: {ec_mhz: 220, gap_mhz: 55000, transmissions: [1.0]}\n" + GATEMON_SYSTEM +
+        "sweep: {maps_to: transmission, profile: {seed: 1, n: 25, max_value: 1.0}}\n"),
+    # off the ng = 0 symmetry, so the refinement check solves the whole matrix
+    "sweep_one_channel_ng.yaml": (
+        "qubit: {ec_mhz: 250, gap_mhz: 45600, transmissions: [0.85], ng: 0.23}\n"
+        + GATEMON_SYSTEM +
+        "sweep: {maps_to: transmission, profile: {seed: 5, n: 13, max_value: 0.95}}\n"),
+    "duplicate_key.yaml": "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n  ec_mhz: 250\n",
+    "bad_yaml.yaml": "qubit:\n  ec_mhz: 190\n   ej_mhz: 9500\n",
 }
 
 
@@ -97,9 +126,15 @@ RUNS = [
                                    "--out", "qubit_ng.json"], {}),
     ("simulate-qubit-transmon", ["simulate-qubit", "--config", "cfg/pipeline.yaml"], {}),
     ("simulate-qubit-bad-key", ["simulate-qubit", "--config", "cfg/bad_key.yaml"], {}),
+    ("simulate-qubit-duplicate-key", ["simulate-qubit", "--config", "cfg/duplicate_key.yaml"],
+     {}),
+    ("simulate-qubit-bad-yaml", ["simulate-qubit", "--config", "cfg/bad_yaml.yaml"], {}),
     ("simulate-cavity", ["simulate-cavity", "--config", "cfg/pipeline.yaml"], {}),
     ("simulate-cavity-out", ["simulate-cavity", "--config", "cfg/pipeline.yaml",
                              "--out", "cavity.json"], {}),
+    # cfg is a directory, so --out cannot be written
+    ("simulate-cavity-out-dir", ["simulate-cavity", "--config", "cfg/pipeline.yaml",
+                                 "--out", "cfg"], {}),
     ("sweep-gate", ["sweep-gate", "--config", "cfg/pipeline.yaml"], {}),
     ("sweep-gate-files", ["sweep-gate", "--config", "cfg/synth_two_tone.yaml", "--out",
                           "sweep.csv", "--json", "sweep.json", "--plot", "sweep.svg"], {}),
@@ -108,6 +143,8 @@ RUNS = [
      {}),
     ("sweep-gate-transmon-truncated", ["sweep-gate", "--config",
                                        "cfg/transmon_truncated.yaml"], {}),
+    *[(f"sweep-gate-{name}", ["sweep-gate", "--config", f"cfg/sweep_{name}.yaml",
+                              "--out", f"gatemon/{name}.csv"], {}) for name in GATEMON_SWEEPS],
     ("pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "pipe"], {}),
     ("pipeline-seed", ["pipeline", "--config", "cfg/pipeline.yaml", "--seed", "3",
                        "--workdir", "pipe_seed"], {}),
@@ -119,6 +156,8 @@ RUNS = [
                               "--workdir", "pipe_value"], {}),
     ("pipeline-strong-coupling", ["pipeline", "--config", "cfg/strong_coupling.yaml",
                                   "--workdir", "pipe_strong"], {}),
+    ("pipeline-f-bare", ["pipeline", "--config", "cfg/f_bare.yaml", "--workdir", "pipe_f_bare"],
+     {}),
     ("unknown-verb", ["frobnicate"], {}),
     ("missing-config", ["simulate-qubit"], {}),
     ("missing-data", ["fit-rabi"], {}),
@@ -188,6 +227,7 @@ def fingerprint(workdir: Path) -> list[str]:
     pipeline = (cfg / "pipeline.yaml").read_text()
     (cfg / "tolerance_miss.yaml").write_text(pipeline.replace("f_r_mhz: 0.5", "f_r_mhz: 1.0e-9"))
     (cfg / "strong_coupling.yaml").write_text(pipeline.replace("g_mhz: 100.0", "g_mhz: 2000.0"))
+    (cfg / "f_bare.yaml").write_text(pipeline.replace("system:\n", "system:\n  f_bare_ghz: 5.5\n"))
     (cfg / "gatemon_ng.yaml").write_text((cfg / "gatemon.yaml").read_text() + "  ng: 0.23\n")
     truncated = EXTRA_CONFIGS["gatemon_truncated.yaml"]
     (cfg / "gatemon_truncated_ng0.yaml").write_text(truncated.replace("  ng: 0.23\n", ""))

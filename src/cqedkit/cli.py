@@ -259,11 +259,8 @@ def cmd_pipeline(args) -> int:
     current = "cavity"
     error = None
     try:
-        if "cavity" in cfg:
-            f_bare = te_mode_frequency(cfgmod.cavity_geometry(cfg))
-        else:
-            f_bare = cfgmod.dispersive_system(cfg).f_bare_ghz
-        stage("cavity", "ok", f_bare_ghz=f_bare)
+        # the frequency the later stages use: f_bare_ghz, else the cavity mode
+        stage("cavity", "ok", f_bare_ghz=cfgmod.dispersive_system(cfg).f_bare_ghz)
 
         current = "qubit"
         _, spectrum = _solve_spectrum(cfg)

@@ -27,14 +27,32 @@ PIPELINE_TOLERANCES = {"ql_rel": 0.02, "qc_rel": 0.05, "f_r_mhz": 0.5}
 def load_config(path) -> dict:
     """The config file as a mapping of sections. A relative
     ``sweep.table_csv`` is resolved against the config file's directory,
-    so a config finds the table next to it from any working directory."""
+    so a config finds the table next to it from any working directory.
+    A key given twice in one mapping is an error, not a silent override."""
     import yaml
+
+    class Loader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                # a merge key (<<) has no constructor of its own
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise ConfigError(f"duplicate key {key!r} in {path}",
+                                          line=key_node.start_mark.line + 1)
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
 
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except yaml.MarkedYAMLError as exc:
+        raise ConfigError(f"invalid YAML in {path}: {exc.problem}",
+                          line=exc.problem_mark.line + 1) from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
     if cfg is None:

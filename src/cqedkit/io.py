@@ -43,15 +43,20 @@ GATE_HEADER = ("V_G", "value")
 
 
 def write_lines(path, lines) -> Path:
-    """Write text lines, each ended by LF, making the parent directories."""
+    """Write text lines, each ended by LF, making the parent directories.
+    A path that cannot be written, such as a directory or a path under a
+    file, raises InputDataError."""
     p = Path(path)
     if not p.is_absolute() and os.environ.get(OUTDIR_ENV):
         p = Path(os.environ[OUTDIR_ENV]) / p
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", newline="\n") as fh:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+    try:
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with open(p, "w", newline="\n") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    except OSError as exc:
+        raise InputDataError(f"cannot write {p}: {exc}") from exc
     return p
 
 

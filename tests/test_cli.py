@@ -476,6 +476,16 @@ class TestPipeline:
                      "--workdir", str(tmp_path)]) == 0
         assert "[cavity] ok: f_bare_ghz=5.44" in capsys.readouterr().out
 
+    def test_bare_frequency_wins_over_the_cavity(self, tmp_path, capsys):
+        # the cavity stage reports the frequency the sweep and synth use
+        text = SWEEP_YAML.replace("system:\n", "system:\n  f_bare_ghz: 5.5\n")
+        assert main(["pipeline", "--config", _config(tmp_path, text),
+                     "--workdir", str(tmp_path)]) == 0
+        assert "[cavity] ok: f_bare_ghz=5.5\n" in capsys.readouterr().out
+        report = io.read_json(tmp_path / "report.json")
+        assert report["stages"][0]["details"] == {"f_bare_ghz": 5.5}
+        assert io.read_json(tmp_path / "sweep.json")["f_bare_ghz"] == 5.5
+
     def test_tolerance_miss_exit_two(self, tmp_path, capsys):
         cfg = _config(tmp_path, SWEEP_YAML +
                       "pipeline:\n  tolerances:\n    f_r_mhz: 1.0e-9\n")
@@ -641,6 +651,38 @@ class TestConfigEscapes:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
         assert "wrote" not in captured.out
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("text, message", [
+        (QUBIT_YAML + "  ec_mhz: 250\n", "duplicate key 'ec_mhz' in {cfg} (line 4)"),
+        (QUBIT_YAML + "qubit:\n  ec_mhz: 250\n", "duplicate key 'qubit' in {cfg} (line 4)"),
+        (QUBIT_YAML + "   ng: 0.2\n",
+         "invalid YAML in {cfg}: mapping values are not allowed here (line 4)"),
+    ], ids=["duplicate-key", "duplicate-section", "syntax-error"])
+    def test_exit_one_naming_the_line(self, tmp_path, capsys, text, message):
+        cfg = _config(tmp_path, text)
+        assert main(["simulate-qubit", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+        assert captured.out == ""
+
+
+class TestUnwritableOutput:
+    # afile is a file, so nothing can be written under it
+    @pytest.mark.parametrize("argv, path", [
+        (["simulate-cavity", "--config", PIPELINE_YAML, "--out", "{d}"], "{d}"),
+        (["simulate-cavity", "--config", PIPELINE_YAML, "--out", "{d}/afile/x.json"],
+         "{d}/afile/x.json"),
+        (["pipeline", "--config", PIPELINE_YAML, "--workdir", "{d}/afile"],
+         "{d}/afile/report.json"),
+    ], ids=["out-is-a-directory", "out-under-a-file", "workdir-is-a-file"])
+    def test_exit_one_with_one_line(self, tmp_path, capsys, argv, path):
+        (tmp_path / "afile").write_text("")
+        assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path.format(d=tmp_path)}: ")
+        assert len(err.splitlines()) == 1
 
 
 def _synth_input(cfg, d):

@@ -357,6 +357,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="invalid YAML"):
             config.load_config(p)
 
+    @pytest.mark.parametrize("text, key, line", [
+        ("qubit:\n  ec_mhz: 190\nqubit:\n  ec_mhz: 250\n", "qubit", 3),
+        ("qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n  ec_mhz: 250\n", "ec_mhz", 4),
+        ("sweep:\n  profile:\n    seed: 3\n    n: 9\n    seed: 4\n", "seed", 5),
+        ("sweep:\n  profile: {seed: 3, n: 9, seed: 4}\n", "seed", 2),
+        ("synth:\n  truth: {ql: 6000, ql: 6000}\n", "ql", 2),
+    ], ids=["section", "key", "nested-key", "flow-mapping", "same-value"])
+    def test_load_config_duplicate_key(self, tmp_path, text, key, line):
+        p = tmp_path / "c.yaml"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            config.load_config(p)
+        assert str(err.value) == f"duplicate key {key!r} in {p} (line {line})"
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             config.load_config(tmp_path / "missing.yaml")

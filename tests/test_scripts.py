@@ -1,6 +1,9 @@
 """Smoke tests of scripts/: each runs in a fresh interpreter against the
-public API and must exit 0 with its artifacts written."""
+public API and must exit 0 with its artifacts written. The CLI
+fingerprint's output must also equal tests/cli_fingerprint.txt, the one
+check of the command line's bytes."""
 
+import difflib
 import hashlib
 import os
 import subprocess
@@ -11,10 +14,13 @@ import cqedkit
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(cqedkit.__file__).resolve().parents[1])
+# the byte contract of the command line; regenerate it only for an intended
+# change of output, as README's Scripts section shows
+GOLDEN = ROOT / "tests" / "cli_fingerprint.txt"
 
 
-def _run(script, *args, cwd):
-    env = dict(os.environ)
+def _run(script, *args, cwd, **env_vars):
+    env = {**os.environ, **env_vars}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
@@ -33,10 +39,20 @@ def test_gate_sweep_demo_writes_artifacts(tmp_path):
         assert (tmp_path / name).read_text().startswith("<svg"), name
 
 
-def test_cli_fingerprint_hashes_every_stream(tmp_path):
-    done = _run("cli_fingerprint.py", "fp", cwd=tmp_path)
+def _fingerprint(tmp_path, **env_vars) -> str:
+    """The fingerprint's stdout, which must equal the golden file."""
+    done = _run("cli_fingerprint.py", "fp", cwd=tmp_path, **env_vars)
     assert done.returncode == 0, done.stderr
-    digests = dict(reversed(line.split("  ", 1)) for line in done.stdout.splitlines())
+    golden = GOLDEN.read_text()
+    diff = difflib.unified_diff(golden.splitlines(keepends=True),
+                                done.stdout.splitlines(keepends=True),
+                                str(GOLDEN), "cli_fingerprint.py", n=0)
+    assert done.stdout == golden, "the CLI's bytes moved:\n" + "".join(diff)
+    return done.stdout
+
+
+def test_cli_fingerprint_hashes_every_stream(tmp_path):
+    digests = dict(reversed(line.split("  ", 1)) for line in _fingerprint(tmp_path).splitlines())
     assert all(len(d) == 64 for d in digests.values())
     exit_code = {name.removesuffix(".exit"): d for name, d in digests.items()
                  if name.endswith(".exit")}
@@ -54,6 +70,14 @@ def test_cli_fingerprint_hashes_every_stream(tmp_path):
     for written in ("pipe/report.json", "pipe_input/report.json", "pipe_value/report.json",
                     "envout/env.svg", "seed99/truth.json", "frd_resid.csv"):
         assert written in digests
+    for name in ("simulate-qubit-duplicate-key", "simulate-qubit-bad-yaml",
+                 "simulate-cavity-out-dir"):
+        assert exit_code[name] == sha[1]
+
+
+def test_cli_fingerprint_ignores_the_callers_outdir(tmp_path):
+    # every run that does not test CQEDKIT_OUTDIR writes under OUTDIR
+    _fingerprint(tmp_path, CQEDKIT_OUTDIR="envdir")
 
 
 def test_reach_census_lists_every_module(tmp_path):

@@ -1,13 +1,9 @@
-"""SVG plots: degenerate data still writes a complete SVG, the heatmap's
-numpy colour rule matches a per-cell loop, and the shipped maps' SVGs
-keep their bytes."""
+"""SVG plots: degenerate data still writes a complete SVG, and the
+heatmap's numpy colour rule matches a per-cell loop. The bytes of the
+shipped maps' SVGs are held by the CLI fingerprint,
+tests/cli_fingerprint.txt."""
 
-import hashlib
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,31 +121,3 @@ def test_heatmap_cells_match_the_per_cell_loop(tmp_path, grid):
     text = _svg(svgplot.heatmap(tmp_path / "m.svg", slow, fast, grid))
     cells = [line for line in text.splitlines() if line.startswith("<rect x=")]
     assert cells == _loop_cells(slow, fast, grid)
-
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-SRC = str(Path(svgplot.__file__).resolve().parents[1])
-
-# `synth --plot` of each shipped map config, at 5dcfba0, whose heatmap
-# coloured and formatted one cell at a time; a fresh interpreter with BLAS
-# on one thread, as the map CSVs pinned in test_map_bytes.py
-SVG_PINS = {
-    "power_map": "3b4b575cd681952af50daae0747d74dce39cf6a840da797d2393666520441243",
-    "gate_map": "2b6a83943d05498e511e21d9faebcf4da1c521439a5407707998a1c608a0dbfe",
-    "two_tone": "da284050b81651b7dab7aa18e5319596a02bb361e8a0a95fb39f5098590bae90",
-}
-
-
-@pytest.mark.parametrize("kind", sorted(SVG_PINS))
-def test_shipped_map_svgs_are_pinned(tmp_path, kind):
-    env = dict(os.environ)
-    env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    env.pop("CQEDKIT_OUTDIR", None)
-    argv = ["synth", "--config", str(CONFIGS / f"synth_{kind}.yaml"), "--out",
-            str(tmp_path / f"{kind}.csv"), "--plot", str(tmp_path / f"{kind}.svg")]
-    done = subprocess.run([sys.executable, "-m", "cqedkit", *argv], env=env,
-                          capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    digest = hashlib.sha256((tmp_path / f"{kind}.svg").read_bytes()).hexdigest()
-    assert digest == SVG_PINS[kind]
