@@ -26,8 +26,6 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 os.environ.update(dict.fromkeys(THREAD_VARS, "1"))
 # argparse wraps help text to the terminal width
 os.environ["COLUMNS"] = "80"
-# outputs land in OUTDIR; only the runs that test CQEDKIT_OUTDIR set it
-os.environ.pop("CQEDKIT_OUTDIR", None)
 
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
@@ -95,6 +93,12 @@ EXTRA_CONFIGS = {
         "sweep: {maps_to: transmission, profile: {seed: 5, n: 13, max_value: 0.95}}\n"),
     "duplicate_key.yaml": "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n  ec_mhz: 250\n",
     "bad_yaml.yaml": "qubit:\n  ec_mhz: 190\n   ej_mhz: 9500\n",
+    "control_byte.yaml": "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\x00\n",
+}
+# inputs that are not UTF-8 text: a bad byte on line 3 of each
+UNDECODABLE = {
+    "undecodable.csv": b"freq_ghz,mag_db\n5.0,-1.0\n5.1,-2.0\xff\n",
+    "undecodable.yaml": b"qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\xff\xfe\n",
 }
 
 
@@ -105,88 +109,74 @@ def _fit(verb, data, stem, *extra):
     return [(verb, [verb, data, *extra]), (f"{verb}-files", [verb, data, *extra, *files])]
 
 
-# (name, argv, environment overrides); later runs read what earlier ones wrote
+# (name, argv); later runs read what earlier ones wrote
 RUNS = [
     *[(f"synth-{k}", ["synth", "--config", f"cfg/synth_{k}.yaml",
-                      "--out", f"{k}.csv", "--plot", f"{k}.svg"], {}) for k in SYNTH_KINDS],
+                      "--out", f"{k}.csv", "--plot", f"{k}.svg"]) for k in SYNTH_KINDS],
     ("synth-seed-truth", ["synth", "--config", "cfg/synth_reflection.yaml", "--seed", "99",
-                          "--truth", "seed99/truth.json", "--out", "seed99/data.csv"], {}),
-    ("synth-default-out", ["synth", "--config", "cfg/synth_rabi.yaml"], {}),
-    *[(name, argv, {}) for name, argv in _fit("fit-resonator", "reflection.csv", "fr")],
-    *[(f"{name}-delay", argv, {})
-      for name, argv in _fit("fit-resonator", "reflection.csv", "frd", "--delay")],
-    ("fit-resonator-noise", ["fit-resonator", "fr_resid.csv"], {}),
-    ("fit-resonator-overflow", ["fit-resonator", "overflow.csv"], {}),
-    ("fit-resonator-missing", ["fit-resonator", "missing.csv"], {}),
-    *[(name, argv, {}) for name, argv in _fit("fit-lorentzian", "row.csv", "fl")],
-    *[(name, argv, {}) for name, argv in _fit("fit-rabi", "rabi.csv", "fb")],
+                          "--truth", "seed99/truth.json", "--out", "seed99/data.csv"]),
+    ("synth-default-out", ["synth", "--config", "cfg/synth_rabi.yaml"]),
+    *_fit("fit-resonator", "reflection.csv", "fr"),
+    *[(f"{name}-delay", argv) for name, argv in _fit("fit-resonator", "reflection.csv", "frd",
+                                                     "--delay")],
+    ("fit-resonator-noise", ["fit-resonator", "fr_resid.csv"]),
+    ("fit-resonator-overflow", ["fit-resonator", "overflow.csv"]),
+    ("fit-resonator-missing", ["fit-resonator", "missing.csv"]),
+    *_fit("fit-lorentzian", "row.csv", "fl"),
+    ("fit-lorentzian-undecodable", ["fit-lorentzian", "cfg/undecodable.csv"]),
+    *_fit("fit-rabi", "rabi.csv", "fb"),
     ("simulate-qubit-gatemon", ["simulate-qubit", "--config", "cfg/gatemon.yaml",
-                                "--out", "qubit.json", "--plot", "qubit.svg"], {}),
+                                "--out", "qubit.json", "--plot", "qubit.svg"]),
     ("simulate-qubit-gatemon-ng", ["simulate-qubit", "--config", "cfg/gatemon_ng.yaml",
-                                   "--out", "qubit_ng.json"], {}),
-    ("simulate-qubit-transmon", ["simulate-qubit", "--config", "cfg/pipeline.yaml"], {}),
-    ("simulate-qubit-bad-key", ["simulate-qubit", "--config", "cfg/bad_key.yaml"], {}),
-    ("simulate-qubit-duplicate-key", ["simulate-qubit", "--config", "cfg/duplicate_key.yaml"],
-     {}),
-    ("simulate-qubit-bad-yaml", ["simulate-qubit", "--config", "cfg/bad_yaml.yaml"], {}),
-    ("simulate-cavity", ["simulate-cavity", "--config", "cfg/pipeline.yaml"], {}),
+                                   "--out", "qubit_ng.json"]),
+    ("simulate-qubit-transmon", ["simulate-qubit", "--config", "cfg/pipeline.yaml"]),
+    ("simulate-qubit-bad-key", ["simulate-qubit", "--config", "cfg/bad_key.yaml"]),
+    ("simulate-qubit-duplicate-key", ["simulate-qubit", "--config", "cfg/duplicate_key.yaml"]),
+    ("simulate-qubit-bad-yaml", ["simulate-qubit", "--config", "cfg/bad_yaml.yaml"]),
+    ("simulate-qubit-undecodable", ["simulate-qubit", "--config", "cfg/undecodable.yaml"]),
+    ("simulate-qubit-control-byte", ["simulate-qubit", "--config", "cfg/control_byte.yaml"]),
+    ("simulate-cavity", ["simulate-cavity", "--config", "cfg/pipeline.yaml"]),
     ("simulate-cavity-out", ["simulate-cavity", "--config", "cfg/pipeline.yaml",
-                             "--out", "cavity.json"], {}),
+                             "--out", "cavity.json"]),
     # cfg is a directory, so --out cannot be written
     ("simulate-cavity-out-dir", ["simulate-cavity", "--config", "cfg/pipeline.yaml",
-                                 "--out", "cfg"], {}),
-    ("sweep-gate", ["sweep-gate", "--config", "cfg/pipeline.yaml"], {}),
+                                 "--out", "cfg"]),
+    ("sweep-gate", ["sweep-gate", "--config", "cfg/pipeline.yaml"]),
     ("sweep-gate-files", ["sweep-gate", "--config", "cfg/synth_two_tone.yaml", "--out",
-                          "sweep.csv", "--json", "sweep.json", "--plot", "sweep.svg"], {}),
-    ("sweep-gate-truncated", ["sweep-gate", "--config", "cfg/gatemon_truncated.yaml"], {}),
-    ("sweep-gate-truncated-ng0", ["sweep-gate", "--config", "cfg/gatemon_truncated_ng0.yaml"],
-     {}),
+                          "sweep.csv", "--json", "sweep.json", "--plot", "sweep.svg"]),
+    ("sweep-gate-truncated", ["sweep-gate", "--config", "cfg/gatemon_truncated.yaml"]),
+    ("sweep-gate-truncated-ng0", ["sweep-gate", "--config", "cfg/gatemon_truncated_ng0.yaml"]),
     ("sweep-gate-transmon-truncated", ["sweep-gate", "--config",
-                                       "cfg/transmon_truncated.yaml"], {}),
+                                       "cfg/transmon_truncated.yaml"]),
     *[(f"sweep-gate-{name}", ["sweep-gate", "--config", f"cfg/sweep_{name}.yaml",
-                              "--out", f"gatemon/{name}.csv"], {}) for name in GATEMON_SWEEPS],
-    ("pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "pipe"], {}),
+                              "--out", f"gatemon/{name}.csv"]) for name in GATEMON_SWEEPS],
+    ("pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "pipe"]),
     ("pipeline-seed", ["pipeline", "--config", "cfg/pipeline.yaml", "--seed", "3",
-                       "--workdir", "pipe_seed"], {}),
+                       "--workdir", "pipe_seed"]),
     ("pipeline-tolerance-miss", ["pipeline", "--config", "cfg/tolerance_miss.yaml",
-                                 "--workdir", "pipe_miss"], {}),
+                                 "--workdir", "pipe_miss"]),
     ("pipeline-input-error", ["pipeline", "--config", "cfg/missing_table.yaml",
-                              "--workdir", "pipe_input"], {}),
+                              "--workdir", "pipe_input"]),
     ("pipeline-value-error", ["pipeline", "--config", "cfg/tiny_cavity.yaml",
-                              "--workdir", "pipe_value"], {}),
+                              "--workdir", "pipe_value"]),
     ("pipeline-strong-coupling", ["pipeline", "--config", "cfg/strong_coupling.yaml",
-                                  "--workdir", "pipe_strong"], {}),
-    ("pipeline-f-bare", ["pipeline", "--config", "cfg/f_bare.yaml", "--workdir", "pipe_f_bare"],
-     {}),
-    ("unknown-verb", ["frobnicate"], {}),
-    ("missing-config", ["simulate-qubit"], {}),
-    ("missing-data", ["fit-rabi"], {}),
-    ("outdir-env-synth", ["synth", "--config", "cfg/synth_reflection.yaml",
-                          "--out", "env.csv", "--plot", "env.svg"],
-     {cqedkit.io.OUTDIR_ENV: "envout"}),
-    ("outdir-env-pipeline", ["pipeline", "--config", "cfg/pipeline.yaml", "--workdir", "w"],
-     {cqedkit.io.OUTDIR_ENV: "envout"}),
-    ("help", ["--help"], {}),
-    *[(f"help-{verb}", [verb, "--help"], {}) for verb in VERBS],
+                                  "--workdir", "pipe_strong"]),
+    ("pipeline-f-bare", ["pipeline", "--config", "cfg/f_bare.yaml", "--workdir", "pipe_f_bare"]),
+    ("unknown-verb", ["frobnicate"]),
+    ("missing-config", ["simulate-qubit"]),
+    ("missing-data", ["fit-rabi"]),
+    ("help", ["--help"]),
+    *[(f"help-{verb}", [verb, "--help"]) for verb in VERBS],
 ]
 
 
-def _run(argv, env):
-    saved = {k: os.environ.get(k) for k in env}
-    os.environ.update(env)
+def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return out.getvalue(), err.getvalue(), code
 
 
@@ -224,6 +214,8 @@ def fingerprint(workdir: Path) -> list[str]:
     shutil.copytree(CONFIGS, cfg)
     for name, text in EXTRA_CONFIGS.items():
         (cfg / name).write_text(text)
+    for name, data in UNDECODABLE.items():
+        (cfg / name).write_bytes(data)
     pipeline = (cfg / "pipeline.yaml").read_text()
     (cfg / "tolerance_miss.yaml").write_text(pipeline.replace("f_r_mhz: 0.5", "f_r_mhz: 1.0e-9"))
     (cfg / "strong_coupling.yaml").write_text(pipeline.replace("g_mhz: 100.0", "g_mhz: 2000.0"))
@@ -235,10 +227,10 @@ def fingerprint(workdir: Path) -> list[str]:
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for name, argv, env in RUNS:
+        for name, argv in RUNS:
             if name in PREPARE:
                 PREPARE[name]()
-            out, err, code = _run(argv, env)
+            out, err, code = _run(argv)
             lines += [f"{_sha(out)}  {name}.stdout", f"{_sha(err)}  {name}.stderr",
                       f"{_sha(str(code))}  {name}.exit"]
         files = sorted(p for p in Path(".").rglob("*") if p.is_file() and cfg.name not in p.parts)

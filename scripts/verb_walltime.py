@@ -27,7 +27,8 @@ import time
 from pathlib import Path
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def _session():
@@ -92,9 +93,7 @@ def main(argv=None) -> int:
             workdirs[side] = Path(tmp) / side
             workdirs[side].mkdir()
             _write_dip(workdirs[side] / "dip.csv")
-            env = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
-            env.pop("CQEDKIT_OUTDIR", None)
-            envs[side] = env
+            envs[side] = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
         for r in range(args.repeats):
             for k, (label, verb_argv) in enumerate(session):
                 order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")

@@ -54,10 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit_json(payload: dict, out) -> None:
     """Write the result JSON to --out, or print it to stdout without one."""
-    if out:
-        print(f"wrote {io.write_json(out, payload)}")
-    else:
-        print(io.json_text(payload))
+    print(f"wrote {io.write_json(out, payload)}" if out else io.json_text(payload))
 
 
 def _print_params(result) -> None:
@@ -281,6 +278,8 @@ def cmd_pipeline(args) -> int:
         truth = {"a_re": 1.0, "a_im": 0.0, "ql": ql_true, "qc": 2.0 * ql_true,
                  "theta": 0.1, "f_r_ghz": f_c}
         span = 12.0 * system.kappa_mhz / 1e3
+        if not np.all(np.diff(np.linspace(f_c - span, f_c + span, 401)) > 0):
+            raise InputDataError(f"system kappa_mhz = {system.kappa_mhz:g} is too narrow to sample")
         spec = SynthSpec(kind="reflection_trace", seed=seed, snr_db=40.0, truth=truth,
                          grid={"f_min_ghz": f_c - span, "f_max_ghz": f_c + span, "n_f": 401})
         trace = synth_reflection(spec)
@@ -371,7 +370,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except InputDataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        data = getattr(args, "data", None)  # the one file a fit verb reads
+        named = data is None or data in str(exc)
+        print(f"error: {exc}" if named else f"error: {data}: {exc}", file=sys.stderr)
         return 1
     except (SolverError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, but it is a failure of the solver, not the input

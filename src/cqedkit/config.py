@@ -46,15 +46,16 @@ def load_config(path) -> dict:
             return super().construct_mapping(node, deep)
 
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
             cfg = yaml.load(fh, Loader=Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.MarkedYAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc.problem}",
                           line=exc.problem_mark.line + 1) from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
+    except yaml.reader.ReaderError as exc:
+        raise ConfigError(f"invalid YAML in {path}: #x{exc.character:02x} at position "
+                          f"{exc.position}: {exc.reason}") from exc
     if cfg is None:
         cfg = {}
     if not isinstance(cfg, dict):

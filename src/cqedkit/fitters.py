@@ -47,9 +47,7 @@ class ComplexTrace:
         self.values = np.asarray(self.values, dtype=complex)
         if self.freqs_ghz.ndim != 1 or self.freqs_ghz.shape != self.values.shape:
             raise InputDataError("freqs and values must be 1-D arrays of equal length")
-        if not np.all(np.isfinite(self.freqs_ghz)) or not np.all(
-            np.isfinite(self.values.real) & np.isfinite(self.values.imag)
-        ):
+        if not (np.all(np.isfinite(self.freqs_ghz)) and np.all(np.isfinite(self.values))):
             raise InputDataError("trace contains non-finite samples")
         if not np.all(np.diff(self.freqs_ghz) > 0):
             raise InputDataError("frequencies must be strictly increasing")

@@ -12,10 +12,8 @@ Lines starting with '#' and blank lines are ignored on input. Gate sweep
 CSVs are written only: each row is one SweepPoint, whose regime its NaN
 pattern gives.
 
-Every output file, SVG plots included, is written by ``write_lines``,
-which puts a relative path under the CQEDKIT_OUTDIR environment variable
-when that is set and returns the path it wrote; callers pass paths through
-unresolved. ``json_text`` formats JSON for files and stdout alike.
+Every output file, SVG plots included, is written by ``write_lines`` at
+the path it is given. ``json_text`` formats JSON for files and stdout alike.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from importlib import resources
 from pathlib import Path
 
@@ -33,8 +30,6 @@ from .coupling import SweepResult
 from .errors import InputDataError
 from .fitters import ComplexTrace
 from .synth import Map2D
-
-OUTDIR_ENV = "CQEDKIT_OUTDIR"
 
 TRACE_HEADER = ("freq_ghz", "re", "im")
 MAG_HEADER = ("freq_ghz", "mag_db")
@@ -47,8 +42,6 @@ def write_lines(path, lines) -> Path:
     A path that cannot be written, such as a directory or a path under a
     file, raises InputDataError."""
     p = Path(path)
-    if not p.is_absolute() and os.environ.get(OUTDIR_ENV):
-        p = Path(os.environ[OUTDIR_ENV]) / p
     try:
         p.parent.mkdir(parents=True, exist_ok=True)
         with open(p, "w", newline="\n") as fh:
@@ -77,6 +70,8 @@ def _data_lines(path):
                 yield no, text
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"cannot decode {path} as {exc.encoding}: {exc.reason}") from None
 
 
 def _header(path, lines):

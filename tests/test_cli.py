@@ -98,6 +98,20 @@ class TestFitResonator:
         err = capsys.readouterr().err
         assert "error:" in err and "line 3" in err
 
+    @pytest.mark.parametrize("verb, text, message", [
+        ("fit-resonator", "freq_ghz,re,im\n5.0,1.0,0.0\n5.1,nan,0.0\n",
+         "trace contains non-finite samples"),
+        ("fit-lorentzian", "freq_ghz,mag_db\n5.0,-1.0\n5.1,-2.0\n", "need at least 20 points, got 2"),
+        ("fit-rabi", "t_ns,y\n" + "".join(f"{16 - k},0.5\n" for k in range(16)),
+         "time axis must be increasing"),
+    ], ids=["resonator", "lorentzian", "rabi"])
+    def test_data_fault_names_the_file(self, tmp_path, capsys, verb, text, message):
+        # a fitter's check on the data it was given once named no file
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        assert main([verb, str(p)]) == 1
+        assert capsys.readouterr().err == f"error: {p}: {message}\n"
+
     @pytest.mark.parametrize("delay", [False, True], ids=["plain", "delay"])
     @pytest.mark.parametrize("column", [1, 2], ids=["re", "im"])
     def test_near_overflow_samples_return(self, tmp_path, column, delay):
@@ -419,26 +433,18 @@ class TestSynth:
         assert key in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.yaml"]
 
-    def test_outdir_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(io.OUTDIR_ENV, str(tmp_path / "outputs"))
-        cfg = _config(tmp_path, self.YAML)
-        assert main(["synth", "--config", cfg, "--out", "data.csv"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / "outputs" / "data.csv").is_file()
-        assert (tmp_path / "outputs" / "data.truth.json").is_file()
 
-
-    def test_relative_outdir_env(self, tmp_path, capsys, monkeypatch):
-        # each path is resolved once, by its writer, and printed as written
+    def test_relative_outdir_env(self, tmp_path, capsys, monkeypatch, old_outdir_set):
+        # each path is resolved once, by its writer, under the working
+        # directory, and printed as written
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv(io.OUTDIR_ENV, "rel")
         cfg = _config(tmp_path, self.YAML)
         assert main(["synth", "--config", cfg, "--out", "x.csv", "--plot", "x.svg"]) == 0
         printed = [Path(line.removeprefix("wrote "))
                    for line in capsys.readouterr().out.splitlines()]
-        assert printed == [Path("rel/x.csv"), Path("rel/x.truth.json"), Path("rel/x.svg")]
-        assert all(p.is_file() for p in printed)
-        assert not (tmp_path / "rel" / "rel").exists()
+        assert printed == [Path("x.csv"), Path("x.truth.json"), Path("x.svg")]
+        assert all((tmp_path / p).is_file() for p in printed)
+        assert not (tmp_path / "rel").exists()
 
 
 class TestPipeline:
@@ -456,18 +462,17 @@ class TestPipeline:
         assert (tmp_path / "sweep.csv").is_file()
         assert (tmp_path / "fit.json").is_file()
 
-    def test_relative_outdir_env(self, tmp_path, capsys, monkeypatch):
+    def test_relative_outdir_env(self, tmp_path, capsys, monkeypatch, old_outdir_set):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv(io.OUTDIR_ENV, "rel")
         assert main(["pipeline", "--config", PIPELINE_YAML, "--workdir", "w"]) == 0
-        assert f"wrote {Path('rel/w/report.json')}" in capsys.readouterr().out
+        assert f"wrote {Path('w/report.json')}" in capsys.readouterr().out
         for name in ("report.json", "sweep.csv", "sweep.json", "trace.csv",
                      "trace.truth.json", "fit.json"):
-            assert (tmp_path / "rel" / "w" / name).is_file(), name
-        assert not (tmp_path / "rel" / "rel").exists()
-        report = io.read_json(tmp_path / "rel" / "w" / "report.json")
+            assert (tmp_path / "w" / name).is_file(), name
+        assert not (tmp_path / "rel").exists()
+        report = io.read_json(tmp_path / "w" / "report.json")
         sweep = next(s for s in report["stages"] if s["name"] == "sweep")
-        assert Path(sweep["details"]["csv"]) == Path("rel/w/sweep.csv")
+        assert Path(sweep["details"]["csv"]) == Path("w/sweep.csv")
 
     def test_bare_frequency_without_a_cavity(self, tmp_path, capsys):
         text = SWEEP_YAML.replace(CAVITY_YAML, "")
@@ -641,7 +646,19 @@ class TestConfigEscapes:
         ("pipeline", "height_d_mm: 30.0", "height_d_mm: 1e-300", "sweep-gate",
          "TE(1,0,1) frequency overflows"),
         ("synth_power_map", "g_mhz: 100.0", "g_mhz: 1e-300", "synth", "n_crit"),
-    ], ids=["list-kind", "mapping-kind", "tiny-length", "tiny-height", "tiny-g"])
+        # the exit-contract grid found these naming neither the key nor the file
+        ("synth_reflection", "qc: 12000.0", "qc: 0", "synth",
+         "synth truth qc * cos(theta) and f_r_ghz must be nonzero"),
+        ("synth_reflection", "f_r_ghz: 5.2816", "f_r_ghz: 0", "synth",
+         "synth truth qc * cos(theta) and f_r_ghz must be nonzero"),
+        ("pipeline", "seed: 3", "seed: -1", "sweep-gate",
+         "sweep profile: need seed >= 0 and v_max > v_pinch, got -1, 10.0, 0.0"),
+        ("pipeline", "v_max: 10.0", "v_max: 0.0", "sweep-gate",
+         "sweep profile: need seed >= 0 and v_max > v_pinch, got 3, 0.0, 0.0"),
+        ("gatemon", "transmissions: [0.85, 0.3, 0.1]", "transmissions: []", "simulate-qubit",
+         "qubit section: transmissions must hold at least one channel"),
+    ], ids=["list-kind", "mapping-kind", "tiny-length", "tiny-height", "tiny-g", "zero-qc",
+            "zero-f_r", "negative-profile-seed", "v_max-at-v_pinch", "no-transmissions"])
     def test_exit_one_with_one_line(self, tmp_path, capsys, name, old, new, verb, message):
         text = (Path(PIPELINE_YAML).parent / f"{name}.yaml").read_text()
         assert old in text
@@ -651,6 +668,16 @@ class TestConfigEscapes:
         assert message in captured.err
         assert len(captured.err.splitlines()) == 1
         assert "wrote" not in captured.out
+
+
+def test_pipeline_kappa_below_the_frequency_resolution_exit_one(tmp_path, capsys):
+    # 12 kappa either side of f_C collapses to one frequency: the synth stage
+    # once failed with "f_max_ghz must exceed f_min_ghz", a key of no config
+    text = Path(PIPELINE_YAML).read_text().replace("kappa_mhz: 1.2", "kappa_mhz: 1e-300")
+    cfg = _config(tmp_path, text)
+    assert main(["pipeline", "--config", cfg, "--workdir", str(tmp_path / "w")]) == 1
+    assert capsys.readouterr().err == ("error: pipeline stage synth: system kappa_mhz = 1e-300 "
+                                       "is too narrow to sample\n")
 
 
 class TestConfigFile:
@@ -665,6 +692,26 @@ class TestConfigFile:
         assert main(["simulate-qubit", "--config", cfg]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {message.format(cfg=cfg)}\n"
+        assert captured.out == ""
+
+
+class TestUnreadableText:
+    # the first two once exited 1 with the codec's message alone, naming no
+    # file; the third printed the YAML reader's position on a second line
+    @pytest.mark.parametrize("argv, data, message", [
+        (["fit-lorentzian", "{p}"], b"freq_ghz,mag_db\n5.0,-1.0\n5.1,-2.0\xff\n",
+         "cannot decode {p} as utf-8: invalid start byte"),
+        (["simulate-qubit", "--config", "{p}"], QUBIT_YAML.encode() + b"  ng: 0.2\xff\xfe\n",
+         "invalid YAML in {p}: #xff at position 45: invalid start byte"),
+        (["simulate-qubit", "--config", "{p}"], QUBIT_YAML.encode() + b"  ng: 0.2\x07\n",
+         "invalid YAML in {p}: #x07 at position 45: special characters are not allowed"),
+    ], ids=["undecodable-csv", "undecodable-config", "control-character"])
+    def test_exit_one_naming_the_file(self, tmp_path, capsys, argv, data, message):
+        p = tmp_path / "input"
+        p.write_bytes(data)
+        assert main([arg.format(p=p) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(p=p)}\n"
         assert captured.out == ""
 
 
@@ -861,7 +908,6 @@ class TestEntryPoint:
     ], ids=["exit-0", "exit-1", "exit-2"])
     def test_freezes_the_collector_and_matches_main(self, tmp_path, capsys, monkeypatch,
                                                     argv, code):
-        monkeypatch.delenv(io.OUTDIR_ENV, raising=False)
         rng = np.random.default_rng(0)
         flat = ComplexTrace(np.linspace(5.0, 5.2, 401),
                             1.0 + rng.normal(0, 0.01, 401) + 1j * rng.normal(0, 0.01, 401))

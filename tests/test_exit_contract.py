@@ -1,0 +1,306 @@
+"""The exit contract under mutation: every run of the command line exits
+0, 1 or 2 and raises nothing out of cli.main (so prints no traceback); a
+failure prints one stderr line besides any one-line library warnings (a
+pipeline tolerance miss reports on stdout alone), and a success writes
+JSON that follows its bundled schema.
+
+Two seeded grids:
+
+- the CSV grid: seeded traces through fit-resonator (with and without
+  --delay), fit-lorentzian and fit-rabi, each mutated one way: emptied,
+  cut to its header or to 1-8 rows, one column set to nan, +-inf, 0,
+  +-1e308 or 1e-320 in one row or in all rows, one column made constant,
+  negated or scaled by 1e+-300, the rows reversed, duplicated or shuffled,
+  a column added or dropped, a byte that is not UTF-8 and a NUL byte;
+- the config grid: a seeded sample of every leaf of every shipped config
+  set to one of 0, -1, 0.5, nan, +-inf, "x", null, [], {}, true and
+  1e-300, or deleted, through each verb that reads that config.
+
+An input error ("error: ...") names the data file of a fit verb, and the
+key, the field the key sets, or the file of a config. An invalid value
+the numerics meet ("invalid value: ...") and a solver failure name what
+failed. Samples above 1e150 square to inf, and +-1e308 once made a LAPACK
+call spin for good, so those cases run in one child interpreter under a
+timeout: a hang fails its cases instead of stalling the suite.
+"""
+
+import copy
+import json
+import math
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import jsonschema
+import numpy as np
+import pytest
+import yaml
+
+import cqedkit
+from cqedkit import SynthSpec, io, synth_rabi, synth_reflection
+from cqedkit.cli import main
+from cqedkit.fitters import lorentzian_model
+from test_cli import SHIPPED_RUNS
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SRC = str(Path(cqedkit.__file__).resolve().parents[1])
+# a child interpreter's runs together must return within this
+CHILD_TIMEOUT_S = 120
+# the part of the config grid this file runs; the whole grid is about 3000 runs
+CONFIG_SAMPLE = 1200
+STDERR_PREFIXES = ("error: ", "solver failure: ", "invalid value: ")
+
+
+def _tables():
+    """header and seeded (n, k) float table of each fit verb's input"""
+    refl = synth_reflection(SynthSpec(
+        kind="reflection_trace", seed=1401, snr_db=30.0,
+        truth={"a_re": 0.9, "a_im": 0.1, "ql": 6000.0, "qc": 12000.0, "theta": 0.15,
+               "f_r_ghz": 5.2816},
+        grid={"f_min_ghz": 5.2712, "f_max_ghz": 5.2920, "n_f": 201}))
+    f = np.linspace(5.40, 5.48, 201)
+    dip = lorentzian_model(f, 5.44, 0.004, 12.0, -3.0)
+    dip = dip + np.random.default_rng(1402).normal(0.0, 0.2, f.size)
+    t, y = synth_rabi(SynthSpec(
+        kind="rabi_trace", seed=1403, snr_db=20.0,
+        truth={"A": 1.0, "T_R": 260.0, "omega": 0.19634954084936207, "B": 0.0, "a": -0.0004,
+               "b": 0.5},
+        grid={"t_max_ns": 1000.0, "n_t": 201}))
+    trace = np.column_stack([refl.freqs_ghz, refl.values.real, refl.values.imag])
+    return {"resonator": (",".join(io.TRACE_HEADER), trace),
+            "magnitude": (",".join(io.MAG_HEADER), np.column_stack([f, dip])),
+            "rabi": (",".join(io.RABI_HEADER), np.column_stack([t, y]))}
+
+
+def _text(header, table):
+    return "\n".join([header, *(",".join(map(repr, row.tolist())) for row in table)]) + "\n"
+
+
+def _mutations(header, table):
+    """(name, file bytes) of every mutation of one input"""
+    n = len(table)
+    names = header.split(",")
+    rng = random.Random(1404)
+    yield "empty", b""
+    yield "header-only", f"{header}\n".encode()
+    for rows in range(1, 9):
+        yield f"rows-{rows}", _text(header, table[:rows]).encode()
+    for c, name in enumerate(names):
+        for value in (math.nan, math.inf, -math.inf, 0.0, 1e308, -1e308, 1e-320):
+            for where, sl in (("one", slice(n // 2, n // 2 + 1)), ("all", slice(None))):
+                t = table.copy()
+                t[sl, c] = value
+                yield f"{name}-{value!r}-{where}", _text(header, t).encode()
+        for how, edit in (("constant", lambda col: np.full_like(col, col[0])),
+                          ("negated", lambda col: -col),
+                          ("scaled-1e300", lambda col: col * 1e300),
+                          ("scaled-1e-300", lambda col: col * 1e-300)):
+            t = table.copy()
+            t[:, c] = edit(t[:, c])
+            yield f"{name}-{how}", _text(header, t).encode()
+    yield "reversed", _text(header, table[::-1]).encode()
+    yield "duplicated", _text(header, np.repeat(table, 2, axis=0)).encode()
+    order = list(range(n))
+    rng.shuffle(order)
+    yield "shuffled", _text(header, table[order]).encode()
+    yield "extra-column", _text(header + ",extra", np.column_stack([table, table[:, -1]])).encode()
+    yield "missing-column", _text(",".join(names[:-1]), table[:, :-1]).encode()
+    lines = _text(header, table).encode().split(b"\n")
+    yield "undecodable", b"\n".join([*lines[:3], lines[3] + b"\xff", *lines[4:]])
+    yield "nul-byte", b"\n".join([*lines[:3], lines[3] + b"\x00", *lines[4:]])
+
+
+CSV_VERBS = {"fit-resonator": ("resonator", []), "fit-resonator-delay": ("resonator", ["--delay"]),
+             "fit-lorentzian": ("magnitude", []), "fit-rabi": ("rabi", [])}
+
+
+def _csv_cases():
+    """case id -> (argv template, input bytes, whether it runs in the child);
+    {d} in the argv is the case's directory"""
+    tables = _tables()
+    cases = {}
+    for verb, (kind, extra) in CSV_VERBS.items():
+        argv = [verb.removesuffix("-delay"), "{d}/data.csv", *extra, "--out", "{d}/fit.json",
+                "--plot", "{d}/fit.svg"]
+        if verb.startswith("fit-resonator"):
+            argv += ["--residuals", "{d}/resid.csv"]
+        for name, data in _mutations(*tables[kind]):
+            huge = bool(np.abs(_floats(data)).max(initial=0.0) > 1e150)
+            cases[f"{verb}:{name}"] = (argv, data, huge)
+    return cases
+
+
+def _floats(data):
+    """every cell of a CSV that reads as a float"""
+    cells = data.decode(errors="replace").replace("\n", ",").split(",")
+    out = []
+    for cell in cells:
+        try:
+            out.append(float(cell))
+        except ValueError:
+            pass
+    return np.array(out, dtype=float)
+
+
+CSV_CASES = _csv_cases()
+# the child's argv is the manifest; each case prints one JSON line as it ends
+CHILD = """
+import contextlib, io, json, sys
+from cqedkit.cli import main
+for case, argv in json.load(open(sys.argv[1])):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except BaseException as exc:
+            code = f"escaped: {exc!r}"
+    print(json.dumps([case, code, out.getvalue(), err.getvalue()]), flush=True)
+"""
+
+
+def _case_dir(root, case):
+    d = root / case.replace(":", "_")
+    d.mkdir(parents=True)
+    return d
+
+
+@pytest.fixture(scope="module")
+def child_results(tmp_path_factory):
+    """case id -> (exit code, stdout, stderr, case directory) of every huge-sample
+    case, run together in one child interpreter under CHILD_TIMEOUT_S; a
+    case the child did not finish is missing"""
+    root = tmp_path_factory.mktemp("child")
+    manifest, dirs = [], {}
+    for case, (argv, data, huge) in CSV_CASES.items():
+        if huge:
+            dirs[case] = _case_dir(root, case)
+            (dirs[case] / "data.csv").write_bytes(data)
+            manifest.append([case, [a.format(d=dirs[case]) for a in argv]])
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    try:
+        out = subprocess.run([sys.executable, "-c", CHILD, str(root / "manifest.json")],
+                             env=env, capture_output=True, text=True,
+                             timeout=CHILD_TIMEOUT_S).stdout
+    except subprocess.TimeoutExpired as exc:
+        out = exc.stdout or ""
+        out = out.decode() if isinstance(out, bytes) else out
+    results = {}
+    for line in out.splitlines():
+        case, code, out, err = json.loads(line)
+        results[case] = (code, out, err, dirs[case])
+    return results
+
+
+def _check(code, out, err, written, where):
+    """the contract for one run: its exit code, its stdout and stderr, and
+    on exit 0 the schema of each JSON file it wrote; an input error must
+    match one of the patterns in where"""
+    assert code in (0, 1, 2), code
+    assert "Traceback" not in err
+    # a library warning takes a line of its own; a failure takes one more
+    failures = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    if code == 0:
+        assert not failures, err
+        for path, schema in written.items():
+            if schema is not None and path.exists():
+                jsonschema.validate(io.read_json(path), io.load_schema(schema))
+    elif not failures:
+        # a pipeline tolerance miss reports on stdout alone
+        assert code == 2 and out.splitlines()[-1].startswith("FAIL: "), (out, err)
+    else:
+        assert len(failures) == 1 and failures[0].startswith(STDERR_PREFIXES), err
+        if failures[0].startswith("error: "):
+            assert any(re.search(w, failures[0]) for w in where), (where, failures[0])
+
+
+@pytest.mark.parametrize("case", [c for c, (_, _, huge) in CSV_CASES.items() if not huge])
+def test_csv_grid(tmp_path, capsys, case):
+    argv, data, _ = CSV_CASES[case]
+    (tmp_path / "data.csv").write_bytes(data)
+    code = main([a.format(d=tmp_path) for a in argv])
+    captured = capsys.readouterr()
+    _check(code, captured.out, captured.err, {tmp_path / "fit.json": "fit_result"},
+           [re.escape(str(tmp_path / "data.csv"))])
+
+
+@pytest.mark.parametrize("case", [c for c, (_, _, huge) in CSV_CASES.items() if huge])
+def test_csv_grid_huge_samples(child_results, case):
+    assert case in child_results, f"no result within {CHILD_TIMEOUT_S} s: a hang"
+    code, out, err, d = child_results[case]
+    _check(code, out, err, {d / "fit.json": "fit_result"}, [re.escape(str(d / "data.csv"))])
+
+
+# the verbs that read each shipped config, with their output arguments ({d}
+# is the case's directory) and the schema of each file they write: the
+# config-driven runs of the CLI tests' table of shipped runs
+CONFIG_VERBS = {}
+for _run in SHIPPED_RUNS:
+    _verb, _config, _prepare, _args, _files, _ = _run.values
+    if _prepare is None:
+        CONFIG_VERBS.setdefault(_config, []).append(([_verb, *_args], _files))
+
+LEAF_VALUES = {"0": 0, "-1": -1, "0.5": 0.5, "nan": math.nan, "inf": math.inf,
+               "-inf": -math.inf, "x": "x", "null": None, "list": [], "mapping": {},
+               "true": True, "1e-300": 1e-300}
+DELETE = "deleted"
+
+
+def _leaves(node, path=()):
+    """the key path of every value in a config that is not a mapping"""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+def _config_grid():
+    """every one-leaf case: (config, verb index, leaf path, value name)"""
+    grid = []
+    for config, verbs in CONFIG_VERBS.items():
+        tree = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+        for leaf in _leaves(tree):
+            for value in [*LEAF_VALUES, DELETE]:
+                grid += [(config, v, leaf, value) for v in range(len(verbs))]
+    return grid
+
+
+CONFIG_GRID = _config_grid()
+CONFIG_CASES = random.Random(1405).sample(CONFIG_GRID, CONFIG_SAMPLE)
+
+
+@pytest.mark.parametrize("config, verb, leaf, value", CONFIG_CASES,
+                         ids=[f"{c}:{CONFIG_VERBS[c][v][0][0]}:{'.'.join(leaf)}={value}"
+                              for c, v, leaf, value in CONFIG_CASES])
+def test_config_grid(tmp_path, capsys, config, verb, leaf, value):
+    tree = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+    parent = tree
+    for key in leaf[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[leaf[-1]]
+    else:
+        parent[leaf[-1]] = copy.deepcopy(LEAF_VALUES[value])
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(tree))
+    args, schemas = CONFIG_VERBS[config][verb]
+    code = main([args[0], "--config", str(cfg), *(a.format(d=tmp_path) for a in args[1:])])
+    captured = capsys.readouterr()
+    # the key, or the field a library error names after it: the key less its unit
+    key, field = leaf[-1], re.sub(r"_(mhz|ghz|mm|ns|dbm|db)$", "", leaf[-1])
+    _check(code, captured.out, captured.err,
+           {tmp_path / name: schema for name, schema in schemas.items()},
+           [re.escape(str(cfg)), rf"\b{key}\b", rf"\b{field}\b"])
+
+
+def test_config_grid_covers_every_shipped_config():
+    # a new shipped config must say which verbs read it
+    assert sorted(CONFIG_VERBS) == sorted(p.stem for p in CONFIGS.glob("*.yaml"))
+    assert len({case[0] for case in CONFIG_CASES}) == len(CONFIG_VERBS)

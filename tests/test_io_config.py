@@ -5,6 +5,7 @@ section/key checking of the YAML loader.
 
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -162,6 +163,20 @@ class TestCsvErrors:
         got = io.read_map_csv(p).grid[1, 0]
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
+    @pytest.mark.parametrize("read, text, message", [
+        (io.read_magnitude_trace, b"freq_ghz,mag_db\n5.0,-1.0\n5.1,-2.0\xff\n",
+         "invalid start byte"),
+        (io.read_map_csv, b"V\\f,5.4,5.5\n0.0,1.0,0.0\n1.0,\xc3,0.0\n",
+         "invalid continuation byte"),
+    ], ids=["trace", "map"])
+    def test_undecodable_byte_names_the_file(self, tmp_path, read, text, message):
+        # it once escaped as a bare UnicodeDecodeError naming no file
+        p = tmp_path / "x.csv"
+        p.write_bytes(text)
+        with pytest.raises(InputDataError) as err:
+            read(p)
+        assert str(err.value) == f"cannot decode {p} as utf-8: {message}"
+
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("# provenance note\n\nfreq_ghz,re,im\n5.0,1.0,0.0\n\n"
@@ -293,11 +308,13 @@ class TestJson:
             io.read_json(tmp_path / "nope.json")
 
 
-def test_outdir_env_resolves_relative_paths(tmp_path, monkeypatch):
-    monkeypatch.setenv(io.OUTDIR_ENV, str(tmp_path / "outputs"))
+def test_outdir_env_resolves_relative_paths(tmp_path, monkeypatch, old_outdir_set):
+    # a relative path is written under the working directory and returned as given
+    monkeypatch.chdir(tmp_path)
     p = io.write_json("sub/report.json", {"x": 1})
-    assert p == tmp_path / "outputs" / "sub" / "report.json"
-    assert p.is_file()
+    assert p == Path("sub/report.json")
+    assert (tmp_path / "sub" / "report.json").is_file()
+    assert not (tmp_path / "rel").exists()
     # absolute paths are left alone
     q = io.write_json(tmp_path / "abs.json", {"x": 1})
     assert q == tmp_path / "abs.json"
@@ -370,6 +387,23 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             config.load_config(p)
         assert str(err.value) == f"duplicate key {key!r} in {p} (line {line})"
+
+    def test_load_config_undecodable_byte(self, tmp_path):
+        p = tmp_path / "c.yaml"
+        p.write_bytes(b"qubit:\n  ec_mhz: 190\xff\xfe\n")
+        with pytest.raises(ConfigError) as err:
+            config.load_config(p)
+        assert str(err.value) == f"invalid YAML in {p}: #xff at position 20: invalid start byte"
+
+    @pytest.mark.parametrize("char", [0, 7], ids=["nul", "bel"])
+    def test_load_config_control_character_on_one_line(self, tmp_path, char):
+        # the reader's error once printed its position on a second line
+        p = tmp_path / "c.yaml"
+        p.write_text(f"qubit:\n  ec_mhz: 190{chr(char)}\n")
+        with pytest.raises(ConfigError) as err:
+            config.load_config(p)
+        assert str(err.value) == (f"invalid YAML in {p}: #x{char:02x} at position 20: "
+                                  "special characters are not allowed")
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):

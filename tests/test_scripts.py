@@ -19,8 +19,8 @@ SRC = str(Path(cqedkit.__file__).resolve().parents[1])
 GOLDEN = ROOT / "tests" / "cli_fingerprint.txt"
 
 
-def _run(script, *args, cwd, **env_vars):
-    env = {**os.environ, **env_vars}
+def _run(script, *args, cwd):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
                           cwd=cwd, env=env, capture_output=True, text=True)
@@ -39,20 +39,16 @@ def test_gate_sweep_demo_writes_artifacts(tmp_path):
         assert (tmp_path / name).read_text().startswith("<svg"), name
 
 
-def _fingerprint(tmp_path, **env_vars) -> str:
-    """The fingerprint's stdout, which must equal the golden file."""
-    done = _run("cli_fingerprint.py", "fp", cwd=tmp_path, **env_vars)
+def test_cli_fingerprint_hashes_every_stream(tmp_path):
+    # the fingerprint's stdout must equal the golden file
+    done = _run("cli_fingerprint.py", "fp", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     golden = GOLDEN.read_text()
     diff = difflib.unified_diff(golden.splitlines(keepends=True),
                                 done.stdout.splitlines(keepends=True),
                                 str(GOLDEN), "cli_fingerprint.py", n=0)
     assert done.stdout == golden, "the CLI's bytes moved:\n" + "".join(diff)
-    return done.stdout
-
-
-def test_cli_fingerprint_hashes_every_stream(tmp_path):
-    digests = dict(reversed(line.split("  ", 1)) for line in _fingerprint(tmp_path).splitlines())
+    digests = dict(reversed(line.split("  ", 1)) for line in done.stdout.splitlines())
     assert all(len(d) == 64 for d in digests.values())
     exit_code = {name.removesuffix(".exit"): d for name, d in digests.items()
                  if name.endswith(".exit")}
@@ -68,16 +64,12 @@ def test_cli_fingerprint_hashes_every_stream(tmp_path):
     assert exit_code["sweep-gate-transmon-truncated"] == sha[2]
     assert exit_code["unknown-verb"] == sha[1]
     for written in ("pipe/report.json", "pipe_input/report.json", "pipe_value/report.json",
-                    "envout/env.svg", "seed99/truth.json", "frd_resid.csv"):
+                    "seed99/truth.json", "frd_resid.csv"):
         assert written in digests
     for name in ("simulate-qubit-duplicate-key", "simulate-qubit-bad-yaml",
-                 "simulate-cavity-out-dir"):
+                 "simulate-cavity-out-dir", "fit-lorentzian-undecodable",
+                 "simulate-qubit-undecodable", "simulate-qubit-control-byte"):
         assert exit_code[name] == sha[1]
-
-
-def test_cli_fingerprint_ignores_the_callers_outdir(tmp_path):
-    # every run that does not test CQEDKIT_OUTDIR writes under OUTDIR
-    _fingerprint(tmp_path, CQEDKIT_OUTDIR="envdir")
 
 
 def test_reach_census_lists_every_module(tmp_path):
