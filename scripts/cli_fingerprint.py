@@ -68,29 +68,27 @@ EXTRA_CONFIGS = {
     "gatemon_truncated.yaml": (
         "qubit:\n  ec_mhz: 5000\n  gap_mhz: 45600\n  transmissions: [1.0]\n  ng: 0.23\n"
         "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
-        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 2.0\n"
-        "  maps_to: transmission\n"),
+        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 2.0\n"),
     # EJ/EC up to about 500 at the smallest charge cutoff: the transmon
     # refinement check fails part way up the profile
     "transmon_truncated.yaml": (
         "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n  ng: 0.23\n  n_cut: 10\n"
         "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
-        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 100000.0\n"
-        "  maps_to: ej\n"),
+        "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 100000.0\n"),
     # perfbench's check device (golden.check_devices()["gatemon"])
     "sweep_perfbench_gatemon.yaml": (
         "qubit: {ec_mhz: 250, gap_mhz: 60000, transmissions: [1.0]}\n" + GATEMON_SYSTEM +
-        "sweep: {maps_to: transmission, profile: {seed: 3, v_min: -2.0, v_max: 10.0, n: 9,"
-        " v_pinch: 0.0, max_value: 1.0}}\n"),
+        "sweep: {profile: {seed: 3, v_min: -2.0, v_max: 10.0, n: 9, v_pinch: 0.0,"
+        " max_value: 1.0}}\n"),
     # 11 of the 25 points clip to T = 1 exactly
     "sweep_saturating.yaml": (
         "qubit: {ec_mhz: 220, gap_mhz: 55000, transmissions: [1.0]}\n" + GATEMON_SYSTEM +
-        "sweep: {maps_to: transmission, profile: {seed: 1, n: 25, max_value: 1.0}}\n"),
+        "sweep: {profile: {seed: 1, n: 25, max_value: 1.0}}\n"),
     # off the ng = 0 symmetry, so the refinement check solves the whole matrix
     "sweep_one_channel_ng.yaml": (
         "qubit: {ec_mhz: 250, gap_mhz: 45600, transmissions: [0.85], ng: 0.23}\n"
         + GATEMON_SYSTEM +
-        "sweep: {maps_to: transmission, profile: {seed: 5, n: 13, max_value: 0.95}}\n"),
+        "sweep: {profile: {seed: 5, n: 13, max_value: 0.95}}\n"),
     "duplicate_key.yaml": "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\n  ec_mhz: 250\n",
     "bad_yaml.yaml": "qubit:\n  ec_mhz: 190\n   ej_mhz: 9500\n",
     "control_byte.yaml": "qubit:\n  ec_mhz: 190\n  ej_mhz: 9500\x00\n",

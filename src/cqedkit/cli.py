@@ -121,7 +121,7 @@ def cmd_fit_rabi(args) -> int:
 def _solve_spectrum(cfg):
     params = cfgmod.qubit_params(cfg)
     solve = transmon_levels if params.is_transmon else gatemon_levels
-    return params, solve(params, **cfgmod.solver_options(cfg))
+    return params, solve(params, **cfgmod.solver_options(cfg, params))
 
 
 def cmd_simulate_qubit(args) -> int:
@@ -154,13 +154,11 @@ def cmd_simulate_cavity(args) -> int:
 
 
 def _run_sweep(cfg, voltages=None):
-    model = cfgmod.gate_model(cfg)
     params = cfgmod.qubit_params(cfg)
+    model = cfgmod.gate_model(cfg, params)
     system = cfgmod.dispersive_system(cfg)
-    if voltages is None:
-        voltages = cfgmod.sweep_voltages(cfg)
     return gate_sweep(model, params, system, voltages=voltages,
-                      solver_options=cfgmod.solver_options(cfg))
+                      solver_options=cfgmod.solver_options(cfg, params))
 
 
 def _sweep_json(sweep) -> dict:
@@ -365,10 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a library warning prints as one line, as the errors below do
+    # a library warning prints as one line, as the errors below do; numpy's
+    # floating-point and polyfit rank warnings (RuntimeWarnings) do not print
     saved, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return args.func(args)
     except InputDataError as exc:
         data = getattr(args, "data", None)  # the one file a fit verb reads
         named = data is None or data in str(exc)

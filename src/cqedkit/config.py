@@ -9,9 +9,8 @@ lists, non-numeric text and non-finite values fail naming the key.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
-
-import numpy as np
 
 from .coupling import DispersiveSystem, GateSweepModel, nanowire_profile
 from .errors import ConfigError
@@ -94,22 +93,26 @@ def _check_keys(sec: dict, name: str, allowed: set, required: set = frozenset())
 
 
 def qubit_params(cfg: dict) -> QubitParams:
+    """The qubit section as QubitParams, each value checked here to name its key."""
     sec = _section(
         cfg,
         "qubit",
         {"ec_mhz", "ej_mhz", "gap_mhz", "transmissions", "ng", "n_cut", "grid_n"},
         {"ec_mhz"},
     )
+    variant = sorted({"ej_mhz", "gap_mhz", "transmissions"} & set(sec))
+    if variant not in (["ej_mhz"], ["gap_mhz", "transmissions"]):
+        raise ConfigError(f"qubit section needs ej_mhz, or gap_mhz and transmissions; got {variant}")
     trans = sec.get("transmissions")
     if trans is not None:
         if not isinstance(trans, (list, tuple)):
             raise ConfigError("transmissions must be a list")
-        trans = tuple(number(t, f"qubit transmissions[{i}]") for i, t in enumerate(trans))
+        trans = tuple(_within(t, f"qubit transmissions[{i}]", 1.0) for i, t in enumerate(trans))
     try:
         return QubitParams(
-            ec=_float(sec, "ec_mhz", "qubit"),
-            ej=_float(sec, "ej_mhz", "qubit"),
-            gap=_float(sec, "gap_mhz", "qubit"),
+            ec=_positive(sec["ec_mhz"], "qubit ec_mhz"),
+            ej=_within(sec["ej_mhz"], "qubit ej_mhz") if "ej_mhz" in sec else None,
+            gap=_within(sec["gap_mhz"], "qubit gap_mhz") if "gap_mhz" in sec else None,
             transmissions=trans,
             ng=_float(sec, "ng", "qubit", 0.0),
         )
@@ -117,11 +120,11 @@ def qubit_params(cfg: dict) -> QubitParams:
         raise ConfigError(f"qubit section: {exc}") from exc
 
 
-def solver_options(cfg: dict) -> dict:
+def solver_options(cfg: dict, qubit: QubitParams) -> dict:
     """Truncation override of the configured variant, if set: n_cut for a
-    transmon (ej_mhz given), grid_n for a gatemon; the other key is an error."""
-    sec = cfg.get("qubit") or {}
-    variant, key, other = (("transmon", "n_cut", "grid_n") if "ej_mhz" in sec
+    transmon, grid_n for a gatemon; the other key is an error."""
+    sec = cfg["qubit"]
+    variant, key, other = (("transmon", "n_cut", "grid_n") if qubit.is_transmon
                            else ("gatemon", "grid_n", "n_cut"))
     if other in sec:
         raise ConfigError(f"qubit {other} does not apply to a {variant}; its key is {key}")
@@ -137,9 +140,9 @@ def cavity_geometry(cfg: dict) -> CavityGeometry:
     )
     try:
         return CavityGeometry(
-            length_a=_float(sec, "length_a_mm", "cavity") * 1e-3,
-            width_b=_float(sec, "width_b_mm", "cavity") * 1e-3,
-            height_d=_float(sec, "height_d_mm", "cavity") * 1e-3,
+            length_a=_positive(sec["length_a_mm"], "cavity length_a_mm") * 1e-3,
+            width_b=_positive(sec["width_b_mm"], "cavity width_b_mm") * 1e-3,
+            height_d=_positive(sec["height_d_mm"], "cavity height_d_mm") * 1e-3,
             m=_integer(sec.get("m", 1), "cavity m"),
             n=_integer(sec.get("n", 0), "cavity n"),
             p=_integer(sec.get("p", 1), "cavity p"),
@@ -171,11 +174,11 @@ def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> Dispersi
         raise ConfigError(f"system section: {exc}") from exc
 
 
-def gate_model(cfg: dict) -> GateSweepModel:
-    sec = _section(
-        cfg, "sweep", {"table_csv", "profile", "maps_to", "v_min", "v_max", "n_v"}
-    )
-    maps_to = sec.get("maps_to", "ej")
+def gate_model(cfg: dict, qubit: QubitParams) -> GateSweepModel:
+    """The sweep section's table or profile, which drives EJ of a transmon
+    or the transmission of a gatemon's one channel."""
+    sec = _section(cfg, "sweep", {"table_csv", "profile"})
+    maps_to = "ej" if qubit.is_transmon else "transmission"
     has_table = "table_csv" in sec
     has_profile = "profile" in sec
     if has_table == has_profile:
@@ -201,21 +204,6 @@ def gate_model(cfg: dict) -> GateSweepModel:
         return nanowire_profile(seed=seed, maps_to=maps_to, **given)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-
-
-def sweep_voltages(cfg: dict):
-    """Explicit sweep grid if the config requests one, else None."""
-    sec = cfg.get("sweep") or {}
-    given = [k for k in ("v_min", "v_max", "n_v") if k in sec]
-    if not given:
-        return None
-    if len(given) != 3:
-        raise ConfigError("sweep grid needs all of v_min, v_max, n_v")
-    v_min, v_max = _float(sec, "v_min", "sweep"), _float(sec, "v_max", "sweep")
-    n_v = _integer(sec["n_v"], "sweep n_v")
-    if not (v_max > v_min and n_v >= 2):
-        raise ConfigError("sweep grid needs v_max > v_min and n_v >= 2")
-    return np.linspace(v_min, v_max, n_v)
 
 
 def synth_spec(cfg: dict) -> SynthSpec:
@@ -258,4 +246,12 @@ def _positive(value, what: str) -> float:
     x = number(value, what)
     if x <= 0:
         raise ConfigError(f"{what} must be finite and positive, got {value!r}")
+    return x
+
+
+def _within(value, what: str, high: float = math.inf) -> float:
+    """value read by number and checked to lie in [0, high]"""
+    x = number(value, what)
+    if not 0.0 <= x <= high:
+        raise ConfigError(f"{what} must lie in [0, {high:g}], got {value!r}")
     return x

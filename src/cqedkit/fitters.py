@@ -523,9 +523,10 @@ def fit_rabi(t_ns, y) -> FitResult:
     the input axis (ns in the file formats), omega is rad per time unit.
     """
     t, y = _samples(t_ns, y, "t and y", 16)
-    dt = _median(np.diff(t))
-    if dt <= 0:
+    steps = np.diff(t)
+    if not np.all(steps > 0):
         raise InputDataError("time axis must be increasing")
+    dt = _median(steps)
 
     slope0, offset0 = np.polyfit(t, y, 1)
     resid = y - (slope0 * t + offset0)

@@ -5,6 +5,7 @@ run under a timeout, a warning's stderr line and the process entry.
 """
 
 import gc
+import hashlib
 import importlib
 import json
 import os
@@ -195,6 +196,19 @@ class TestOtherFitters:
         payload = json.loads(capsys.readouterr().out)
         assert payload["params"]["T_R"] == pytest.approx(260.0, abs=60.0)
 
+    def test_fit_rabi_sample_out_of_order_exit_one(self, tmp_path, capsys):
+        # the middle time at 1e308 leaves the median step positive
+        t, y = synth_rabi(SynthSpec(kind="rabi_trace", seed=5, snr_db=20.0,
+                                    truth={"A": 1.0, "T_R": 260.0, "omega": 0.2, "B": 0.0,
+                                           "a": 0.0, "b": 0.5},
+                                    grid={"t_max_ns": 1000.0, "n_t": 201}))
+        t[100] = 1e308
+        data = io.write_rabi_trace(tmp_path / "rabi.csv", t, y)
+        assert main(["fit-rabi", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data}: time axis must be increasing\n"
+        assert captured.out == ""
+
     def test_fit_rabi_noise_exit_two(self, tmp_path, capsys):
         t = np.linspace(0.0, 500.0, 200)
         rng = np.random.default_rng(1)
@@ -274,7 +288,6 @@ class TestSweepGate:
         "  grid_n: 401\n"
         "system:\n  f_bare_ghz: 5.443\n  g_mhz: 100\n"
         "sweep:\n  profile:\n    seed: 3\n    n: 9\n    max_value: 2.0\n"
-        "  maps_to: transmission\n"
     )
 
     def test_configured_grid_n_reaches_every_point(self, tmp_path, capsys):
@@ -297,6 +310,33 @@ class TestSweepGate:
         captured = capsys.readouterr()
         assert "solver failure" in captured.err
         assert f"LAPACK {routine} failed with info = 1" in captured.err
+        assert captured.out == ""
+
+    def test_gatemon_sweeps_without_maps_to(self, tmp_path, capsys):
+        # the qubit section alone makes the profile drive a gatemon's
+        # transmission: the bytes of the fingerprint's perfbench gatemon sweep
+        cfg = _config(tmp_path, (
+            "qubit: {ec_mhz: 250, gap_mhz: 60000, transmissions: [1.0]}\n"
+            "system: {f_bare_ghz: 5.443, g_mhz: 100, kappa_mhz: 1.2, gamma_q_mhz: 0.3}\n"
+            "sweep: {profile: {seed: 3, v_min: -2.0, v_max: 10.0, n: 9, v_pinch: 0.0,"
+            " max_value: 1.0}}\n"))
+        out = tmp_path / "gatemon.csv"
+        assert main(["sweep-gate", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("9 gate points")
+        golden = (Path(__file__).parent / "cli_fingerprint.txt").read_text().splitlines()
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert f"{digest}  gatemon/perfbench_gatemon.csv" in golden
+
+    # the qubit section picks what the table drives, and a profile or a
+    # table sets the gate axis: a retired key is unknown
+    @pytest.mark.parametrize("key, value", [("maps_to", "ej"), ("v_min", "-2.0"),
+                                            ("v_max", "10.0"), ("n_v", "9")])
+    def test_retired_sweep_key_exit_one(self, tmp_path, capsys, key, value):
+        cfg = _config(tmp_path, SWEEP_YAML + f"  {key}: {value}\n")
+        assert main(["sweep-gate", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: unknown keys in 'sweep' section: ['{key}']; "
+                                "allowed: ['profile', 'table_csv']\n")
         assert captured.out == ""
 
     def test_table_next_to_config_from_another_directory(self, tmp_path, capsys,

@@ -1,8 +1,8 @@
 """The exit contract under mutation: every run of the command line exits
 0, 1 or 2 and raises nothing out of cli.main (so prints no traceback); a
-failure prints one stderr line besides any one-line library warnings (a
-pipeline tolerance miss reports on stdout alone), and a success writes
-JSON that follows its bundled schema.
+failure prints exactly one stderr line (a pipeline tolerance miss reports
+on stdout alone), and a success prints nothing there but one-line library
+warnings and writes JSON that follows its bundled schema.
 
 Two seeded grids:
 
@@ -12,12 +12,15 @@ Two seeded grids:
   +-1e308 or 1e-320 in one row or in all rows, one column made constant,
   negated or scaled by 1e+-300, the rows reversed, duplicated or shuffled,
   a column added or dropped, a byte that is not UTF-8 and a NUL byte;
-- the config grid: a seeded sample of every leaf of every shipped config
-  set to one of 0, -1, 0.5, nan, +-inf, "x", null, [], {}, true and
-  1e-300, or deleted, through each verb that reads that config.
+- the config grid: every leaf of every shipped config, a key the shipped
+  configs no longer set and each list and list element among them, set to
+  one of 0, -1, 0.5, nan, +-inf, "x", null, [], {}, true and 1e-300, or
+  deleted, through each verb that reads that config; a seeded sample of
+  the key cases runs, with every list element case.
 
 An input error ("error: ...") names the data file of a fit verb, and the
-key, the field the key sets, or the file of a config. An invalid value
+key or the file of a config; an error in a list element names the list's
+key and the element's index, as in transmissions[0]. An invalid value
 the numerics meet ("invalid value: ...") and a solver failure name what
 failed. Samples above 1e150 square to inf, and +-1e308 once made a LAPACK
 call spin for good, so those cases run in one child interpreter under a
@@ -49,7 +52,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = str(Path(cqedkit.__file__).resolve().parents[1])
 # a child interpreter's runs together must return within this
 CHILD_TIMEOUT_S = 120
-# the part of the config grid this file runs; the whole grid is about 3000 runs
+# the sample of the config grid's key cases this file runs, of about 3000
 CONFIG_SAMPLE = 1200
 STDERR_PREFIXES = ("error: ", "solver failure: ", "invalid value: ")
 
@@ -204,20 +207,21 @@ def _check(code, out, err, written, where):
     match one of the patterns in where"""
     assert code in (0, 1, 2), code
     assert "Traceback" not in err
-    # a library warning takes a line of its own; a failure takes one more
-    failures = [line for line in err.splitlines() if not line.startswith("warning: ")]
+    lines = err.splitlines()
     if code == 0:
-        assert not failures, err
+        # a library warning takes a line of its own
+        assert all(line.startswith("warning: ") for line in lines), err
         for path, schema in written.items():
             if schema is not None and path.exists():
                 jsonschema.validate(io.read_json(path), io.load_schema(schema))
-    elif not failures:
+    elif not lines:
         # a pipeline tolerance miss reports on stdout alone
         assert code == 2 and out.splitlines()[-1].startswith("FAIL: "), (out, err)
     else:
-        assert len(failures) == 1 and failures[0].startswith(STDERR_PREFIXES), err
-        if failures[0].startswith("error: "):
-            assert any(re.search(w, failures[0]) for w in where), (where, failures[0])
+        # a failure prints its one line and nothing else
+        assert len(lines) == 1 and lines[0].startswith(STDERR_PREFIXES), err
+        if lines[0].startswith("error: "):
+            assert any(re.search(w, lines[0]) for w in where), (where, lines[0])
 
 
 @pytest.mark.parametrize("case", [c for c, (_, _, huge) in CSV_CASES.items() if not huge])
@@ -250,54 +254,69 @@ LEAF_VALUES = {"0": 0, "-1": -1, "0.5": 0.5, "nan": math.nan, "inf": math.inf,
                "-inf": -math.inf, "x": "x", "null": None, "list": [], "mapping": {},
                "true": True, "1e-300": 1e-300}
 DELETE = "deleted"
+# a key the shipped configs set before it was retired stays a leaf, after
+# the other leaves of its section, so an old config that still sets it is
+# run; deleting it runs the shipped config as it is
+RETIRED = [("sweep", "maps_to")]
 
 
 def _leaves(node, path=()):
-    """the key path of every value in a config that is not a mapping"""
-    for key, value in node.items():
+    """the key path of every value in a config that is not a mapping; a
+    list's elements follow it, each path ending in the element's index"""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
         if isinstance(value, dict):
             yield from _leaves(value, (*path, key))
         else:
             yield (*path, key)
+            if isinstance(value, list):
+                yield from _leaves(value, (*path, key))
 
 
 def _config_grid():
-    """every one-leaf case: (config, verb index, leaf path, value name)"""
-    grid = []
+    """every one-leaf case, (config, verb index, leaf path, value name): the
+    cases of keys, then the cases of list elements"""
+    keys, elements = [], []
     for config, verbs in CONFIG_VERBS.items():
         tree = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+        for section, key in RETIRED:
+            if section in tree:
+                tree[section][key] = None
         for leaf in _leaves(tree):
             for value in [*LEAF_VALUES, DELETE]:
-                grid += [(config, v, leaf, value) for v in range(len(verbs))]
-    return grid
+                cases = [(config, v, leaf, value) for v in range(len(verbs))]
+                (elements if isinstance(leaf[-1], int) else keys).extend(cases)
+    return keys, elements
 
 
-CONFIG_GRID = _config_grid()
-CONFIG_CASES = random.Random(1405).sample(CONFIG_GRID, CONFIG_SAMPLE)
+KEY_GRID, ELEMENT_GRID = _config_grid()
+# a seeded sample of the key cases, and every list element case
+CONFIG_CASES = random.Random(1405).sample(KEY_GRID, CONFIG_SAMPLE) + ELEMENT_GRID
 
 
 @pytest.mark.parametrize("config, verb, leaf, value", CONFIG_CASES,
-                         ids=[f"{c}:{CONFIG_VERBS[c][v][0][0]}:{'.'.join(leaf)}={value}"
+                         ids=[f"{c}:{CONFIG_VERBS[c][v][0][0]}:"
+                              f"{'.'.join(map(str, leaf))}={value}"
                               for c, v, leaf, value in CONFIG_CASES])
 def test_config_grid(tmp_path, capsys, config, verb, leaf, value):
     tree = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
     parent = tree
     for key in leaf[:-1]:
         parent = parent[key]
-    if value == DELETE:
-        del parent[leaf[-1]]
-    else:
+    if value != DELETE:
         parent[leaf[-1]] = copy.deepcopy(LEAF_VALUES[value])
+    elif leaf not in RETIRED:  # a retired key is not there to delete
+        del parent[leaf[-1]]
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump(tree))
     args, schemas = CONFIG_VERBS[config][verb]
     code = main([args[0], "--config", str(cfg), *(a.format(d=tmp_path) for a in args[1:])])
     captured = capsys.readouterr()
-    # the key, or the field a library error names after it: the key less its unit
-    key, field = leaf[-1], re.sub(r"_(mhz|ghz|mm|ns|dbm|db)$", "", leaf[-1])
+    # the key, or for a list element the list's key and the element's index
+    *path, key = leaf
+    named = rf"\b{path[-1]}\[{key}\]" if isinstance(key, int) else rf"\b{key}\b"
     _check(code, captured.out, captured.err,
            {tmp_path / name: schema for name, schema in schemas.items()},
-           [re.escape(str(cfg)), rf"\b{key}\b", rf"\b{field}\b"])
+           [re.escape(str(cfg)), named])
 
 
 def test_config_grid_covers_every_shipped_config():

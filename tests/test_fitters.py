@@ -468,6 +468,19 @@ def test_rabi_overflowing_trial_steps_are_quiet():
     assert result.param("T_R") == pytest.approx(309.97, rel=0.05)
 
 
+@pytest.mark.parametrize("edit", ["swap-two", "one-huge"])
+def test_rabi_time_axis_must_increase_at_every_step(edit):
+    # the median step of each axis is positive: only a check of every step refuses them
+    t = np.linspace(0.0, 1000.0, 201)
+    y = rabi_model(t, 1.0, 260.0, 2 * np.pi / 32.0, 0.0, 0.0, 0.5)
+    if edit == "swap-two":
+        t[[50, 51]] = t[[51, 50]]
+    else:
+        t[100] = 1e308
+    with pytest.raises(InputDataError, match="^time axis must be increasing$"):
+        fit_rabi(t, y)
+
+
 def test_rabi_linear_only_rejected():
     t = np.linspace(0.0, 500.0, 200)
     with pytest.raises(FitInitError):

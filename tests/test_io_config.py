@@ -30,6 +30,9 @@ from cqedkit.errors import ConfigError, InputDataError
 
 import csv_oracle
 
+TRANSMON = QubitParams(ec=190.0, ej=9500.0)
+GATEMON = QubitParams(ec=190.0, gap=45600.0, transmissions=(0.9,))
+
 
 def _trace(n=101):
     f = np.linspace(5.0, 5.1, n)
@@ -414,16 +417,21 @@ class TestConfig:
         (config.qubit_params, {"qubit": [190]}, "section 'qubit' must be a mapping"),
         (config.cavity_geometry,
          {"cavity": {"length_a_mm": -70, "width_b_mm": 5, "height_d_mm": 30}},
-         "cavity section: length_a must be positive"),
+         "cavity length_a_mm must be finite and positive, got -70"),
+        (config.cavity_geometry,
+         {"cavity": {"length_a_mm": 70, "width_b_mm": 5, "height_d_mm": 30, "p": 0}},
+         r"cavity section: invalid TE triple \(1, 0, 0\)"),
         (config.dispersive_system, {"system": {"f_bare_ghz": 5.4, "g_mhz": -1}},
          "system section: g_mhz must be positive"),
-        (config.gate_model, {"sweep": {"table_csv": 0}}, "sweep table_csv must be a path"),
-        (config.gate_model, {"sweep": {"profile": [3]}}, "sweep profile must be a mapping"),
+        (lambda cfg: config.gate_model(cfg, TRANSMON), {"sweep": {"table_csv": 0}},
+         "sweep table_csv must be a path"),
+        (lambda cfg: config.gate_model(cfg, TRANSMON), {"sweep": {"profile": [3]}},
+         "sweep profile must be a mapping"),
         (config.pipeline_options, {"pipeline": [7]}, "pipeline section must be a mapping"),
         (config.pipeline_options, {"pipeline": {"tolerances": [0.1]}},
          "pipeline tolerances must be a mapping"),
-    ], ids=["no-section", "list-section", "negative-length", "negative-g", "integer-table",
-            "list-profile", "list-pipeline", "list-tolerances"])
+    ], ids=["no-section", "list-section", "negative-length", "two-zero-indices", "negative-g",
+            "integer-table", "list-profile", "list-pipeline", "list-tolerances"])
     def test_section_errors_name_the_section(self, build, cfg, match):
         with pytest.raises(ConfigError, match=match):
             build(cfg)
@@ -451,10 +459,10 @@ class TestConfig:
 
     def test_solver_options_passthrough(self):
         cfg = {"qubit": {"ec_mhz": 190, "ej_mhz": 9500, "n_cut": 40}}
-        assert config.solver_options(cfg) == {"n_cut": 40}
-        assert config.solver_options({}) == {}
+        assert config.solver_options(cfg, TRANSMON) == {"n_cut": 40}
+        assert config.solver_options({"qubit": {"ec_mhz": 190, "ej_mhz": 9500}}, TRANSMON) == {}
         gatemon = {"ec_mhz": 190, "gap_mhz": 45600, "transmissions": [0.9], "grid_n": 401}
-        assert config.solver_options({"qubit": gatemon}) == {"grid_n": 401}
+        assert config.solver_options({"qubit": gatemon}, GATEMON) == {"grid_n": 401}
 
     @pytest.mark.parametrize("qubit, key", [
         ({"ec_mhz": 190, "ej_mhz": 9500, "grid_n": 301}, "grid_n"),
@@ -462,8 +470,37 @@ class TestConfig:
     ], ids=["transmon-grid_n", "gatemon-n_cut"])
     def test_solver_options_rejects_other_variant_key(self, qubit, key):
         # a key the solver never reads would be silently ignored
+        cfg = {"qubit": qubit}
         with pytest.raises(ConfigError, match=f"qubit {key} does not apply"):
-            config.solver_options({"qubit": qubit})
+            config.solver_options(cfg, config.qubit_params(cfg))
+
+    # each used to name the dataclass field (ec, length_a, transmission -1.0)
+    @pytest.mark.parametrize("cfg, named", [
+        ({"qubit": {"ec_mhz": 0, "ej_mhz": 9500}},
+         "qubit ec_mhz must be finite and positive, got 0"),
+        ({"qubit": {"ec_mhz": 190, "ej_mhz": -1}}, r"qubit ej_mhz must lie in \[0, inf\], got -1"),
+        ({"qubit": {"ec_mhz": 190, "gap_mhz": -1, "transmissions": [0.85]}},
+         r"qubit gap_mhz must lie in \[0, inf\], got -1"),
+        ({"qubit": {"ec_mhz": 190, "gap_mhz": 45600, "transmissions": [0.85, -1, 0.1]}},
+         r"qubit transmissions\[1\] must lie in \[0, 1\], got -1"),
+        ({"cavity": {"length_a_mm": -1, "width_b_mm": 5, "height_d_mm": 30}},
+         "cavity length_a_mm must be finite and positive, got -1"),
+        ({"cavity": {"length_a_mm": 70, "width_b_mm": 0, "height_d_mm": 30}},
+         "cavity width_b_mm must be finite and positive, got 0"),
+        ({"cavity": {"length_a_mm": 70, "width_b_mm": 5, "height_d_mm": -30}},
+         "cavity height_d_mm must be finite and positive, got -30"),
+    ], ids=["ec_mhz", "ej_mhz", "gap_mhz", "transmissions", "length_a_mm", "width_b_mm",
+            "height_d_mm"])
+    def test_value_errors_name_the_key(self, cfg, named):
+        build = config.qubit_params if "qubit" in cfg else config.cavity_geometry
+        with pytest.raises(ConfigError, match=f"^{named}$"):
+            build(cfg)
+
+    @pytest.mark.parametrize("qubit, maps_to", [(TRANSMON, "ej"), (GATEMON, "transmission")],
+                             ids=["transmon", "gatemon"])
+    def test_the_qubit_picks_what_the_sweep_drives(self, qubit, maps_to):
+        model = config.gate_model({"sweep": {"profile": {"seed": 1, "max_value": 1.0}}}, qubit)
+        assert model.maps_to == maps_to
 
     @pytest.mark.parametrize("value, want", [(7, 7), (400.0, 400), ("4e2", 400), ("12", 12)])
     def test_integer_key_accepts_integral_values(self, value, want):
@@ -495,35 +532,23 @@ class TestConfig:
 
     def test_sweep_table_xor_profile(self, tmp_path):
         with pytest.raises(ConfigError, match="exactly one"):
-            config.gate_model({"sweep": {}})
+            config.gate_model({"sweep": {}}, TRANSMON)
         table = tmp_path / "t.csv"
         io.write_gate_table(table, [0.0, 1.0], [0.0, 1000.0])
         with pytest.raises(ConfigError, match="exactly one"):
             config.gate_model(
-                {"sweep": {"table_csv": str(table), "profile": {"seed": 1}}})
+                {"sweep": {"table_csv": str(table), "profile": {"seed": 1}}}, TRANSMON)
 
     def test_sweep_from_table(self, tmp_path):
         table = tmp_path / "t.csv"
         io.write_gate_table(table, [0.0, 1.0, 2.0], [0.0, 500.0, 1000.0])
-        model = config.gate_model({"sweep": {"table_csv": str(table)}})
+        model = config.gate_model({"sweep": {"table_csv": str(table)}}, TRANSMON)
         # pchip through collinear samples is the line through them
         assert model(1.5) == pytest.approx(750.0)
 
     def test_sweep_profile_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown keys"):
-            config.gate_model({"sweep": {"profile": {"seed": 1, "vmax": 5}}})
-
-    def test_sweep_voltages_all_or_none(self):
-        assert config.sweep_voltages({"sweep": {"profile": {"seed": 1}}}) is None
-        with pytest.raises(ConfigError, match="all of"):
-            config.sweep_voltages({"sweep": {"v_min": 0.0, "n_v": 5}})
-        v = config.sweep_voltages(
-            {"sweep": {"v_min": 0.0, "v_max": 2.0, "n_v": 5}})
-        assert np.array_equal(v, np.linspace(0.0, 2.0, 5))
-
-    def test_sweep_voltages_bad_grid(self):
-        with pytest.raises(ConfigError, match="v_max > v_min"):
-            config.sweep_voltages({"sweep": {"v_min": 2.0, "v_max": 0.0, "n_v": 5}})
+            config.gate_model({"sweep": {"profile": {"seed": 1, "vmax": 5}}}, TRANSMON)
 
     def test_synth_spec_strict_keys(self):
         with pytest.raises(ConfigError, match="unknown keys"):
