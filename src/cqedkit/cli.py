@@ -239,7 +239,7 @@ def cmd_pipeline(args) -> int:
     """
     cfg = cfgmod.load_config(args.config)
     opts = cfgmod.pipeline_options(cfg)
-    tolerances = {**cfgmod.PIPELINE_TOLERANCES, **opts["tolerances"]}
+    tolerances = opts["tolerances"]
     seed = args.seed if args.seed is not None else opts["seed"]
     workdir = Path(args.workdir or ".")
     stages, checks, failures = [], [], []

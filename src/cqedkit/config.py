@@ -1,10 +1,11 @@
 """YAML run configuration.
 
 One file drives the CLI: named sections hold the qubit, cavity, coupled
-system, gate sweep, synthesis recipe, and pipeline settings. Section and
-key names are checked strictly so a typo fails loudly instead of silently
-falling back to a default. Every number is read strictly as well: null,
-lists, non-numeric text and non-finite values fail naming the key.
+system, gate sweep, synthesis recipe, and pipeline settings. One table,
+KEYS, gives every key of every section its rule and its default, and
+the readers check each section through it: a typo fails loudly instead
+of silently falling back to a default, and null, lists, non-numeric text
+and non-finite values fail naming the key.
 """
 
 from __future__ import annotations
@@ -15,12 +16,48 @@ from pathlib import Path
 from .coupling import DispersiveSystem, GateSweepModel, nanowire_profile
 from .errors import ConfigError
 from .io import read_gate_table
-from .spectra import CavityGeometry, QubitParams, QubitSpectrum, te_mode_frequency
-from .synth import SynthSpec, number, whole_number
+from .spectra import CavityGeometry, QubitParams, QubitSpectrum, check_truncation, te_mode_frequency
+from .synth import GRID_KEYS, SYNTH_KINDS, SynthSpec, number, whole_number
 
-KNOWN_SECTIONS = ("qubit", "cavity", "system", "sweep", "synth", "pipeline")
-# pipeline fit checks and their defaults: relative Ql and Qc error, f_r error in MHz
-PIPELINE_TOLERANCES = {"ql_rel": 0.02, "qc_rel": 0.05, "f_r_mhz": 0.5}
+REQUIRED = object()  # the default of a key that must be given
+
+# section -> key -> (rule, default). A rule is "number" (finite),
+# "positive", (lo, hi) for a number in [lo, hi], "integer", "natural" (a
+# non-negative integer), "switch" (true or false), "path" (text),
+# "mapping" (or null, for a section left out), [rule] for a list of
+# values each by that rule, or None for a value SynthSpec checks itself.
+# A default of None means the key is not given. The profile defaults are
+# nanowire_profile's.
+KEYS = {
+    "qubit": {"ec_mhz": ("positive", REQUIRED), "ej_mhz": ((0, math.inf), None),
+              "gap_mhz": ((0, math.inf), None), "transmissions": ([(0, 1)], None),
+              # the spectrum has period 1 in ng
+              "ng": ((-1, 1), 0.0), "n_cut": ("integer", None), "grid_n": ("integer", None)},
+    "cavity": {"length_a_mm": ("positive", REQUIRED), "width_b_mm": ("positive", REQUIRED),
+               "height_d_mm": ("positive", REQUIRED),
+               "m": ("natural", 1), "n": ("natural", 0), "p": ("natural", 1)},
+    "system": {"f_bare_ghz": ("positive", None), "g_mhz": ("positive", REQUIRED),
+               "kappa_mhz": ("positive", 1.0), "gamma_q_mhz": ((0, math.inf), 0.0)},
+    "sweep": {"table_csv": ("path", None), "profile": ("mapping", None)},
+    "sweep.profile": {"seed": ("natural", REQUIRED), "n": ("integer", 41),
+                      "v_min": ("number", -2.0), "v_max": ("number", 10.0),
+                      "v_pinch": ("number", 0.0), "max_value": ("number", 20000.0)},
+    # snr_db null means noiseless
+    "synth": {"kind": (None, REQUIRED), "seed": ("natural", REQUIRED), "snr_db": (None, None),
+              "truth": (None, {}), "grid": (None, {})},
+    # synth.truth.<kind> and synth.grid.<kind> apply when synth.kind is
+    # <kind>; SynthSpec checks them from synth's tables, where None marks a
+    # required number and a bool default a switch
+    **{f"synth.{part}.{kind}": {key: ("switch" if isinstance(d, bool) else "number",
+                                      REQUIRED if d is None else d)
+                                for key, d in table.items()}
+       for kind, (_, truth) in SYNTH_KINDS.items()
+       for part, table in (("truth", truth), ("grid", GRID_KEYS[kind]))},
+    # pipeline fit checks: relative Ql and Qc error, f_r error in MHz
+    "pipeline": {"seed": ("natural", 7), "tolerances": ("mapping", None)},
+    "pipeline.tolerances": {"ql_rel": ("positive", 0.02), "qc_rel": ("positive", 0.05),
+                            "f_r_mhz": ("positive", 0.5)},
+}
 
 
 def load_config(path) -> dict:
@@ -59,63 +96,79 @@ def load_config(path) -> dict:
         cfg = {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping of sections")
-    unknown = set(cfg) - set(KNOWN_SECTIONS)
+    known = list(dict.fromkeys(name.split(".")[0] for name in KEYS))
+    unknown = set(cfg) - set(known)
     if unknown:
-        raise ConfigError(
-            f"unknown config sections {sorted(unknown)}; known: {list(KNOWN_SECTIONS)}"
-        )
+        raise ConfigError(f"unknown config sections {sorted(unknown, key=str)}; known: {known}")
     sweep = cfg.get("sweep")
     if isinstance(sweep, dict) and isinstance(sweep.get("table_csv"), str):
         sweep["table_csv"] = str(Path(path).parent / sweep["table_csv"])
     return cfg
 
 
-def _section(cfg: dict, name: str, allowed: set, required: set = frozenset()) -> dict:
-    """The named section, a mapping with only allowed keys and every required one."""
-    sec = cfg.get(name)
+def _read(name: str, sec) -> dict:
+    """Section ``name`` by its table in KEYS: every key, each one given
+    checked by its rule and named in the error, each one left out at its
+    default. A section left out (or null) reads as an empty one, unless
+    it has a required key."""
+    table = KEYS[name]
     if sec is None:
-        raise ConfigError(f"config has no {name!r} section")
+        if any(default is REQUIRED for _, default in table.values()):
+            raise ConfigError(f"config has no {name!r} section")
+        sec = {}
     if not isinstance(sec, dict):
         raise ConfigError(f"config section {name!r} must be a mapping")
-    _check_keys(sec, name, allowed, required)
-    return sec
-
-
-def _check_keys(sec: dict, name: str, allowed: set, required: set = frozenset()):
-    unknown = set(sec) - allowed
+    unknown = sec.keys() - table.keys()
     if unknown:
-        raise ConfigError(
-            f"unknown keys in {name!r} section: {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-    missing = required - set(sec)
+        raise ConfigError(f"unknown keys in {name!r} section: {sorted(unknown, key=str)}; "
+                          f"allowed: {sorted(table)}")
+    missing = [key for key, (_, default) in table.items() if default is REQUIRED and key not in sec]
     if missing:
         raise ConfigError(f"{name!r} section is missing {sorted(missing)}")
+    where = name.replace(".", " ")
+    return {key: _check(rule, sec[key], f"{where} {key}") if key in sec else default
+            for key, (rule, default) in table.items()}
+
+
+def _check(rule, value, what: str):
+    """value checked by one rule of KEYS; an error names what"""
+    if isinstance(rule, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{what} must be a list, got {value!r}")
+        return [_check(rule[0], v, f"{what}[{i}]") for i, v in enumerate(value)]
+    if rule is None:
+        return value
+    if rule == "mapping":
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"{what} must be a mapping, got {value!r}")
+        return value
+    if rule == "path":
+        if not isinstance(value, str):
+            raise ConfigError(f"{what} must be a path, got {value!r}")
+        return value
+    if rule in ("integer", "natural"):
+        x = int(whole_number(value, what))
+        if rule == "natural" and x < 0:
+            raise ConfigError(f"{what} must be a non-negative integer, got {value!r}")
+        return x
+    x = number(value, what)
+    if rule == "positive" and not x > 0:
+        raise ConfigError(f"{what} must be finite and positive, got {value!r}")
+    if isinstance(rule, tuple) and not rule[0] <= x <= rule[1]:
+        raise ConfigError(f"{what} must lie in [{rule[0]:g}, {rule[1]:g}], got {value!r}")
+    return x
 
 
 def qubit_params(cfg: dict) -> QubitParams:
-    """The qubit section as QubitParams, each value checked here to name its key."""
-    sec = _section(
-        cfg,
-        "qubit",
-        {"ec_mhz", "ej_mhz", "gap_mhz", "transmissions", "ng", "n_cut", "grid_n"},
-        {"ec_mhz"},
-    )
-    variant = sorted({"ej_mhz", "gap_mhz", "transmissions"} & set(sec))
+    """The qubit section as QubitParams, a transmon (ej_mhz given) or a
+    gatemon (gap_mhz and transmissions given)."""
+    sec = _read("qubit", cfg.get("qubit"))
+    variant = [key for key in ("ej_mhz", "gap_mhz", "transmissions") if sec[key] is not None]
     if variant not in (["ej_mhz"], ["gap_mhz", "transmissions"]):
         raise ConfigError(f"qubit section needs ej_mhz, or gap_mhz and transmissions; got {variant}")
-    trans = sec.get("transmissions")
-    if trans is not None:
-        if not isinstance(trans, (list, tuple)):
-            raise ConfigError("transmissions must be a list")
-        trans = tuple(_within(t, f"qubit transmissions[{i}]", 1.0) for i, t in enumerate(trans))
     try:
-        return QubitParams(
-            ec=_positive(sec["ec_mhz"], "qubit ec_mhz"),
-            ej=_within(sec["ej_mhz"], "qubit ej_mhz") if "ej_mhz" in sec else None,
-            gap=_within(sec["gap_mhz"], "qubit gap_mhz") if "gap_mhz" in sec else None,
-            transmissions=trans,
-            ng=_float(sec, "ng", "qubit", 0.0),
-        )
+        return QubitParams(ec=sec["ec_mhz"], ej=sec["ej_mhz"], gap=sec["gap_mhz"],
+                           transmissions=sec["transmissions"], ng=sec["ng"])
     except ValueError as exc:
         raise ConfigError(f"qubit section: {exc}") from exc
 
@@ -123,135 +176,66 @@ def qubit_params(cfg: dict) -> QubitParams:
 def solver_options(cfg: dict, qubit: QubitParams) -> dict:
     """Truncation override of the configured variant, if set: n_cut for a
     transmon, grid_n for a gatemon; the other key is an error."""
-    sec = cfg["qubit"]
+    sec = _read("qubit", cfg.get("qubit"))
     variant, key, other = (("transmon", "n_cut", "grid_n") if qubit.is_transmon
                            else ("gatemon", "grid_n", "n_cut"))
-    if other in sec:
+    if sec[other] is not None:
         raise ConfigError(f"qubit {other} does not apply to a {variant}; its key is {key}")
-    return {key: _integer(sec[key], f"qubit {key}")} if key in sec else {}
+    if sec[key] is None:
+        return {}
+    try:
+        check_truncation(key, sec[key])
+    except ValueError as exc:
+        raise ConfigError(f"qubit {exc}") from exc
+    return {key: sec[key]}
 
 
 def cavity_geometry(cfg: dict) -> CavityGeometry:
-    sec = _section(
-        cfg,
-        "cavity",
-        {"length_a_mm", "width_b_mm", "height_d_mm", "m", "n", "p"},
-        {"length_a_mm", "width_b_mm", "height_d_mm"},
-    )
+    sec = _read("cavity", cfg.get("cavity"))
     try:
-        return CavityGeometry(
-            length_a=_positive(sec["length_a_mm"], "cavity length_a_mm") * 1e-3,
-            width_b=_positive(sec["width_b_mm"], "cavity width_b_mm") * 1e-3,
-            height_d=_positive(sec["height_d_mm"], "cavity height_d_mm") * 1e-3,
-            m=_integer(sec.get("m", 1), "cavity m"),
-            n=_integer(sec.get("n", 0), "cavity n"),
-            p=_integer(sec.get("p", 1), "cavity p"),
-        )
+        return CavityGeometry(length_a=sec["length_a_mm"] * 1e-3,
+                              width_b=sec["width_b_mm"] * 1e-3,
+                              height_d=sec["height_d_mm"] * 1e-3,
+                              m=sec["m"], n=sec["n"], p=sec["p"])
     except ValueError as exc:
         raise ConfigError(f"cavity section: {exc}") from exc
 
 
 def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> DispersiveSystem:
     """Build the coupled system; f_bare_ghz falls back to the cavity mode."""
-    sec = _section(
-        cfg, "system", {"f_bare_ghz", "g_mhz", "kappa_mhz", "gamma_q_mhz"}, {"g_mhz"}
-    )
-    if "f_bare_ghz" in sec:
-        f_bare = _float(sec, "f_bare_ghz", "system")
-    elif "cavity" in cfg:
+    sec = _read("system", cfg.get("system"))
+    f_bare = sec["f_bare_ghz"]
+    if f_bare is None:
+        if "cavity" not in cfg:
+            raise ConfigError("system section needs f_bare_ghz or a cavity section")
         f_bare = te_mode_frequency(cavity_geometry(cfg))
-    else:
-        raise ConfigError("system section needs f_bare_ghz or a cavity section")
-    try:
-        return DispersiveSystem(
-            f_bare_ghz=f_bare,
-            g_mhz=_float(sec, "g_mhz", "system"),
-            qubit=qubit,
-            kappa_mhz=_float(sec, "kappa_mhz", "system", 1.0),
-            gamma_q_mhz=_float(sec, "gamma_q_mhz", "system", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"system section: {exc}") from exc
+    return DispersiveSystem(f_bare_ghz=f_bare, g_mhz=sec["g_mhz"], qubit=qubit,
+                            kappa_mhz=sec["kappa_mhz"], gamma_q_mhz=sec["gamma_q_mhz"])
 
 
 def gate_model(cfg: dict, qubit: QubitParams) -> GateSweepModel:
     """The sweep section's table or profile, which drives EJ of a transmon
     or the transmission of a gatemon's one channel."""
-    sec = _section(cfg, "sweep", {"table_csv", "profile"})
-    maps_to = "ej" if qubit.is_transmon else "transmission"
-    has_table = "table_csv" in sec
-    has_profile = "profile" in sec
-    if has_table == has_profile:
+    sec = _read("sweep", cfg.get("sweep"))
+    if (sec["table_csv"] is None) == (sec["profile"] is None):
         raise ConfigError("sweep section needs exactly one of table_csv or profile")
+    maps_to = "ej" if qubit.is_transmon else "transmission"
     where = "sweep profile"  # what a ValueError from the model names
     try:
-        if has_table:
-            if not isinstance(sec["table_csv"], str):
-                raise ConfigError(f"sweep table_csv must be a path, got {sec['table_csv']!r}")
+        if sec["table_csv"] is not None:
             where = f"sweep table_csv {sec['table_csv']}"
-            v, values = read_gate_table(sec["table_csv"])
-            return GateSweepModel(v, values, maps_to=maps_to)
-        prof = sec["profile"]
-        if not isinstance(prof, dict):
-            raise ConfigError("sweep profile must be a mapping")
-        floats = ("v_min", "v_max", "v_pinch", "max_value")
-        _check_keys(prof, "sweep.profile", {"seed", "n", *floats}, {"seed"})
-        # keys left out take nanowire_profile's defaults
-        given = {k: number(prof[k], f"sweep profile {k}") for k in floats if k in prof}
-        if "n" in prof:
-            given["n"] = _integer(prof["n"], "sweep profile n")
-        seed = _integer(prof["seed"], "sweep profile seed")
-        return nanowire_profile(seed=seed, maps_to=maps_to, **given)
+            return GateSweepModel(*read_gate_table(sec["table_csv"]), maps_to=maps_to)
+        return nanowire_profile(maps_to=maps_to, **_read("sweep.profile", sec["profile"]))
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def synth_spec(cfg: dict) -> SynthSpec:
     """The synth section as a SynthSpec, which checks the recipe itself."""
-    sec = _section(cfg, "synth", {"kind", "seed", "snr_db", "truth", "grid"}, {"kind", "seed"})
-    return SynthSpec(
-        kind=sec["kind"],
-        seed=sec["seed"],
-        # null means noiseless; SynthSpec reads the rest by the number rule
-        snr_db=sec.get("snr_db"),
-        truth=sec.get("truth", {}),
-        grid=sec.get("grid", {}),
-    )
+    return SynthSpec(**_read("synth", cfg.get("synth")))
 
 
 def pipeline_options(cfg: dict) -> dict:
-    sec = cfg.get("pipeline") or {}
-    if not isinstance(sec, dict):
-        raise ConfigError("pipeline section must be a mapping")
-    _check_keys(sec, "pipeline", {"seed", "tolerances"})
-    tol = sec.get("tolerances") or {}
-    if not isinstance(tol, dict):
-        raise ConfigError("pipeline tolerances must be a mapping")
-    _check_keys(tol, "pipeline.tolerances", set(PIPELINE_TOLERANCES))
-    tolerances = {key: _positive(value, f"pipeline tolerance {key}") for key, value in tol.items()}
-    return {"seed": _integer(sec.get("seed", 7), "pipeline seed"), "tolerances": tolerances}
-
-
-def _integer(value, what: str) -> int:
-    """An integer value; integral floats, such as a YAML 4e2, pass."""
-    return int(whole_number(value, what))
-
-
-def _float(sec: dict, key: str, where: str, default=None):
-    """sec[key] read by number, or default when the key is absent."""
-    return number(sec[key], f"{where} {key}") if key in sec else default
-
-
-def _positive(value, what: str) -> float:
-    x = number(value, what)
-    if x <= 0:
-        raise ConfigError(f"{what} must be finite and positive, got {value!r}")
-    return x
-
-
-def _within(value, what: str, high: float = math.inf) -> float:
-    """value read by number and checked to lie in [0, high]"""
-    x = number(value, what)
-    if not 0.0 <= x <= high:
-        raise ConfigError(f"{what} must lie in [0, {high:g}], got {value!r}")
-    return x
+    """The pipeline seed and every fit tolerance, each at its default when not set."""
+    sec = _read("pipeline", cfg.get("pipeline"))
+    return {"seed": sec["seed"], "tolerances": _read("pipeline.tolerances", sec["tolerances"])}

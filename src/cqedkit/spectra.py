@@ -144,7 +144,7 @@ class CavityGeometry:
         if any(int(i) != i or i < 0 for i in idx):
             raise ValueError(f"mode indices must be non-negative integers, got {idx}")
         if sum(i == 0 for i in idx) > 1:
-            raise ValueError(f"invalid TE triple {idx}: at most one index may be zero")
+            raise ValueError(f"invalid TE triple (m, n, p) = {idx}: at most one index may be zero")
 
 
 FLAPACK = "scipy.linalg._flapack"
@@ -228,6 +228,15 @@ def _transmon_f01(ec: float, ej: float, ng: float, n_cut: int) -> float:
     return float(vals[1] - vals[0])
 
 
+def check_truncation(key: str, value: int) -> None:
+    """Raise ValueError unless value is a usable ``n_cut`` (at least 10) or
+    ``grid_n`` (odd, at least 101), as key says."""
+    if key == "n_cut" and value < 10:
+        raise ValueError(f"n_cut must be at least 10, got {value}")
+    if key == "grid_n" and (value < 101 or value % 2 == 0):
+        raise ValueError(f"grid_n must be odd and at least 101, got {value}")
+
+
 def transmon_levels(params: QubitParams, n_cut: int = DEFAULT_N_CUT) -> QubitSpectrum:
     """Diagonalize H = 4*EC*(n-ng)^2 - (EJ/2)*sum(|n><n+1| + h.c.).
 
@@ -242,8 +251,7 @@ def transmon_levels(params: QubitParams, n_cut: int = DEFAULT_N_CUT) -> QubitSpe
     """
     if not params.is_transmon:
         raise ValueError("transmon_levels needs the EJ variant of QubitParams")
-    if n_cut < 10:
-        raise ValueError(f"n_cut must be at least 10, got {n_cut}")
+    check_truncation("n_cut", n_cut)
     vals = _transmon_eigvals(params.ec, params.ej, params.ng, n_cut)
     _check_f01(vals, _transmon_f01(params.ec, params.ej, params.ng, 2 * n_cut),
                f"when n_cut doubled from {n_cut}", "n_cut")
@@ -423,8 +431,7 @@ def gatemon_levels(params: QubitParams, grid_n: int = DEFAULT_GRID_N) -> QubitSp
     """
     if params.is_transmon:
         raise ValueError("gatemon_levels needs the (gap, transmissions) variant")
-    if grid_n < 101 or grid_n % 2 == 0:
-        raise ValueError(f"grid_n must be odd and at least 101, got {grid_n}")
+    check_truncation("grid_n", grid_n)
     args = (params.ec, params.gap, params.transmissions, params.ng)
     vals = _gatemon_eigvals(*args, grid_n)
     _check_f01(vals, _gatemon_f01(*args, 2 * grid_n + 1, vals),

@@ -55,8 +55,8 @@ SYNTH_KINDS = {
                             "background_amp": 0.0, "background_period_ghz": 1.0}),
     "rabi_trace": ("t", dict.fromkeys(RABI_PARAM_NAMES)),
 }
-_GRID_KEYS = {kind: dict.fromkeys(k for a in axes for k in _AXES[a] if k)
-              for kind, (axes, _) in SYNTH_KINDS.items()}
+GRID_KEYS = {kind: dict.fromkeys(k for a in axes for k in _AXES[a] if k)
+             for kind, (axes, _) in SYNTH_KINDS.items()}
 
 
 def whole_number(value, what: str):
@@ -131,7 +131,7 @@ class SynthSpec:
         if not isinstance(self.truth, dict) or not isinstance(self.grid, dict):
             raise ConfigError("synth truth and grid must be mappings")
         axes, defaults = SYNTH_KINDS[self.kind]
-        for name, table in (("grid", _GRID_KEYS[self.kind]), ("truth", defaults)):
+        for name, table in (("grid", GRID_KEYS[self.kind]), ("truth", defaults)):
             given = getattr(self, name)
             unknown = given.keys() - table.keys()
             if unknown:

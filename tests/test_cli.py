@@ -650,6 +650,34 @@ class TestIntegerConfigKeys:
         assert capsys.readouterr().out.startswith("9 gate points")
 
 
+class TestKeyNamedErrors:
+    # each case sets one key of a shipped config out of its range, and the
+    # one error line names that key; the cavity indices, ng, the truncation
+    # keys and the pipeline seed once named none, or another key
+    @pytest.mark.parametrize("name, old, new, argv, message", [
+        ("pipeline", "height_d_mm: 30.0\n", "height_d_mm: 30.0\n  p: 0\n", ["simulate-cavity"],
+         "cavity section: invalid TE triple (m, n, p) = (1, 0, 0): at most one index may be zero"),
+        ("pipeline", "height_d_mm: 30.0\n", "height_d_mm: 30.0\n  m: -1\n", ["simulate-cavity"],
+         "cavity m must be a non-negative integer, got -1"),
+        ("gatemon", "ec_mhz: 190.0\n", "ec_mhz: 190.0\n  ng: 1e160\n", ["simulate-qubit"],
+         "qubit ng must lie in [-1, 1], got '1e160'"),
+        ("pipeline", "ej_mhz: 9500.0\n", "ej_mhz: 9500.0\n  n_cut: 5\n", ["simulate-qubit"],
+         "qubit n_cut must be at least 10, got 5"),
+        ("gatemon", "ec_mhz: 190.0\n", "ec_mhz: 190.0\n  grid_n: 100\n", ["simulate-qubit"],
+         "qubit grid_n must be odd and at least 101, got 100"),
+        ("pipeline", "  seed: 7\n", "  seed: -1\n", ["pipeline", "--workdir", "{d}"],
+         "pipeline seed must be a non-negative integer, got -1"),
+        ("synth_rabi", "seed: 5\n", "seed: -1\n", ["synth", "--out", "{d}/rabi.csv"],
+         "synth seed must be a non-negative integer, got -1"),
+    ], ids=["cavity-p", "cavity-m", "ng", "n_cut", "grid_n", "pipeline-seed", "synth-seed"])
+    def test_exit_one_naming_the_key(self, tmp_path, capsys, name, old, new, argv, message):
+        text = (CONFIGS / f"{name}.yaml").read_text()
+        assert old in text
+        cfg = _config(tmp_path, text.replace(old, new))
+        assert main([argv[0], "--config", cfg, *(a.format(d=tmp_path) for a in argv[1:])]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 class TestNumberConfigKeys:
     # each case edits one number in a shipped config
     @pytest.mark.parametrize("name, old, new, verb, key", [
@@ -692,13 +720,19 @@ class TestConfigEscapes:
         ("synth_reflection", "f_r_ghz: 5.2816", "f_r_ghz: 0", "synth",
          "synth truth qc * cos(theta) and f_r_ghz must be nonzero"),
         ("pipeline", "seed: 3", "seed: -1", "sweep-gate",
-         "sweep profile: need seed >= 0 and v_max > v_pinch, got -1, 10.0, 0.0"),
+         "sweep profile seed must be a non-negative integer, got -1"),
         ("pipeline", "v_max: 10.0", "v_max: 0.0", "sweep-gate",
          "sweep profile: need seed >= 0 and v_max > v_pinch, got 3, 0.0, 0.0"),
         ("gatemon", "transmissions: [0.85, 0.3, 0.1]", "transmissions: []", "simulate-qubit",
          "qubit section: transmissions must hold at least one channel"),
+        # unknown keys of two types could not be sorted for the message
+        ("gatemon", "  ec_mhz: 190.0\n", "  ec_mhz: 190.0\n  1: 2\n  x: 3\n", "simulate-qubit",
+         "unknown keys in 'qubit' section: [1, 'x']"),
+        ("gatemon", "qubit:\n", "1: 2\nx: 3\nqubit:\n", "simulate-qubit",
+         "unknown config sections [1, 'x']"),
     ], ids=["list-kind", "mapping-kind", "tiny-length", "tiny-height", "tiny-g", "zero-qc",
-            "zero-f_r", "negative-profile-seed", "v_max-at-v_pinch", "no-transmissions"])
+            "zero-f_r", "negative-profile-seed", "v_max-at-v_pinch", "no-transmissions",
+            "mixed-unknown-keys", "mixed-unknown-sections"])
     def test_exit_one_with_one_line(self, tmp_path, capsys, name, old, new, verb, message):
         text = (Path(PIPELINE_YAML).parent / f"{name}.yaml").read_text()
         assert old in text

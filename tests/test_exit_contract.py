@@ -12,11 +12,12 @@ Two seeded grids:
   +-1e308 or 1e-320 in one row or in all rows, one column made constant,
   negated or scaled by 1e+-300, the rows reversed, duplicated or shuffled,
   a column added or dropped, a byte that is not UTF-8 and a NUL byte;
-- the config grid: every leaf of every shipped config, a key the shipped
-  configs no longer set and each list and list element among them, set to
-  one of 0, -1, 0.5, nan, +-inf, "x", null, [], {}, true and 1e-300, or
-  deleted, through each verb that reads that config; a seeded sample of
-  the key cases runs, with every list element case.
+- the config grid: every key of config.KEYS, set on each shipped config
+  that holds the key's section, a key the shipped configs no longer set,
+  and each list element of a shipped config, set to one of 0, -1, 0.5,
+  nan, +-inf, "x", null, [], {}, true and 1e-300, or deleted, through each
+  verb that reads that config; a seeded sample of the key cases runs, with
+  a case of every key and every list element case.
 
 An input error ("error: ...") names the data file of a fit verb, and the
 key or the file of a config; an error in a list element names the list's
@@ -45,6 +46,7 @@ import yaml
 import cqedkit
 from cqedkit import SynthSpec, io, synth_rabi, synth_reflection
 from cqedkit.cli import main
+from cqedkit.config import KEYS
 from cqedkit.fitters import lorentzian_model
 from test_cli import SHIPPED_RUNS
 
@@ -52,7 +54,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SRC = str(Path(cqedkit.__file__).resolve().parents[1])
 # a child interpreter's runs together must return within this
 CHILD_TIMEOUT_S = 120
-# the sample of the config grid's key cases this file runs, of about 3000
+# the seeded sample of the config grid's key cases this file runs
 CONFIG_SAMPLE = 1200
 STDERR_PREFIXES = ("error: ", "solver failure: ", "invalid value: ")
 
@@ -254,9 +256,9 @@ LEAF_VALUES = {"0": 0, "-1": -1, "0.5": 0.5, "nan": math.nan, "inf": math.inf,
                "-inf": -math.inf, "x": "x", "null": None, "list": [], "mapping": {},
                "true": True, "1e-300": 1e-300}
 DELETE = "deleted"
-# a key the shipped configs set before it was retired stays a leaf, after
-# the other leaves of its section, so an old config that still sets it is
-# run; deleting it runs the shipped config as it is
+# a key the shipped configs set before it was retired stays a key of the
+# grid, after the other keys of its section, so an old config that still
+# sets it is run; deleting it runs the shipped config as it is
 RETIRED = [("sweep", "maps_to")]
 
 
@@ -272,43 +274,86 @@ def _leaves(node, path=()):
                 yield from _leaves(value, (*path, key))
 
 
+def _sections(tree):
+    """(name, key path) of every section of the key table that a config
+    holds; a synth.truth.<kind> or synth.grid.<kind> section only where
+    synth.kind is <kind>"""
+    for name in KEYS:
+        path = name.split(".")
+        if len(path) == 3 and path[2] != tree.get("synth", {}).get("kind"):
+            continue
+        node = tree
+        for key in path[:2]:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            yield name, tuple(path[:2])
+
+
 def _config_grid():
-    """every one-leaf case, (config, verb index, leaf path, value name): the
-    cases of keys, then the cases of list elements"""
-    keys, elements = [], []
-    for config, verbs in CONFIG_VERBS.items():
-        tree = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+    """the one-leaf cases, each (config, verb index, leaf path, value name):
+    those of every key of the table, by (section, key), set on each shipped
+    config that holds its section; those of the keys each shipped config
+    sets, in the order it sets them; and those of list elements"""
+    keys, shipped, elements = {}, [], []
+    for stem, verbs in CONFIG_VERBS.items():
+        tree = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text())
+
+        def cases(leaf):
+            return [(stem, v, leaf, value) for value in [*LEAF_VALUES, DELETE]
+                    for v in range(len(verbs))]
+
+        for name, path in _sections(tree):
+            for key in [*KEYS[name], *(k for s, k in RETIRED if s == name)]:
+                keys.setdefault((name, key), []).extend(cases((*path, key)))
         for section, key in RETIRED:
             if section in tree:
                 tree[section][key] = None
         for leaf in _leaves(tree):
-            for value in [*LEAF_VALUES, DELETE]:
-                cases = [(config, v, leaf, value) for v in range(len(verbs))]
-                (elements if isinstance(leaf[-1], int) else keys).extend(cases)
-    return keys, elements
+            (elements if isinstance(leaf[-1], int) else shipped).extend(cases(leaf))
+    return keys, shipped, elements
 
 
-KEY_GRID, ELEMENT_GRID = _config_grid()
-# a seeded sample of the key cases, and every list element case
-CONFIG_CASES = random.Random(1405).sample(KEY_GRID, CONFIG_SAMPLE) + ELEMENT_GRID
+KEY_GRID, SHIPPED_GRID, ELEMENT_GRID = _config_grid()
+KEY_OF = {case: key for key, cases in KEY_GRID.items() for case in cases}
+# the top-level sections each verb can read
+VERB_SECTIONS = {"simulate-qubit": {"qubit"}, "simulate-cavity": {"cavity"},
+                 "sweep-gate": {"qubit", "cavity", "system", "sweep"},
+                 "synth": {"qubit", "system", "sweep", "synth"},
+                 "pipeline": {"qubit", "cavity", "system", "sweep", "pipeline"}}
 
 
-@pytest.mark.parametrize("config, verb, leaf, value", CONFIG_CASES,
+def _sets_what_it_reads(case):
+    """whether a case sets its key through a verb that can read it"""
+    stem, verb, leaf, value = case
+    return value != DELETE and leaf[0] in VERB_SECTIONS[CONFIG_VERBS[stem][verb][0][0]]
+
+
+# a seeded sample of the cases of keys the shipped configs set, drawn as
+# before the grid took its keys from the table, so the cases run here stay
+# the same; for each key the sample misses, one case that sets it through
+# a verb that reads it; every list element case
+_rng = random.Random(1405)
+CONFIG_CASES = _rng.sample(SHIPPED_GRID, CONFIG_SAMPLE)
+CONFIG_CASES += [_rng.choice(list(filter(_sets_what_it_reads, KEY_GRID[key]))) for key in KEY_GRID
+                 if key not in {KEY_OF[case] for case in CONFIG_CASES}] + ELEMENT_GRID
+
+
+@pytest.mark.parametrize("stem, verb, leaf, value", CONFIG_CASES,
                          ids=[f"{c}:{CONFIG_VERBS[c][v][0][0]}:"
                               f"{'.'.join(map(str, leaf))}={value}"
                               for c, v, leaf, value in CONFIG_CASES])
-def test_config_grid(tmp_path, capsys, config, verb, leaf, value):
-    tree = yaml.safe_load((CONFIGS / f"{config}.yaml").read_text())
+def test_config_grid(tmp_path, capsys, stem, verb, leaf, value):
+    tree = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text())
     parent = tree
     for key in leaf[:-1]:
         parent = parent[key]
     if value != DELETE:
         parent[leaf[-1]] = copy.deepcopy(LEAF_VALUES[value])
-    elif leaf not in RETIRED:  # a retired key is not there to delete
+    elif isinstance(parent, list) or leaf[-1] in parent:  # a key not set is not there to delete
         del parent[leaf[-1]]
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump(tree))
-    args, schemas = CONFIG_VERBS[config][verb]
+    args, schemas = CONFIG_VERBS[stem][verb]
     code = main([args[0], "--config", str(cfg), *(a.format(d=tmp_path) for a in args[1:])])
     captured = capsys.readouterr()
     # the key, or for a list element the list's key and the element's index
@@ -317,6 +362,17 @@ def test_config_grid(tmp_path, capsys, config, verb, leaf, value):
     _check(code, captured.out, captured.err,
            {tmp_path / name: schema for name, schema in schemas.items()},
            [re.escape(str(cfg)), named])
+
+
+def test_config_grid_reaches_every_key():
+    # every key of the table is set on a shipped config, and the sample
+    # run here sets each through a verb that reads it: a key no shipped
+    # config reads fails
+    table = {(name, key) for name, keys in KEYS.items() for key in keys}
+    assert set(KEY_GRID) == table | set(RETIRED)
+    run = {KEY_OF[case] for case in CONFIG_CASES if case in KEY_OF and _sets_what_it_reads(case)}
+    assert run == set(KEY_GRID)
+    assert set(SHIPPED_GRID) <= set(KEY_OF)
 
 
 def test_config_grid_covers_every_shipped_config():

@@ -3,8 +3,10 @@ numbered input errors, JSON sanitization, bundled schemas, and the strict
 section/key checking of the YAML loader.
 """
 
+import inspect
 import json
 import math
+import re
 from pathlib import Path
 
 import jsonschema
@@ -26,6 +28,7 @@ from cqedkit import (
     transmon_levels,
 )
 from cqedkit import config
+from cqedkit.coupling import nanowire_profile
 from cqedkit.errors import ConfigError, InputDataError
 
 import csv_oracle
@@ -353,6 +356,23 @@ class TestSchemas:
             io.load_schema("nonexistent")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_names_every_key_and_no_other():
+    # the (section, key) of each row of README's reference table
+    text = README.read_text().split("## Configuration\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", text, flags=re.M)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(name, key) for name, keys in config.KEYS.items() for key in keys}
+
+
+def test_profile_defaults_are_nanowire_profile_defaults():
+    params = inspect.signature(nanowire_profile).parameters
+    for key, (_, default) in config.KEYS["sweep.profile"].items():
+        assert default is config.REQUIRED if key == "seed" else default == params[key].default
+
+
 class TestConfig:
     def test_load_config_unknown_section(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -420,14 +440,14 @@ class TestConfig:
          "cavity length_a_mm must be finite and positive, got -70"),
         (config.cavity_geometry,
          {"cavity": {"length_a_mm": 70, "width_b_mm": 5, "height_d_mm": 30, "p": 0}},
-         r"cavity section: invalid TE triple \(1, 0, 0\)"),
+         r"cavity section: invalid TE triple \(m, n, p\) = \(1, 0, 0\)"),
         (config.dispersive_system, {"system": {"f_bare_ghz": 5.4, "g_mhz": -1}},
-         "system section: g_mhz must be positive"),
+         "system g_mhz must be finite and positive, got -1"),
         (lambda cfg: config.gate_model(cfg, TRANSMON), {"sweep": {"table_csv": 0}},
          "sweep table_csv must be a path"),
         (lambda cfg: config.gate_model(cfg, TRANSMON), {"sweep": {"profile": [3]}},
          "sweep profile must be a mapping"),
-        (config.pipeline_options, {"pipeline": [7]}, "pipeline section must be a mapping"),
+        (config.pipeline_options, {"pipeline": [7]}, "section 'pipeline' must be a mapping"),
         (config.pipeline_options, {"pipeline": {"tolerances": [0.1]}},
          "pipeline tolerances must be a mapping"),
     ], ids=["no-section", "list-section", "negative-length", "two-zero-indices", "negative-g",
@@ -504,13 +524,13 @@ class TestConfig:
 
     @pytest.mark.parametrize("value, want", [(7, 7), (400.0, 400), ("4e2", 400), ("12", 12)])
     def test_integer_key_accepts_integral_values(self, value, want):
-        got = config._integer(value, "key")
+        got = config._check("integer", value, "key")
         assert got == want and type(got) is int
 
     @pytest.mark.parametrize("value", [None, "x", "nan", float("inf"), 1.5, True, [1]])
     def test_integer_key_rejects(self, value):
         with pytest.raises(ConfigError, match="key must be an integer"):
-            config._integer(value, "key")
+            config._check("integer", value, "key")
 
     def test_cavity_mm_conversion(self):
         geom = config.cavity_geometry(
@@ -601,14 +621,14 @@ class TestConfig:
 
     def test_pipeline_defaults(self):
         opts = config.pipeline_options({})
-        assert opts == {"seed": 7, "tolerances": {}}
+        assert opts == {"seed": 7, "tolerances": {"ql_rel": 0.02, "qc_rel": 0.05, "f_r_mhz": 0.5}}
         with pytest.raises(ConfigError, match="unknown keys"):
             config.pipeline_options({"pipeline": {"seeds": 3}})
 
     def test_pipeline_tolerances_pass_through(self):
         opts = config.pipeline_options(
             {"pipeline": {"tolerances": {"ql_rel": 0.01, "f_r_mhz": "1e-3"}}})
-        assert opts["tolerances"] == {"ql_rel": 0.01, "f_r_mhz": 1e-3}
+        assert opts["tolerances"] == {"ql_rel": 0.01, "qc_rel": 0.05, "f_r_mhz": 1e-3}
 
     def test_pipeline_tolerance_unknown_key(self):
         # a misspelt key must fail, not leave the default tolerance in force
