@@ -13,7 +13,10 @@ configs/.
 
 For each verb, and for the whole session, it prints each tree's median
 and quartiles in ms and how many repeats the new tree ran faster. A verb
-that exits non-zero stops the run with exit code 1.
+that exits non-zero stops the run with exit code 1. The first line says
+whether the verb processes write bytecode: a verb that does not (under
+PYTHONDONTWRITEBYTECODE or -B) compiles every module it imports again,
+so its time depends on it.
 """
 
 import argparse
@@ -69,6 +72,14 @@ def _write_dip(path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def writes_bytecode(env) -> bool:
+    """Whether a Python process started with ``env`` writes the bytecode
+    of the modules it imports."""
+    done = subprocess.run([sys.executable, "-c", "import sys; print(sys.dont_write_bytecode)"],
+                          env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip() == "False"
+
+
 def _quartiles(ms):
     if len(ms) < 2:
         return ms[0], ms[0]
@@ -94,6 +105,8 @@ def main(argv=None) -> int:
             workdirs[side].mkdir()
             _write_dip(workdirs[side] / "dip.csv")
             envs[side] = dict(os.environ, PYTHONPATH=src, **{var: "1" for var in THREAD_VARS})
+        writes = writes_bytecode(envs["new"])
+        print(f"bytecode writing in the verb processes: {'on' if writes else 'off'}")
         for r in range(args.repeats):
             for k, (label, verb_argv) in enumerate(session):
                 order = ("old", "new") if (r + k) % 2 == 0 else ("new", "old")

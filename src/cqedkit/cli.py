@@ -7,6 +7,10 @@ Exit codes: 0 on success, 1 for input problems (bad arguments, unreadable
 or malformed files, config errors), 2 when a solver or fit fails or the
 pipeline misses a tolerance. Results print to stdout; --out writes the
 machine-readable artifact and --plot an SVG rendering where offered.
+
+Each verb imports the modules it runs when it runs, so it compiles and
+executes only the package modules on its own code path: svgplot loads
+only with --plot, config only for a verb that reads one.
 """
 
 from __future__ import annotations
@@ -16,32 +20,48 @@ import dataclasses
 import sys
 import warnings
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
-from . import config as cfgmod
-from . import io, svgplot
-from .coupling import dispersive_shift_two_level, gate_sweep
+from . import io
 from .errors import InputDataError, SolverError
-from .fitters import (
-    ComplexTrace,
-    fit_lorentzian,
-    fit_rabi,
-    fit_reflection,
-    lorentzian_model,
-    rabi_model,
-    reflection_model,
-)
-from .spectra import gatemon_levels, te_mode_frequency, transmon_levels
-from .synth import (
-    SynthSpec,
-    synth_gate_map,
-    synth_power_map,
-    synth_rabi,
-    synth_reflection,
-    synth_two_tone,
-)
+
+# library function -> its module. A verb calls each as this module's
+# attribute holds it at call time, so a caller can swap one here (a test,
+# or a tracer timing the verbs); without one, its module loads on first use.
+_CALLS = {
+    **dict.fromkeys(("gatemon_levels", "transmon_levels"), "spectra"),
+    "gate_sweep": "coupling",
+    **dict.fromkeys(("fit_reflection", "fit_lorentzian", "fit_rabi"), "fitters"),
+    **dict.fromkeys(("synth_reflection", "synth_rabi", "synth_power_map", "synth_gate_map",
+                     "synth_two_tone"), "synth"),
+}
+
+
+def _home(name: str):
+    """The library function ``name`` as its own module holds it."""
+    return getattr(import_module(f".{_CALLS[name]}", __package__), name)
+
+
+def _call(name: str):
+    """The library function ``name``: this module's attribute, if one is
+    set, else its own module's."""
+    return globals().get(name) or _home(name)
+
+
+def __getattr__(name: str):
+    """The first lookup of a library function from outside binds all of
+    them here, each as its own module holds it then. So a caller that
+    wraps a function in its own module first and here next (a tracer)
+    wraps the original here, as when this module imported them all, and
+    not its own wrapper a second time."""
+    if name not in _CALLS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for func in _CALLS:
+        globals().setdefault(func, _home(func))
+    return globals()[name]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,12 +85,16 @@ def _print_params(result) -> None:
 
 def _plot(path, x, series, xlabel: str, ylabel: str, title: str) -> None:
     """Write a line-plot SVG for --plot and print where it went."""
+    from . import svgplot
+
     print(f"wrote {svgplot.line_plot(path, x, series, xlabel, ylabel, title)}")
 
 
 def cmd_fit_resonator(args) -> int:
+    from .fitters import ComplexTrace, reflection_model
+
     trace = io.read_complex_trace(args.data)
-    fit = fit_reflection(trace, delay=args.delay)
+    fit = _call("fit_reflection")(trace, delay=args.delay)
     if args.out:
         print(f"f_r = {fit.f_r_ghz:.9g} GHz")
         print(f"Ql = {fit.ql:.6g} +/- {fit.errors['ql']:.3g}")
@@ -93,8 +117,10 @@ def cmd_fit_resonator(args) -> int:
 
 
 def cmd_fit_lorentzian(args) -> int:
+    from .fitters import lorentzian_model
+
     freqs, mags = io.read_magnitude_trace(args.data)
-    result = fit_lorentzian(freqs, mags)
+    result = _call("fit_lorentzian")(freqs, mags)
     if args.out:
         _print_params(result)
     _emit_json(result.to_dict(), args.out)
@@ -105,8 +131,10 @@ def cmd_fit_lorentzian(args) -> int:
 
 
 def cmd_fit_rabi(args) -> int:
+    from .fitters import rabi_model
+
     t, y = io.read_rabi_trace(args.data)
-    result = fit_rabi(t, y)
+    result = _call("fit_rabi")(t, y)
     if args.out:
         _print_params(result)
         f_mhz = result.param("omega") / (2.0 * np.pi) * 1e3
@@ -119,12 +147,16 @@ def cmd_fit_rabi(args) -> int:
 
 
 def _solve_spectrum(cfg):
+    from . import config as cfgmod
+
     params = cfgmod.qubit_params(cfg)
-    solve = transmon_levels if params.is_transmon else gatemon_levels
+    solve = _call("transmon_levels" if params.is_transmon else "gatemon_levels")
     return params, solve(params, **cfgmod.solver_options(cfg, params))
 
 
 def cmd_simulate_qubit(args) -> int:
+    from . import config as cfgmod
+
     cfg = cfgmod.load_config(args.config)
     params, spectrum = _solve_spectrum(cfg)
     print(f"variant = {'transmon' if params.is_transmon else 'gatemon'}")
@@ -141,6 +173,9 @@ def cmd_simulate_qubit(args) -> int:
 
 
 def cmd_simulate_cavity(args) -> int:
+    from . import config as cfgmod
+    from .spectra import te_mode_frequency
+
     cfg = cfgmod.load_config(args.config)
     geom = cfgmod.cavity_geometry(cfg)
     f_ghz = te_mode_frequency(geom)
@@ -154,10 +189,12 @@ def cmd_simulate_cavity(args) -> int:
 
 
 def _run_sweep(cfg, voltages=None):
+    from . import config as cfgmod
+
     params = cfgmod.qubit_params(cfg)
     model = cfgmod.gate_model(cfg, params)
     system = cfgmod.dispersive_system(cfg)
-    return gate_sweep(model, params, system, voltages=voltages,
+    return _call("gate_sweep")(model, params, system, voltages=voltages,
                       solver_options=cfgmod.solver_options(cfg, params))
 
 
@@ -168,6 +205,8 @@ def _sweep_json(sweep) -> dict:
 
 
 def cmd_sweep_gate(args) -> int:
+    from . import config as cfgmod
+
     cfg = cfgmod.load_config(args.config)
     sweep = _run_sweep(cfg)
     regimes = Counter(p.regime for p in sweep.points)
@@ -193,39 +232,45 @@ def cmd_sweep_gate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import config as cfgmod
+
     cfg = cfgmod.load_config(args.config)
     spec = cfgmod.synth_spec(cfg)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     out = args.out or f"{spec.kind}.csv"
-    # each kind writes its data and names its plot: (function, arguments after the path)
+    # each kind writes its data and names its plot: (svgplot function,
+    # arguments after the path)
     if spec.kind == "reflection_trace":
-        trace = synth_reflection(spec)
+        trace = _call("synth_reflection")(spec)
         data = io.write_complex_trace(out, trace)
-        plot = (svgplot.line_plot, trace.freqs_ghz, [("|S21|", np.abs(trace.values))],
+        plot = ("line_plot", trace.freqs_ghz, [("|S21|", np.abs(trace.values))],
                 "frequency (GHz)", "|S21|", "synthetic reflection")
     elif spec.kind == "rabi_trace":
-        t, y = synth_rabi(spec)
+        t, y = _call("synth_rabi")(spec)
         data = io.write_rabi_trace(out, t, y)
-        plot = (svgplot.line_plot, t, [("y", y)], "time (ns)", "signal", "synthetic Rabi trace")
+        plot = ("line_plot", t, [("y", y)], "time (ns)", "signal", "synthetic Rabi trace")
     else:
         if spec.kind == "power_map":
             _, spectrum = _solve_spectrum(cfg)
             system = cfgmod.dispersive_system(cfg, qubit=spectrum)
-            m = synth_power_map(spec, system)
+            m = _call("synth_power_map")(spec, system)
         else:
             # evaluate the sweep on the map's own gate axis
             sweep = _run_sweep(cfg, voltages=spec.axis("v"))
-            m = synth_gate_map(spec, sweep) if spec.kind == "gate_map" else synth_two_tone(spec, sweep)
+            generator = "synth_gate_map" if spec.kind == "gate_map" else "synth_two_tone"
+            m = _call(generator)(spec, sweep)
         data = io.write_map_csv(out, m)
-        plot = (svgplot.heatmap, m.slow_values, m.fast_values, m.grid,
+        plot = ("heatmap", m.slow_values, m.fast_values, m.grid,
                 m.fast_name, m.slow_name, f"synthetic {spec.kind}")
     print(f"wrote {data}")
     truth = args.truth or Path(out).with_suffix(".truth.json")
     print(f"wrote {io.write_json(truth, spec.to_dict())}")
     if args.plot:
+        from . import svgplot
+
         draw, *plot_args = plot
-        print(f"wrote {draw(args.plot, *plot_args)}")
+        print(f"wrote {getattr(svgplot, draw)(args.plot, *plot_args)}")
     return 0
 
 
@@ -237,6 +282,10 @@ def cmd_pipeline(args) -> int:
     configured tolerances or the run fails with exit code 2. Exceptions
     carry the label of the stage they interrupted.
     """
+    from . import config as cfgmod
+    from .coupling import dispersive_shift_two_level
+    from .synth import SynthSpec
+
     cfg = cfgmod.load_config(args.config)
     opts = cfgmod.pipeline_options(cfg)
     tolerances = opts["tolerances"]
@@ -280,13 +329,13 @@ def cmd_pipeline(args) -> int:
             raise InputDataError(f"system kappa_mhz = {system.kappa_mhz:g} is too narrow to sample")
         spec = SynthSpec(kind="reflection_trace", seed=seed, snr_db=40.0, truth=truth,
                          grid={"f_min_ghz": f_c - span, "f_max_ghz": f_c + span, "n_f": 401})
-        trace = synth_reflection(spec)
+        trace = _call("synth_reflection")(spec)
         io.write_complex_trace(workdir / "trace.csv", trace)
         io.write_json(workdir / "trace.truth.json", spec.to_dict())
         stage("synth", "ok", f_r_ghz=f_c, ql=ql_true, snr_db=40.0)
 
         current = "fit"
-        fit = fit_reflection(trace)
+        fit = _call("fit_reflection")(trace)
         io.write_json(workdir / "fit.json", fit.to_dict())
         for name, err in (("ql_rel", abs(fit.ql - truth["ql"]) / truth["ql"]),
                           ("qc_rel", abs(fit.qc - truth["qc"]) / truth["qc"]),

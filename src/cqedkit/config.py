@@ -13,10 +13,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .coupling import DispersiveSystem, GateSweepModel, nanowire_profile
 from .errors import ConfigError
-from .io import read_gate_table
-from .spectra import CavityGeometry, QubitParams, QubitSpectrum, check_truncation, te_mode_frequency
 from .synth import GRID_KEYS, SYNTH_KINDS, SynthSpec, number, whole_number
 
 REQUIRED = object()  # the default of a key that must be given
@@ -159,9 +156,11 @@ def _check(rule, value, what: str):
     return x
 
 
-def qubit_params(cfg: dict) -> QubitParams:
+def qubit_params(cfg: dict):
     """The qubit section as QubitParams, a transmon (ej_mhz given) or a
     gatemon (gap_mhz and transmissions given)."""
+    from .spectra import QubitParams
+
     sec = _read("qubit", cfg.get("qubit"))
     variant = [key for key in ("ej_mhz", "gap_mhz", "transmissions") if sec[key] is not None]
     if variant not in (["ej_mhz"], ["gap_mhz", "transmissions"]):
@@ -173,9 +172,12 @@ def qubit_params(cfg: dict) -> QubitParams:
         raise ConfigError(f"qubit section: {exc}") from exc
 
 
-def solver_options(cfg: dict, qubit: QubitParams) -> dict:
-    """Truncation override of the configured variant, if set: n_cut for a
-    transmon, grid_n for a gatemon; the other key is an error."""
+def solver_options(cfg: dict, qubit) -> dict:
+    """Truncation override of the configured variant of ``qubit`` (the
+    QubitParams), if set: n_cut for a transmon, grid_n for a gatemon; the
+    other key is an error."""
+    from .spectra import check_truncation
+
     sec = _read("qubit", cfg.get("qubit"))
     variant, key, other = (("transmon", "n_cut", "grid_n") if qubit.is_transmon
                            else ("gatemon", "grid_n", "n_cut"))
@@ -190,19 +192,29 @@ def solver_options(cfg: dict, qubit: QubitParams) -> dict:
     return {key: sec[key]}
 
 
-def cavity_geometry(cfg: dict) -> CavityGeometry:
+def cavity_geometry(cfg: dict):
+    """The cavity section as a CavityGeometry, in metres."""
+    from .spectra import CavityGeometry
+
     sec = _read("cavity", cfg.get("cavity"))
+    size = {key: sec[key] * 1e-3 for key in ("length_a_mm", "width_b_mm", "height_d_mm")}
+    for key, metres in size.items():
+        if metres == 0:  # positive in mm, below the smallest float in metres
+            raise ConfigError(f"cavity {key} underflows to 0 m, got {sec[key]!r}")
     try:
-        return CavityGeometry(length_a=sec["length_a_mm"] * 1e-3,
-                              width_b=sec["width_b_mm"] * 1e-3,
-                              height_d=sec["height_d_mm"] * 1e-3,
-                              m=sec["m"], n=sec["n"], p=sec["p"])
+        return CavityGeometry(length_a=size["length_a_mm"], width_b=size["width_b_mm"],
+                              height_d=size["height_d_mm"], m=sec["m"], n=sec["n"], p=sec["p"])
     except ValueError as exc:
         raise ConfigError(f"cavity section: {exc}") from exc
 
 
-def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> DispersiveSystem:
-    """Build the coupled system; f_bare_ghz falls back to the cavity mode."""
+def dispersive_system(cfg: dict, qubit=None):
+    """The coupled system, a DispersiveSystem with ``qubit`` (a
+    QubitSpectrum, or None) attached; f_bare_ghz falls back to the cavity
+    mode."""
+    from .coupling import DispersiveSystem
+    from .spectra import te_mode_frequency
+
     sec = _read("system", cfg.get("system"))
     f_bare = sec["f_bare_ghz"]
     if f_bare is None:
@@ -213,9 +225,13 @@ def dispersive_system(cfg: dict, qubit: QubitSpectrum | None = None) -> Dispersi
                             kappa_mhz=sec["kappa_mhz"], gamma_q_mhz=sec["gamma_q_mhz"])
 
 
-def gate_model(cfg: dict, qubit: QubitParams) -> GateSweepModel:
-    """The sweep section's table or profile, which drives EJ of a transmon
-    or the transmission of a gatemon's one channel."""
+def gate_model(cfg: dict, qubit):
+    """The sweep section's table or profile as a GateSweepModel, which
+    drives EJ of a transmon or the transmission of a gatemon's one channel
+    (``qubit`` is the QubitParams)."""
+    from .coupling import GateSweepModel, nanowire_profile
+    from .io import read_gate_table
+
     sec = _read("sweep", cfg.get("sweep"))
     if (sec["table_csv"] is None) == (sec["profile"] is None):
         raise ConfigError("sweep section needs exactly one of table_csv or profile")

@@ -233,8 +233,10 @@ def nanowire_profile(
     """
     if n < 5:
         raise ValueError(f"n must be at least 5, got {n}")
-    if seed < 0 or not v_max > v_pinch:
-        raise ValueError(f"need seed >= 0 and v_max > v_pinch, got {seed}, {v_max}, {v_pinch}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not v_max > v_pinch:
+        raise ValueError(f"v_max must exceed v_pinch, got v_max {v_max}, v_pinch {v_pinch}")
     rng = np.random.default_rng(seed)
     v = np.linspace(v_min, v_max, n)
     v_on = v_pinch + 0.6 * (v_max - v_pinch)

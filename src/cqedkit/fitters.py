@@ -28,11 +28,8 @@ from .errors import (
     NotConvergedError,
 )
 from . import lm
+from .io import LORENTZIAN_PARAM_NAMES, RABI_PARAM_NAMES, REFLECTION_PARAM_NAMES
 from .lm import FitResult, lm_minimize
-
-REFLECTION_PARAM_NAMES = ("a_re", "a_im", "ql", "qc", "theta", "f_r_ghz")
-LORENTZIAN_PARAM_NAMES = ("f0", "fwhm", "depth", "offset")
-RABI_PARAM_NAMES = ("A", "T_R", "omega", "B", "a", "b")
 
 
 @dataclass

@@ -26,10 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .coupling import SweepResult
 from .errors import InputDataError
-from .fitters import ComplexTrace
-from .synth import Map2D
+
+# parameter names of each fit model: the keys of the params of its fit
+# JSON and, for reflection and Rabi, of the truth of a synth sidecar
+REFLECTION_PARAM_NAMES = ("a_re", "a_im", "ql", "qc", "theta", "f_r_ghz")
+LORENTZIAN_PARAM_NAMES = ("f0", "fwhm", "depth", "offset")
+RABI_PARAM_NAMES = ("A", "T_R", "omega", "B", "a", "b")
 
 TRACE_HEADER = ("freq_ghz", "re", "im")
 MAG_HEADER = ("freq_ghz", "mag_db")
@@ -108,12 +111,15 @@ def _read_table(path, header) -> np.ndarray:
     return _numeric_rows(path, lines, len(header))
 
 
-def read_complex_trace(path) -> ComplexTrace:
+def read_complex_trace(path):
+    """The trace as a fitters.ComplexTrace."""
+    from .fitters import ComplexTrace
+
     table = _read_table(path, TRACE_HEADER)
     return ComplexTrace(table[:, 0], table[:, 1] + 1j * table[:, 2])
 
 
-def write_complex_trace(path, trace: ComplexTrace) -> Path:
+def write_complex_trace(path, trace) -> Path:
     table = np.column_stack([trace.freqs_ghz, trace.values.real, trace.values.imag])
     return _write_rows(path, TRACE_HEADER, table)
 
@@ -146,19 +152,23 @@ def write_gate_table(path, voltages, values) -> Path:
     return _write_rows(path, GATE_HEADER, np.column_stack([voltages, values]))
 
 
-def write_sweep_csv(path, sweep: SweepResult) -> Path:
-    """One row per point, as the point is; the regimes are not written,
+def write_sweep_csv(path, sweep) -> Path:
+    """One row per point of a SweepResult, as the point is; the regimes are not written,
     as each is read off its row's NaN pattern (SweepPoint.regime)."""
-    return _write_rows(path, SweepResult.CSV_COLUMNS, sweep.points)
+    return _write_rows(path, sweep.CSV_COLUMNS, sweep.points)
 
 
-def write_map_csv(path, m: Map2D) -> Path:
-    """Corner cell 'slow\\fast' and the fast axis, then one row per slow value."""
+def write_map_csv(path, m) -> Path:
+    """A Map2D: corner cell 'slow\\fast' and the fast axis, then one row
+    per slow value."""
     header = [f"{m.slow_name}\\{m.fast_name}", *map(repr, m.fast_values.tolist())]
     return _write_rows(path, header, np.column_stack([m.slow_values, m.grid]))
 
 
-def read_map_csv(path) -> Map2D:
+def read_map_csv(path):
+    """The map as a synth.Map2D."""
+    from .synth import Map2D
+
     lines = _data_lines(path)
     no, first = _header(path, lines)
     cells = first.split(",")

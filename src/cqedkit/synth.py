@@ -19,21 +19,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coupling import (
-    DispersiveSystem,
-    SweepResult,
-    crossover_weight,
-    dispersive_shift_two_level,
-)
 from .errors import ConfigError
-from .fitters import (
-    RABI_PARAM_NAMES,
-    REFLECTION_PARAM_NAMES,
-    ComplexTrace,
-    lorentzian_model,
-    rabi_model,
-    reflection_model,
-)
+from .io import RABI_PARAM_NAMES, REFLECTION_PARAM_NAMES
 
 # axis -> (low, high, count) grid keys; the time axis starts at 0
 _AXES = {
@@ -202,8 +189,11 @@ def _noisy(values, spec: SynthSpec, scale: float, stream):
     return values + rng.normal(0.0, per_quad, n) + 1j * rng.normal(0.0, per_quad, n)
 
 
-def synth_reflection(spec: SynthSpec) -> ComplexTrace:
-    """Complex reflection trace from the fit model plus complex noise."""
+def synth_reflection(spec: SynthSpec):
+    """Complex reflection trace (a ComplexTrace) from the fit model plus
+    complex noise."""
+    from .fitters import ComplexTrace, reflection_model
+
     t = _truth(spec, "reflection_trace")
     f = spec.axis("f")
     a = complex(float(t["a_re"]), float(t["a_im"]))
@@ -213,11 +203,7 @@ def synth_reflection(spec: SynthSpec) -> ComplexTrace:
     return ComplexTrace(f, _noisy(z, spec, abs(a), spec.seed))
 
 
-def _dip(f_ghz, center_ghz, fwhm_mhz, depth, baseline):
-    return lorentzian_model(f_ghz, center_ghz, max(fwhm_mhz, 1e-6) / 1e3, depth, baseline)
-
-
-def _mag_dip(f_ghz, center_ghz, fwhm_mhz, depth):
+def _mag_dip(reflection_model, f_ghz, center_ghz, fwhm_mhz, depth):
     """|S21| of the symmetric reflection model, normalized to 1 off resonance.
 
     The loaded Q is set by the linewidth and the coupling Q by the requested
@@ -228,8 +214,9 @@ def _mag_dip(f_ghz, center_ghz, fwhm_mhz, depth):
     return np.abs(reflection_model(f_ghz, 1.0, ql, qc, 0.0, center_ghz))
 
 
-def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
-    """Cavity |S21| vs (probe power, frequency); rows are reflection traces.
+def synth_power_map(spec: SynthSpec, system) -> Map2D:
+    """Cavity |S21| vs (probe power, frequency) of a DispersiveSystem with
+    a qubit; rows are reflection traces.
 
     The dip sits at the power-dependent cavity frequency: dressed
     (f_bare + chi) at low photon number, bare at high, with the logistic
@@ -239,6 +226,9 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
 
     Truth keys and their defaults: SYNTH_KINDS["power_map"].
     """
+    from .coupling import crossover_weight, dispersive_shift_two_level
+    from .fitters import reflection_model
+
     t = _truth(spec, "power_map")
     if system.qubit is None:
         raise ConfigError("power_map needs a DispersiveSystem with a qubit attached")
@@ -256,13 +246,14 @@ def synth_power_map(spec: SynthSpec, system: DispersiveSystem) -> Map2D:
         w = crossover_weight(system, p, atten)
         f_dip = system.f_bare_ghz + w * chi / 1e3
         fwhm = system.kappa_mhz + w * purcell
-        row = baseline * _mag_dip(f, f_dip, fwhm, depth)
+        row = baseline * _mag_dip(reflection_model, f, f_dip, fwhm, depth)
         grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("P_dBm", powers, "f_GHz", f, grid)
 
 
-def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
-    """Cavity |S21| vs (gate voltage, frequency); rows are reflection traces.
+def synth_gate_map(spec: SynthSpec, sweep) -> Map2D:
+    """Cavity |S21| vs (gate voltage, frequency) along a SweepResult; rows
+    are reflection traces.
 
     Dispersive and pinched-off points give one dip at the shifted (or
     bare) cavity frequency, the dispersive one broadened by the
@@ -273,6 +264,8 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
 
     Truth keys and their defaults: SYNTH_KINDS["gate_map"].
     """
+    from .fitters import reflection_model
+
     t = _truth(spec, "gate_map")
     depth = float(t["depth"])
     baseline = float(t["baseline"])
@@ -291,18 +284,19 @@ def synth_gate_map(spec: SynthSpec, sweep: SweepResult) -> Map2D:
             row = np.full(f.shape, baseline)
             for center, w in ((pt.f_plus_ghz, w_plus), (pt.f_minus_ghz, 1.0 - w_plus)):
                 fwhm = w * kappa + (1.0 - w) * gamma
-                row = row * _mag_dip(f, center, fwhm, depth * w)
+                row = row * _mag_dip(reflection_model, f, center, fwhm, depth * w)
         elif pt.regime == "dispersive":
             fwhm = kappa + system.induced_loss_mhz(delta)
-            row = baseline * _mag_dip(f, pt.f_c_ghz, fwhm, depth)
+            row = baseline * _mag_dip(reflection_model, f, pt.f_c_ghz, fwhm, depth)
         else:  # pinch_off: bare cavity line
-            row = baseline * _mag_dip(f, pt.f_c_ghz, kappa, depth)
+            row = baseline * _mag_dip(reflection_model, f, pt.f_c_ghz, kappa, depth)
         grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("V_G", volts, "f_GHz", f, grid)
 
 
-def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
-    """Qubit spectroscopy magnitude vs (gate voltage, drive frequency).
+def synth_two_tone(spec: SynthSpec, sweep) -> Map2D:
+    """Qubit spectroscopy magnitude vs (gate voltage, drive frequency)
+    along a SweepResult.
 
     Each gate point with a finite qubit frequency gets a Lorentzian dip at
     f01. With two_photon enabled a second dip appears at f01 + alpha/2 at
@@ -314,10 +308,12 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
     Truth keys and their defaults: SYNTH_KINDS["two_tone_map"]; alpha_mhz
     must be nonzero when two_photon is on.
     """
+    from .fitters import lorentzian_model
+
     t = _truth(spec, "two_tone_map")
     depth = float(t["depth"])
     baseline = float(t["baseline"])
-    fwhm = float(t["fwhm_mhz"])
+    fwhm_ghz = max(float(t["fwhm_mhz"]), 1e-6) / 1e3
     alpha = float(t["alpha_mhz"])
     if t["two_photon"] and alpha == 0.0:
         raise ConfigError("two_photon requires a nonzero alpha_mhz in truth")
@@ -332,10 +328,11 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
         row = np.full(f.shape, baseline)
         if pt.f_q_mhz == pt.f_q_mhz:  # skip pinch-off NaNs
             f01 = pt.f_q_mhz / 1e3
-            row = row - (baseline - _dip(f, f01, fwhm, depth, baseline))
+            row = row - (baseline - lorentzian_model(f, f01, fwhm_ghz, depth, baseline))
             if t["two_photon"]:
                 f02_half = f01 + alpha / 2e3
-                row = row - (baseline - _dip(f, f02_half, fwhm, depth / 2.0, baseline))
+                row = row - (baseline - lorentzian_model(f, f02_half, fwhm_ghz, depth / 2.0,
+                                                         baseline))
         row = row + background
         grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("V_G", volts, "f_d_GHz", f, grid)
@@ -343,6 +340,8 @@ def synth_two_tone(spec: SynthSpec, sweep: SweepResult) -> Map2D:
 
 def synth_rabi(spec: SynthSpec):
     """Decaying-cosine Rabi trace, returned as (t_ns, y) arrays."""
+    from .fitters import rabi_model
+
     t = _truth(spec, "rabi_trace")
     t_ns = spec.axis("t")
     y = rabi_model(t_ns, *(float(t[k]) for k in RABI_PARAM_NAMES))

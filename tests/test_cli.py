@@ -669,7 +669,16 @@ class TestKeyNamedErrors:
          "pipeline seed must be a non-negative integer, got -1"),
         ("synth_rabi", "seed: 5\n", "seed: -1\n", ["synth", "--out", "{d}/rabi.csv"],
          "synth seed must be a non-negative integer, got -1"),
-    ], ids=["cavity-p", "cavity-m", "ng", "n_cut", "grid_n", "pipeline-seed", "synth-seed"])
+        # positive in mm, but 0 once in metres: the error named the field
+        # length_a of CavityGeometry, not the key
+        ("pipeline", "length_a_mm: 70.0", "length_a_mm: 1.0e-322", ["simulate-cavity"],
+         "cavity length_a_mm underflows to 0 m, got 1e-322"),
+        ("pipeline", "width_b_mm: 5.0", "width_b_mm: 1.0e-322", ["simulate-cavity"],
+         "cavity width_b_mm underflows to 0 m, got 1e-322"),
+        ("pipeline", "height_d_mm: 30.0", "height_d_mm: 1.0e-322", ["simulate-cavity"],
+         "cavity height_d_mm underflows to 0 m, got 1e-322"),
+    ], ids=["cavity-p", "cavity-m", "ng", "n_cut", "grid_n", "pipeline-seed", "synth-seed",
+            "tiny-length_a", "tiny-width_b", "tiny-height_d"])
     def test_exit_one_naming_the_key(self, tmp_path, capsys, name, old, new, argv, message):
         text = (CONFIGS / f"{name}.yaml").read_text()
         assert old in text
@@ -722,7 +731,7 @@ class TestConfigEscapes:
         ("pipeline", "seed: 3", "seed: -1", "sweep-gate",
          "sweep profile seed must be a non-negative integer, got -1"),
         ("pipeline", "v_max: 10.0", "v_max: 0.0", "sweep-gate",
-         "sweep profile: need seed >= 0 and v_max > v_pinch, got 3, 0.0, 0.0"),
+         "sweep profile: v_max must exceed v_pinch, got v_max 0.0, v_pinch 0.0"),
         ("gatemon", "transmissions: [0.85, 0.3, 0.1]", "transmissions: []", "simulate-qubit",
          "qubit section: transmissions must hold at least one channel"),
         # unknown keys of two types could not be sorted for the message

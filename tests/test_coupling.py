@@ -227,6 +227,15 @@ def test_nanowire_profile_refuses_fewer_than_five_samples(n):
         nanowire_profile(seed=3, n=n)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, r"^seed must be non-negative, got -1$"),
+    ({"seed": 3, "v_max": 0.0}, r"^v_max must exceed v_pinch, got v_max 0.0, v_pinch 0.0$"),
+], ids=["seed", "v_max"])
+def test_nanowire_profile_names_only_the_bad_argument(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        nanowire_profile(**kwargs)
+
+
 def test_gate_sweep_evaluates_the_model_once():
     calls = []
 

@@ -1,9 +1,10 @@
-"""Import hygiene: scipy and yaml load on first use, so each CLI verb pays
-only for the solvers on its own code path. The spectrum solvers load
-scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, and nothing
-else of scipy: no verb imports the ``scipy.linalg`` package. Every check
-runs in a fresh interpreter, because this test process has long since
-imported scipy. The fit verbs also leave ``numpy.ma`` unloaded, which
+"""Import hygiene: scipy, yaml and the package's own modules load on
+first use, so each CLI verb pays only for the modules on its own code
+path. The spectrum solvers load scipy's compiled LAPACK wrappers,
+``scipy.linalg._flapack``, and nothing else of scipy: no verb imports the
+``scipy.linalg`` package. Every check runs in a fresh interpreter,
+because this test process has long since imported scipy and every
+cqedkit module. The fit verbs also leave ``numpy.ma`` unloaded, which
 np.median imports on its first call.
 """
 
@@ -28,13 +29,14 @@ PIPELINE_YAML = str(CONFIGS / "pipeline.yaml")
 
 
 def _loaded_after(code: str) -> set:
-    """Third-party modules (scipy*, yaml*) and numpy.ma, if loaded, after
-    running ``code``. The LAPACK wrapper module counts once cqedkit has
-    loaded it, although cqedkit keeps it out of sys.modules."""
+    """Third-party modules (scipy*, yaml*), numpy.ma and cqedkit's modules,
+    if loaded, after running ``code``. The LAPACK wrapper module counts
+    once cqedkit has loaded it, although cqedkit keeps it out of
+    sys.modules."""
     probe = code + (
         "\nimport json, sys\n"
         "loaded = {m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'yaml') or m == 'numpy.ma'}\n"
+        " if m.split('.')[0] in ('scipy', 'yaml', 'cqedkit') or m == 'numpy.ma'}\n"
         "spectra = sys.modules.get('cqedkit.spectra')\n"
         "if spectra and spectra._flapack.cache_info().currsize:\n"
         "    loaded.add(spectra.FLAPACK)\n"
@@ -51,6 +53,11 @@ def _scipy(loaded: set) -> set:
     return {m for m in loaded if m.split(".")[0] == "scipy"}
 
 
+def _cqedkit(loaded: set) -> set:
+    """The package's submodules among ``loaded``, by their own names."""
+    return {m.split(".", 1)[1] for m in loaded if m.startswith("cqedkit.")}
+
+
 def _main(argv) -> str:
     return f"from cqedkit.cli import main\nassert main({argv!r}) == 0"
 
@@ -59,6 +66,32 @@ def test_package_import_loads_no_solver():
     loaded = _loaded_after("import cqedkit, cqedkit.cli")
     assert not _scipy(loaded)
     assert "yaml" not in loaded
+
+
+def test_package_import_loads_no_submodule_but_errors():
+    assert _cqedkit(_loaded_after("import cqedkit")) <= {"errors"}
+
+
+def test_package_serves_names_and_submodules_by_attribute():
+    # attribute access imports a submodule, as `import cqedkit.svgplot` would
+    assert cqedkit.__getattr__("svgplot") is sys.modules["cqedkit.svgplot"]
+    assert cqedkit.__getattr__("fit_rabi") is cqedkit.fitters.fit_rabi
+    assert {"fit_rabi", "NoDipError", "io", "cli"} <= set(dir(cqedkit))
+    with pytest.raises(AttributeError, match="has no attribute 'fit_nothing'"):
+        cqedkit.fit_nothing  # noqa: B018
+
+
+def test_cli_serves_only_the_library_functions_its_verbs_call():
+    import cqedkit.cli as cli
+
+    assert cli.fit_rabi is cqedkit.fitters.fit_rabi
+    with pytest.raises(AttributeError, match="has no attribute 'lorentzian_model'"):
+        cli.lorentzian_model  # noqa: B018
+
+
+def test_a_public_name_loads_its_own_submodule():
+    loaded = _cqedkit(_loaded_after("from cqedkit import fit_rabi, NoDipError"))
+    assert loaded == {"errors", "fitters", "io", "lm"}
 
 
 def _fit_inputs(d: Path) -> None:
@@ -117,6 +150,40 @@ def test_gate_verbs_load_linalg_only(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     loaded = _loaded_after(_main(argv))
     assert _scipy(loaded) == {"scipy.linalg._flapack"}
+
+
+FIT_MODULES = {"cli", "errors", "io", "fitters", "lm"}
+CONFIG_MODULES = {"cli", "config", "errors", "io", "spectra", "synth"}
+ALL_MODULES = CONFIG_MODULES | FIT_MODULES | {"coupling", "svgplot"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["fit-resonator", "trace.csv", "--out", "fit.json"], FIT_MODULES),
+    (["fit-resonator", "trace.csv", "--delay", "--plot", "fit.svg"], FIT_MODULES | {"svgplot"}),
+    (["fit-lorentzian", "dip.csv"], FIT_MODULES),
+    (["fit-rabi", "rabi.csv", "--out", "fit.json"], FIT_MODULES),
+    (["simulate-qubit", "--config", PIPELINE_YAML], CONFIG_MODULES),
+    (["simulate-qubit", "--config", str(CONFIGS / "gatemon.yaml"), "--plot", "q.svg"],
+     CONFIG_MODULES | {"svgplot"}),
+    (["simulate-cavity", "--config", PIPELINE_YAML, "--out", "cavity.json"], CONFIG_MODULES),
+    (["sweep-gate", "--config", PIPELINE_YAML, "--out", "sweep.csv", "--json", "sweep.json"],
+     CONFIG_MODULES | {"coupling"}),
+    (["synth", "--config", str(CONFIGS / "synth_rabi.yaml"), "--out", "r.csv"],
+     (CONFIG_MODULES - {"spectra"}) | {"fitters", "lm"}),
+    (["synth", "--config", str(CONFIGS / "synth_gate_map.yaml"), "--out", "map.csv"],
+     ALL_MODULES - {"svgplot"}),
+    (["synth", "--config", str(CONFIGS / "synth_two_tone.yaml"), "--out", "map.csv",
+      "--plot", "map.svg"], ALL_MODULES),
+    (["pipeline", "--config", PIPELINE_YAML, "--workdir", "run"], ALL_MODULES - {"svgplot"}),
+], ids=["fit-resonator", "fit-resonator-delay-plot", "fit-lorentzian", "fit-rabi",
+        "simulate-qubit", "simulate-qubit-plot", "simulate-cavity", "sweep-gate",
+        "synth-rabi", "synth-gate-map", "synth-two-tone-plot", "pipeline"])
+def test_verb_loads_only_the_modules_it_runs(argv, modules, tmp_path, monkeypatch):
+    # a fit verb runs no config, spectra, coupling or synth; a simulate
+    # verb no fitters, lm or coupling; svgplot loads only with --plot
+    monkeypatch.chdir(tmp_path)
+    _fit_inputs(tmp_path)
+    assert _cqedkit(_loaded_after(_main(argv))) == modules
 
 
 def test_no_module_imports_scipy():

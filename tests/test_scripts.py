@@ -5,10 +5,13 @@ check of the command line's bytes."""
 
 import difflib
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cqedkit
 
@@ -90,7 +93,9 @@ def test_reach_census_lists_every_module(tmp_path):
 def test_verb_walltime_compares_two_trees(tmp_path):
     done = _run("verb_walltime.py", SRC, SRC, "--repeats", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    header, *rows = done.stdout.splitlines()
+    bytecode, header, *rows = done.stdout.splitlines()
+    writes = not os.environ.get("PYTHONDONTWRITEBYTECODE")
+    assert bytecode == f"bytecode writing in the verb processes: {'on' if writes else 'off'}"
     assert header.split()[0] == "verb"
     labels = [row.split()[0] for row in rows]
     assert labels[:5] == ["synth-reflection", "synth-rabi", "synth-power_map",
@@ -99,3 +104,15 @@ def test_verb_walltime_compares_two_trees(tmp_path):
             "simulate-cavity", "sweep-gate", "pipeline"} <= set(labels)
     assert labels[-1] == "session"
     assert all(row.split()[-1] in ("0/1", "1/1") for row in rows)
+
+
+@pytest.mark.parametrize("value, writes", [("1", False), (None, True)], ids=["off", "on"])
+def test_verb_walltime_tells_whether_verbs_write_bytecode(value, writes):
+    spec = importlib.util.spec_from_file_location("verb_walltime",
+                                                  ROOT / "scripts" / "verb_walltime.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    if value is not None:
+        env["PYTHONDONTWRITEBYTECODE"] = value
+    assert script.writes_bytecode(env) is writes
