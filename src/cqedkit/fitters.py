@@ -108,10 +108,10 @@ def reflection_model(f_ghz, a, ql, qc, theta, f_r_ghz, tau_ns=0.0):
 # Columns of the batched forward-difference call (lm.numeric_jacobian):
 # column 0 is x, column i + 1 steps parameter i of REFLECTION_PARAM_NAMES
 # (then tau_ns). A step changes only the factors that read its parameter.
-_RESPONSE_COLS = [0, 3, 4, 5, 6]  # x and the ql, qc, theta, f_r steps
-_RESPONSE_OF = [0, 0, 0, 1, 2, 3, 4, 0]  # column -> row of the response stack
-_DELAY_COLS = [0, 7]  # x and the tau step
-_DELAY_OF = [0, 0, 0, 0, 0, 0, 0, 1]
+_RESPONSE_COLS = np.array([0, 3, 4, 5, 6])  # x and the ql, qc, theta, f_r steps
+_RESPONSE_OF = np.array([0, 0, 0, 1, 2, 3, 4, 0])  # column -> row of the response stack
+_DELAY_COLS = np.array([0, 7])  # x and the tau step
+_DELAY_OF = np.array([0, 0, 0, 0, 0, 0, 0, 1])
 
 
 def _reflection_residuals(f, z, delay: bool, f_mid: float):
@@ -254,7 +254,7 @@ def initial_guess_reflection(
     z = trace.values
     n = len(trace)
 
-    tau0 = 0.0
+    tau0 = None
     if delay:
         if tau_ns is not None:
             tau0 = float(tau_ns)
@@ -268,11 +268,20 @@ def initial_guess_reflection(
             tau0 = _median((dphi / df)[sel]) / (2.0 * np.pi)
         z = z * np.exp(-2j * np.pi * f * tau0)
 
-    edge, a0, noise = _baseline(z)
+    baseline = _baseline(z)
+    return _guess_reflection(f, z, baseline, _moving_mean(np.abs(z - baseline[1])), tau0)
+
+
+def _guess_reflection(f, z, baseline, dist, tau0) -> dict:
+    """initial_guess_reflection on a trace with the delay divided out,
+    from its _baseline and the moving mean of |z - A| about that baseline.
+    tau0 is the delay seed, None for a fit without delay."""
+    n = z.size
+    edge, a0, noise = baseline
     if a0 == 0:
         a0 = complex(np.mean(np.abs(z)) + 1e-12)
+        dist = _moving_mean(np.abs(z - a0))
 
-    dist = _moving_mean(np.abs(z - a0))
     idx = int(np.argmax(dist))
     f_r0 = float(f[idx])
     span = f[-1] - f[0]
@@ -317,7 +326,7 @@ def initial_guess_reflection(
         "theta": theta0,
         "f_r_ghz": f_r0,
     }
-    if delay:
+    if tau0 is not None:
         guess["tau_ns"] = tau0
     return guess
 
@@ -333,17 +342,22 @@ def fit_reflection(trace: ComplexTrace, delay: bool = False) -> ResonatorFit:
     if len(trace) < 50:
         raise InputDataError(f"need at least 50 points, got {len(trace)}")
     z = trace.values
-    _, a0, noise = _baseline(z)
+    baseline = _baseline(z)
+    _, a0, noise = baseline
     # distance from the off-resonant point sees the resonance circle
     # diameter even when an overcoupled |S21| dip wraps past the origin
-    depth = float(np.max(_moving_mean(np.abs(z - a0))))
+    dist = _moving_mean(np.abs(z - a0))
+    depth = float(np.max(dist))
     if depth < max(3.0 * noise, 1e-9 * max(abs(a0), 1e-12)):
         raise NoResonanceError(
             f"complex dip excursion {depth:.3g} below 3x noise floor {noise:.3g}"
         )
 
     names = list(REFLECTION_PARAM_NAMES) + (["tau_ns"] if delay else [])
-    init = initial_guess_reflection(trace, delay=delay)
+    if delay:
+        init = initial_guess_reflection(trace, delay=True)
+    else:
+        init = _guess_reflection(trace.freqs_ghz, z, baseline, dist, None)
 
     # optimize the delay against the window center: the absolute-frequency
     # winding exp(2i*pi*f*tau) is nearly degenerate with arg(a) over a

@@ -16,6 +16,14 @@ a 1-D data axis. It must return the (n+1, m) stack of rows, each with the
 bits a single call at that point gives; the Jacobian is one difference of
 those rows.
 
+``lm_minimize`` keeps what the callables return without a copy when it
+is already in the form it works on: a C-contiguous 1-D float64 ndarray
+residual and a float64 ndarray Jacobian. Anything else goes through
+``np.asarray``: a complex residual is refused, others are cast to float
+and flattened. The loop keeps the current residual while it tries the
+next point, so a residual function must not write into an array it has
+returned before.
+
 Convergence: an accepted step whose relative size and relative cost
 decrease are both below ``TOL`` (1e-10), or a rejected step that has
 shrunk below ``TOL``. Hard cap of ``MAX_ITER`` (200) iterations. Both are
@@ -37,6 +45,7 @@ _REL_STEP = 1.49e-8  # sqrt(eps)
 _LAMBDA_INIT = 1e-3
 _LAMBDA_MAX = 1e12
 _TINY = 1e-300
+_F64 = np.dtype(np.float64)
 
 
 @dataclass
@@ -74,12 +83,15 @@ def numeric_jacobian(fn, x, args=()):
     """Forward-difference Jacobian of a residual function at x, C-ordered
     (m, n), from one call on the (n, n+1, 1) stack (module docstring)."""
     x = np.asarray(x, dtype=float)
+    n = x.size
     h = _REL_STEP * np.maximum(np.abs(x), 1.0)
-    xs = np.repeat(x[:, None], x.size + 1, axis=1)
-    xs[np.arange(x.size), np.arange(1, x.size + 1)] += h
+    xs = np.repeat(x[:, None], n + 1, axis=1)
+    xs.reshape(-1)[1 :: n + 2] += h  # the diagonal xs[i, i + 1]
     rs = np.asarray(fn(xs[:, :, None], *args), dtype=float)
+    j = rs[1:] - rs[0]
+    j /= h[:, None]
     # the layout picks the BLAS kernel behind j.T @ j, and so its bits
-    return np.ascontiguousarray(((rs[1:] - rs[0]) / h[:, None]).T)
+    return j.T.copy()
 
 
 def _covariance(jac: np.ndarray, chi2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +103,7 @@ def _covariance(jac: np.ndarray, chi2: float) -> tuple[np.ndarray, np.ndarray]:
         cov = np.linalg.pinv(jac.T @ jac)
     cov = cov * (chi2 / dof)
     cov = (cov + cov.T) / 2.0
-    errors = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    errors = np.sqrt(np.maximum(np.diag(cov), 0.0))
     return cov, errors
 
 
@@ -121,13 +133,19 @@ def lm_minimize(
         raise ValueError("initial parameters must be finite")
 
     def residuals(xv):
-        r = np.asarray(fn(xv, *args))
+        r = fn(xv, *args)
+        if type(r) is np.ndarray and r.dtype == _F64 and r.ndim == 1 and r.flags.c_contiguous:
+            return r
+        r = np.asarray(r)
         if np.iscomplexobj(r):
             raise ValueError("residual function must return real values")
         return r.astype(float, copy=False).ravel()
 
     def jacobian(xv):
-        return np.asarray(jac(xv, *args), dtype=float)
+        j = jac(xv, *args)
+        if type(j) is np.ndarray and j.dtype == _F64:
+            return j
+        return np.asarray(j, dtype=float)
 
     r = residuals(x)
     if not np.isfinite(r).all():
@@ -157,17 +175,16 @@ def lm_minimize(
             message = "Jacobian not finite"
             break
         a = j.T @ j
-        g = j.T @ r
+        neg_g = -(j.T @ r)
         a_diag = a.diagonal().copy()
-        d = a_diag.copy()
-        floor = max(d.max(), 1.0) * 1e-14
-        d[d < floor] = floor
+        d = np.maximum(a_diag, max(a_diag.max(), 1.0) * 1e-14)
+        damped = a.reshape(-1)[:: a.shape[0] + 1]  # a view of a's diagonal
 
         while lam <= _LAMBDA_MAX:
             # damp a's diagonal in place; solve leaves a untouched
-            np.fill_diagonal(a, a_diag + lam * d)
+            np.add(a_diag, lam * d, out=damped)
             try:
-                step = np.linalg.solve(a, -g)
+                step = np.linalg.solve(a, neg_g)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and np.isfinite(step).all():

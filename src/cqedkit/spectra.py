@@ -29,6 +29,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -253,16 +254,24 @@ def transmon_levels(params: QubitParams, n_cut: int = DEFAULT_N_CUT) -> QubitSpe
         raise ValueError("transmon_levels needs the EJ variant of QubitParams")
     check_truncation("n_cut", n_cut)
     vals = _transmon_eigvals(params.ec, params.ej, params.ng, n_cut)
-    _check_f01(vals, _transmon_f01(params.ec, params.ej, params.ng, 2 * n_cut),
+    norm = 4.0 * params.ec * (2 * n_cut + abs(params.ng)) ** 2 + params.ej
+    _check_f01(vals, _transmon_f01(params.ec, params.ej, params.ng, 2 * n_cut), norm,
                f"when n_cut doubled from {n_cut}", "n_cut")
     return QubitSpectrum(vals[:N_LEVELS])
 
 
-def _check_f01(vals, f01_refined: float, refinement: str, knob: str) -> None:
-    """The refinement check: f01 must move by less than 0.01 MHz."""
+def _check_f01(vals, f01_refined: float, norm: float, refinement: str, knob: str) -> None:
+    """The refinement check: f01 must move by less than 0.01 MHz.
+
+    ``norm`` bounds the refined matrix's norm. The solves round f01 by
+    about eps * norm, so the message gives the drift to that decimal place
+    and to at most 4 significant digits."""
     drift = abs((vals[1] - vals[0]) - f01_refined)
     if drift >= F01_CONVERGENCE_MHZ:
-        raise TruncationError(f"f01 moved {drift:.4g} MHz {refinement}; increase {knob}")
+        resolved = math.ceil(math.log10(np.finfo(float).eps * norm))
+        digits = min(max(math.floor(math.log10(drift)) - resolved + 1, 1), 4)
+        raise TruncationError(
+            f"f01 moved {drift:.{digits}g} MHz {refinement}; increase {knob}")
 
 
 def _gatemon_terms(
@@ -434,7 +443,10 @@ def gatemon_levels(params: QubitParams, grid_n: int = DEFAULT_GRID_N) -> QubitSp
     check_truncation("grid_n", grid_n)
     args = (params.ec, params.gap, params.transmissions, params.ng)
     vals = _gatemon_eigvals(*args, grid_n)
-    _check_f01(vals, _gatemon_f01(*args, 2 * grid_n + 1, vals),
+    # the refined grid reaches charge grid_n, and |U| <= gap per channel
+    norm = (4.0 * params.ec * (grid_n + abs(params.ng)) ** 2
+            + params.gap * len(params.transmissions))
+    _check_f01(vals, _gatemon_f01(*args, 2 * grid_n + 1, vals), norm,
                f"under grid refinement from {grid_n}", "grid_n")
     return QubitSpectrum(vals[:N_LEVELS])
 

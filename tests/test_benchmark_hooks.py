@@ -85,7 +85,7 @@ def test_suite_sets_every_thread_variable_the_benchmark_pins(perfbench):
 
 
 @pytest.mark.parametrize("harness", ["tests/conftest.py", "scripts/cli_fingerprint.py",
-                                     "scripts/verb_walltime.py"])
+                                     "scripts/verb_walltime.py", "src/cqedkit/__main__.py"])
 def test_every_harness_pins_the_thread_variables_the_benchmark_pins(perfbench, harness):
     # read from the source: importing the scripts would change this process
     tree = ast.parse((PERFBENCH.parent / harness).read_text())

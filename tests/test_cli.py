@@ -1018,6 +1018,30 @@ class TestEntryPoint:
         assert written(tmp_path / "entry") == written(tmp_path / "main")
         assert gc.get_freeze_count() == 0
 
+    # scripts/cli_fingerprint.py's sweep_perfbench_gatemon.yaml
+    GATEMON_SWEEP_YAML = (
+        "qubit: {ec_mhz: 250, gap_mhz: 60000, transmissions: [1.0]}\n"
+        "system: {f_bare_ghz: 5.443, g_mhz: 100, kappa_mhz: 1.2, gamma_q_mhz: 0.3}\n"
+        "sweep: {profile: {seed: 3, v_min: -2.0, v_max: 10.0, n: 9, v_pinch: 0.0,"
+        " max_value: 1.0}}\n")
+
+    def test_gatemon_sweep_bytes_ignore_the_callers_thread_count(self, tmp_path):
+        # at two BLAS threads the eigensolvers' last bits move, and the sweep
+        # CSV with them, unless the entry pins one thread before numpy loads
+        pins = dict(line.split()[::-1] for line in
+                    (Path(__file__).parent / "cli_fingerprint.txt").read_text().splitlines())
+        cfg = _config(tmp_path, self.GATEMON_SWEEP_YAML)
+        env = dict(os.environ)
+        src = str(Path(cqedkit.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        env.update(dict.fromkeys(importlib.import_module("cqedkit.__main__").THREAD_VARS, "2"))
+        done = subprocess.run([sys.executable, "-m", "cqedkit", "sweep-gate", "--config", cfg,
+                               "--out", "sweep.csv"], cwd=tmp_path, env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+        assert digest == pins["gatemon/perfbench_gatemon.csv"]
+
     @pytest.mark.parametrize("argv, code", [
         (["fit-rabi", "missing.csv"], 1),
         (["frobnicate"], 1),             # argparse's SystemExit passes through the finally
@@ -1029,6 +1053,8 @@ class TestEntryPoint:
         monkeypatch.setattr(entry.gc, "freeze", lambda: frozen.append(True))
         monkeypatch.setattr(sys, "argv", ["cqedkit", *argv])
         monkeypatch.chdir(tmp_path)
+        for var in entry.THREAD_VARS:  # the caller's value; restored after the test
+            monkeypatch.setenv(var, "2")
         try:
             got = entry.run()
         except SystemExit as exc:
@@ -1036,3 +1062,4 @@ class TestEntryPoint:
         assert got == code
         assert frozen == [True]
         assert gc.get_freeze_count() == 0
+        assert all(os.environ[var] == "1" for var in entry.THREAD_VARS)

@@ -1,10 +1,15 @@
 """Optimizer unit tests: exactness on linear problems, the standard
-nonlinear benchmark, and failure-mode behavior."""
+nonlinear benchmark, failure-mode behavior, and bit-for-bit agreement
+with the reference core in tests/lm_oracle.py."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from cqedkit import lm
+import lm_oracle
+from cqedkit import SynthSpec, fitters, lm, synth_rabi, synth_reflection
+from cqedkit.errors import FitError
 from cqedkit.lm import FitResult, lm_minimize, numeric_jacobian
 from jacobian_oracle import central_difference, forward_loop
 
@@ -142,11 +147,10 @@ def test_overflowing_start_cost_rejected():
 
 
 def test_complex_residuals_rejected():
-    def residuals(x):
-        return np.array([1j * x[0]])
-
-    with pytest.raises(ValueError):
-        lm_minimize(residuals, [1.0], jac=_loop(residuals))
+    # as an array or as a list, which takes the np.asarray path
+    for residuals in (lambda x: np.array([1j * x[0]]), lambda x: [1j * x[0]]):
+        with pytest.raises(ValueError, match="must return real values"):
+            lm_minimize(residuals, [1.0], jac=lambda x: np.array([[1.0]]))
 
 
 def test_names_length_checked():
@@ -316,3 +320,177 @@ def test_a_trial_point_the_residual_refuses_is_a_rejected_step():
     assert result.message == "proposed step below tolerance"
     assert result.param("x0") == pytest.approx(1.0, abs=1e-9)
     assert (result.iterations, len(calls)) == (29, 57)
+
+
+# -- the trimmed core against the reference LM (tests/lm_oracle.py) -----------
+
+
+def _outcome(call):
+    """Every bit of a fit's result, or the FitError it raised."""
+    try:
+        res = call()
+    except FitError as exc:
+        return type(exc).__name__, str(exc)
+    fit = getattr(res, "fit", res)
+    out = [repr(res.to_dict()), repr(fit.to_dict()), fit.params.tobytes(),
+           fit.errors.tobytes(), fit.covariance.tobytes()]
+    if fit is not res:
+        out += [repr(res.errors), repr(res.a), repr(res.qi), repr(res.residual_rms)]
+    return out
+
+
+def _with_oracle(monkeypatch, call):
+    """call() with the fitters running the reference lm_minimize and
+    numeric_jacobian, which the fitters reach through these names."""
+    with monkeypatch.context() as m:
+        m.setattr(fitters, "lm_minimize", lm_oracle.lm_minimize)
+        m.setattr(lm, "numeric_jacobian", lm_oracle.numeric_jacobian)
+        return _outcome(call)
+
+
+def _reflection_cases():
+    rng = np.random.default_rng(29)
+    for i in range(24):
+        delay = i % 3 == 2
+        qc = 10.0 ** rng.uniform(np.log10(5e3), 5.0)
+        ql = 1.0 / (1.0 / (qc * 10.0 ** rng.uniform(np.log10(0.3), np.log10(30.0))) + 1.0 / qc)
+        f_r = rng.uniform(4.0, 8.0)
+        fwhm = f_r / ql
+        truth = {"a_re": 1.0, "a_im": 0.0, "ql": ql, "qc": qc,
+                 "theta": rng.uniform(-0.4, 0.4), "f_r_ghz": f_r}
+        if delay:
+            truth["tau_ns"] = rng.uniform(1.0, 4.0) * rng.choice([-1, 1]) / (20.0 * fwhm)
+        spec = SynthSpec(kind="reflection_trace", seed=2900 + i, snr_db=rng.uniform(3.0, 40.0),
+                         truth=truth, grid={"f_min_ghz": f_r - 10 * fwhm,
+                                            "f_max_ghz": f_r + 10 * fwhm, "n_f": 401})
+        yield synth_reflection(spec), delay
+
+
+def test_reflection_fits_match_the_reference_lm(monkeypatch):
+    runs, seen = [], set()
+    real = fitters.lm_minimize
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    for trace, delay in _reflection_cases():
+        def call():
+            return fitters.fit_reflection(trace, delay=delay)
+
+        runs.clear()
+        with warnings.catch_warnings(), monkeypatch.context() as m:
+            warnings.simplefilter("ignore")
+            m.setattr(fitters, "lm_minimize", counted)
+            got = _outcome(call)
+            want = _with_oracle(monkeypatch, call)
+        assert got == want
+        seen.add(("delay" if delay else "plain", "raised" if isinstance(got, tuple) else "fit"))
+        if len(runs) > 1:
+            seen.add("rescanned")
+    assert seen >= {("plain", "fit"), ("delay", "fit"), ("plain", "raised"), "rescanned"}
+
+
+def test_rabi_and_lorentzian_fits_match_the_reference_lm(monkeypatch):
+    rng = np.random.default_rng(61)
+    calls = []
+    for i in range(8):
+        truth = {"A": 1.0, "T_R": rng.uniform(150.0, 800.0),
+                 "omega": 2 * np.pi / rng.uniform(20.0, 60.0), "B": rng.uniform(-np.pi, np.pi),
+                 "a": rng.uniform(-5e-4, 5e-4), "b": rng.uniform(0.3, 0.7)}
+        spec = SynthSpec(kind="rabi_trace", seed=2950 + i, snr_db=rng.uniform(10.0, 30.0),
+                         truth=truth, grid={"t_max_ns": 1000.0, "n_t": 501})
+        calls.append(lambda data=synth_rabi(spec): fitters.fit_rabi(*data))
+    f = np.linspace(5.40, 5.46, 301)
+    for i in range(8):
+        f0, fwhm = rng.uniform(5.42, 5.44), rng.uniform(1e-3, 4e-3)
+        y = fitters.lorentzian_model(f, f0, fwhm, rng.uniform(0.2, 0.9), 1.0)
+        y = y + rng.normal(0.0, rng.uniform(1e-3, 3e-2), f.size)
+        calls.append(lambda y=y: fitters.fit_lorentzian(f, y))
+    for call in calls:
+        assert _outcome(call) == _with_oracle(monkeypatch, call)
+
+
+def _exp_residuals(t, y):
+    # broadcasts, so it also serves numeric_jacobian's stacked call
+    return lambda x: x[0] * np.exp(-x[1] * t) - y
+
+
+def _runs_alike(fn, x0, jac=None, args=()):
+    """Run the package's and the reference LM on one problem, with each
+    one's own numeric_jacobian unless jac is given; return the package's
+    result once their outcomes agree bit for bit."""
+    results = []
+    for core in (lm, lm_oracle):
+        j = jac or (lambda x, *a, nj=core.numeric_jacobian: nj(fn, x, args=a))
+        results.append(core.lm_minimize(fn, x0, args=args, jac=j))
+    got, want = (_outcome(lambda r=r: r) for r in results)
+    assert got == want
+    return results[0]
+
+
+def test_every_exit_matches_the_reference_lm():
+    t = np.linspace(0.0, 5.0, 40)
+    y = 3.0 * np.exp(-0.7 * t) + np.random.default_rng(5).normal(0.0, 0.05, t.size)
+
+    # zero cost at the start
+    exact = _exp_residuals(t, 3.0 * np.exp(-0.7 * t))
+    assert _runs_alike(exact, [3.0, 0.7]).message == "zero cost at start"
+
+    # rejected steps on the way to a converged fit: more single residual
+    # calls than the start plus one per iteration
+    calls = []
+
+    def counted(x):
+        calls.append(np.ndim(x))
+        return _exp_residuals(t, y)(x)
+
+    result = _runs_alike(counted, [0.2, 4.0])
+    assert result.converged
+    assert calls.count(1) // 2 > result.iterations + 1  # both cores ran
+
+    # non-finite trial points, as NaN and as a ValueError
+    def nan_below_zero(x):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(x) - 1.0
+
+    def refuses_below_zero(x):
+        if np.any(x < 0):
+            raise ValueError("outside the domain")
+        return np.sqrt(x) - 1.0
+
+    for fn in (nan_below_zero, refuses_below_zero):
+        result = _runs_alike(fn, [10.0], jac=lambda x: (0.5 / np.sqrt(x))[:, None])
+        assert result.converged and result.param("x0") == pytest.approx(1.0)
+
+    # exhausted damping: a tiny Jacobian of the wrong sign
+    result = _runs_alike(lambda x: x - 0.0, [1.0], jac=lambda x: np.array([[-1e-10]]))
+    assert result.message == "damping exhausted without cost decrease"
+
+    # MAX_ITER: r = x^2 halves x at every step and never meets the tolerance
+    result = _runs_alike(lambda x: x**2, [1.0], jac=lambda x: np.diag(2.0 * x))
+    assert (result.message, result.iterations) == ("max iterations reached", lm.MAX_ITER)
+
+    # a non-finite Jacobian
+    result = _runs_alike(lambda x: x - 3.0, [0.0], jac=lambda x: np.array([[np.inf]]))
+    assert result.message == "Jacobian not finite"
+
+
+# -- inputs that take the np.asarray path ------------------------------------
+
+
+def test_a_list_residual_fits_as_its_array_does():
+    t = np.linspace(0.0, 5.0, 30)
+    y = 2.0 * np.exp(-0.5 * t)
+    fn = _exp_residuals(t, y)
+    jac = (lambda x: forward_loop(fn, x))
+    as_list = _runs_alike(lambda x: fn(x).tolist(), [1.0, 1.0], jac=jac)
+    assert _outcome(lambda: as_list) == _outcome(lambda: lm_minimize(fn, [1.0, 1.0], jac=jac))
+
+
+def test_a_non_float64_jacobian_is_cast():
+    # an integer Jacobian, and one in float32, each as float64
+    for jac in (lambda x: np.array([[1]]), lambda x: np.array([[1.0]], dtype=np.float32)):
+        got = _runs_alike(lambda x: x - 3.0, [0.0], jac=jac)
+        want = lm_minimize(lambda x: x - 3.0, [0.0], jac=lambda x: np.array([[1.0]]))
+        assert _outcome(lambda: got) == _outcome(lambda: want)

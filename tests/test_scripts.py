@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import cqedkit
+from cqedkit.errors import NoResonanceError
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(cqedkit.__file__).resolve().parents[1])
@@ -32,6 +33,40 @@ def _run(script, *args, cwd):
 def test_fitter_benchmark_runs(tmp_path):
     done = _run("fitter_benchmark.py", "--n", "5", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
+    assert " ms per fit " in done.stdout.splitlines()[0]
+
+
+def _fitter_benchmark(monkeypatch, fails):
+    """scripts/fitter_benchmark.py loaded in-process, with a fit_reflection
+    that raises ``fails`` on its second trace."""
+    spec = importlib.util.spec_from_file_location("fitter_benchmark",
+                                                  ROOT / "scripts" / "fitter_benchmark.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    fit, calls = script.fit_reflection, []
+
+    def failing(trace):
+        calls.append(trace)
+        if len(calls) == 2:
+            raise fails
+        return fit(trace)
+
+    monkeypatch.setattr(script, "fit_reflection", failing)
+    return script
+
+
+def test_fitter_benchmark_counts_a_fit_error_as_a_failure(monkeypatch, capsys):
+    script = _fitter_benchmark(monkeypatch, NoResonanceError("flat"))
+    script.main(["--n", "3"])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "  trace 1: NoResonanceError: flat"
+    assert out[1].startswith("2/3 converged; median ")
+
+
+def test_fitter_benchmark_stops_on_any_other_exception(monkeypatch):
+    script = _fitter_benchmark(monkeypatch, ValueError("a bug"))
+    with pytest.raises(ValueError, match="a bug"):
+        script.main(["--n", "3"])
 
 
 def test_gate_sweep_demo_writes_artifacts(tmp_path):

@@ -89,6 +89,25 @@ def test_transmon_truncation_message_is_pinned():
     assert str(info.value) == "f01 moved 0.6252 MHz when n_cut doubled from 10; increase n_cut"
 
 
+def test_gatemon_truncation_message_stops_at_the_solve_rounding():
+    # the refined matrix's charging reaches 4 * 100 GHz * 801^2 = 2.6e11 MHz,
+    # so the solves round f01 by about 6e-5 MHz; the 1e-5 MHz digit, which
+    # two LAPACK routines gave as 0.01255 and 0.01257, is not printed
+    with pytest.raises(TruncationError) as info:
+        gatemon_levels(QubitParams(ec=1e5, gap=45600.0, transmissions=(1.0,)), grid_n=801)
+    assert str(info.value) == ("f01 moved 0.0126 MHz under grid refinement from 801; "
+                               "increase grid_n")
+
+
+@pytest.mark.parametrize("norm, printed", [
+    (1e5, "0.01257"), (2.6e11, "0.0126"), (2.6e13, "0.01"), (1e20, "0.01")])
+def test_truncation_message_digits_follow_the_norm(norm, printed):
+    # 4 significant digits at most, none below eps * norm, and at least one
+    with pytest.raises(TruncationError) as info:
+        spectra._check_f01([0.0, 1.0], 1.0 - 0.012571, norm, "on test", "n_cut")
+    assert str(info.value) == f"f01 moved {printed} MHz on test; increase n_cut"
+
+
 def test_transmon_check_f01_matches_the_full_doubled_solve(monkeypatch):
     # the check bisects for the two lowest levels of the doubled matrix and
     # solves it no further; the full dstevd solve of that matrix is its oracle
