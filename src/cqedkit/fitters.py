@@ -468,10 +468,13 @@ def lorentzian_jacobian(x, f, _y):
     f = np.asarray(f, dtype=float)
     hw = fwhm / 2.0
     hw2 = hw * hw
-    d = (f - f0) ** 2 + hw2
+    df = f - f0
+    df2 = df**2
+    d = df2 + hw2
+    d2 = d**2
     j = np.empty((f.size, 4))
-    j[:, 0] = -depth * hw2 * 2.0 * (f - f0) / d**2
-    j[:, 1] = -depth * hw * (f - f0) ** 2 / d**2
+    j[:, 0] = -depth * hw2 * 2.0 * df / d2
+    j[:, 1] = -depth * hw * df2 / d2
     j[:, 2] = -hw2 / d
     j[:, 3] = 1.0
     return j

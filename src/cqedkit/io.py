@@ -1,13 +1,18 @@
 """File formats: CSV readers and writers, JSON reports, schema access.
 
 Every CSV writer hands ``_write_rows`` one 2-D float table, which it
-writes row by row: the row becomes Python floats (``tolist``) and each
-cell is the float's repr, the shortest decimal that reads back to the
-same bits. Lines end in LF, so a given dataset always serializes to
-identical bytes. Readers parse each split row with numpy's string cast,
+writes row by row. Each cell's bytes are the float's repr, the shortest
+decimal that reads back to the same bits, and lines end in LF, so a given
+dataset always serializes to identical bytes. orjson formats each row: its
+shortest digits are repr's for finite 1e-4 <= |x| < 1e16 and for ±0, and
+a row holding any other cell is formatted by repr, cell by cell. Each
+cell's value on input is what ``float`` reads from its text. orjson parses
+a row when JSON must read every cell as ``float`` does; any other row, or
+one orjson rejects, goes through numpy's string cast,
 ``np.array(cells, dtype=float)``, which calls ``float`` on every cell and
-so accepts and rejects exactly what ``float`` does. They reject wrong
-headers and report malformed cells with their 1-based line number.
+so accepts and rejects exactly what ``float`` does. Readers reject wrong
+headers and report malformed cells with their 1-based line number. Only
+these CSV paths import orjson.
 Lines starting with '#' and blank lines are ignored on input. Gate sweep
 CSVs are written only: each row is one SweepPoint, whose regime its NaN
 pattern gives.
@@ -56,9 +61,21 @@ def write_lines(path, lines) -> Path:
     return p
 
 
+def _cells(row) -> str:
+    """A C-contiguous 1-D float64 row as its cells' reprs, comma-separated.
+    orjson writes repr's digits for finite 1e-4 <= |x| < 1e16 and ±0, and
+    every other cell shows in its text as an 'e', a 'null' or a '0.0000'."""
+    import orjson
+
+    text = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)
+    if b"e" in text or b"n" in text or b"0.0000" in text:
+        return ",".join(map(repr, row.tolist()))
+    return text[1:-1].decode()
+
+
 def _write_rows(path, header, table) -> Path:
     """The header line, then one line per row of the 2-D float ``table``."""
-    body = (",".join(map(repr, row.tolist())) for row in np.asarray(table, dtype=float))
+    body = map(_cells, np.ascontiguousarray(table, dtype=float))
     return write_lines(path, itertools.chain([",".join(header)], body))
 
 
@@ -85,17 +102,42 @@ def _header(path, lines):
         raise InputDataError(f"{path} is empty") from None
 
 
+# JSON reads a row free of these as numbers, lists and empty objects, with
+# no whitespace between tokens: no true, false, null or string
+_NOT_JSON_NUMBERS = ("t", "f", "n", '"', " ", "\t")
+
+
+def _json_row(text: str, width: int):
+    """The row as orjson reads it, if that must be what ``float`` reads
+    from each cell; else None. JSON reads a bare '-0' as the integer 0,
+    so a row with a zero whose text holds one is left to ``float``."""
+    import orjson
+
+    if any(c in text for c in _NOT_JSON_NUMBERS):
+        return None
+    try:
+        row = np.array(orjson.loads(f"[{text}]"), dtype=float)
+    except (TypeError, ValueError):  # orjson's JSONDecodeError is a ValueError
+        return None
+    if row.shape != (width,) or (not row.all() and ("-0," in text or text.endswith("-0"))):
+        return None
+    return row
+
+
 def _numeric_rows(path, lines, width: int) -> np.ndarray:
     """The remaining lines as an (n, width) float table."""
     rows = []
     for no, text in lines:
-        cells = text.split(",")
-        if len(cells) != width:
-            raise InputDataError(f"expected {width} columns, got {len(cells)}", line=no)
-        try:
-            rows.append(np.array(cells, dtype=float))
-        except ValueError:
-            raise InputDataError(f"non-numeric cell in {text!r}", line=no) from None
+        row = _json_row(text, width)
+        if row is None:
+            cells = text.split(",")
+            if len(cells) != width:
+                raise InputDataError(f"expected {width} columns, got {len(cells)}", line=no)
+            try:
+                row = np.array(cells, dtype=float)
+            except ValueError:
+                raise InputDataError(f"non-numeric cell in {text!r}", line=no) from None
+        rows.append(row)
     if not rows:
         raise InputDataError(f"{path} has a header but no data rows")
     return np.stack(rows)
@@ -161,7 +203,7 @@ def write_sweep_csv(path, sweep) -> Path:
 def write_map_csv(path, m) -> Path:
     """A Map2D: corner cell 'slow\\fast' and the fast axis, then one row
     per slow value."""
-    header = [f"{m.slow_name}\\{m.fast_name}", *map(repr, m.fast_values.tolist())]
+    header = [f"{m.slow_name}\\{m.fast_name}", _cells(np.ascontiguousarray(m.fast_values))]
     return _write_rows(path, header, np.column_stack([m.slow_values, m.grid]))
 
 

@@ -1,8 +1,9 @@
-"""Import hygiene: scipy, yaml and the package's own modules load on
-first use, so each CLI verb pays only for the modules on its own code
-path. The spectrum solvers load scipy's compiled LAPACK wrappers,
-``scipy.linalg._flapack``, and nothing else of scipy: no verb imports the
-``scipy.linalg`` package. Every check runs in a fresh interpreter,
+"""Import hygiene: scipy, yaml, orjson and the package's own modules load
+on first use, so each CLI verb pays only for the modules on its own code
+path. orjson loads only with a CSV read or write. The spectrum solvers
+load scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, and
+nothing else of scipy: no verb imports the ``scipy.linalg`` package.
+Every check runs in a fresh interpreter,
 because this test process has long since imported scipy and every
 cqedkit module. The fit verbs also leave ``numpy.ma`` unloaded, which
 np.median imports on its first call.
@@ -29,14 +30,14 @@ PIPELINE_YAML = str(CONFIGS / "pipeline.yaml")
 
 
 def _loaded_after(code: str) -> set:
-    """Third-party modules (scipy*, yaml*), numpy.ma and cqedkit's modules,
+    """Third-party modules (scipy*, yaml*, orjson), numpy.ma and cqedkit's modules,
     if loaded, after running ``code``. The LAPACK wrapper module counts
     once cqedkit has loaded it, although cqedkit keeps it out of
     sys.modules."""
     probe = code + (
         "\nimport json, sys\n"
         "loaded = {m for m in sys.modules"
-        " if m.split('.')[0] in ('scipy', 'yaml', 'cqedkit') or m == 'numpy.ma'}\n"
+        " if m.split('.')[0] in ('scipy', 'yaml', 'orjson', 'cqedkit') or m == 'numpy.ma'}\n"
         "spectra = sys.modules.get('cqedkit.spectra')\n"
         "if spectra and spectra._flapack.cache_info().currsize:\n"
         "    loaded.add(spectra.FLAPACK)\n"
@@ -66,6 +67,7 @@ def test_package_import_loads_no_solver():
     loaded = _loaded_after("import cqedkit, cqedkit.cli")
     assert not _scipy(loaded)
     assert "yaml" not in loaded
+    assert "orjson" not in loaded
 
 
 def test_package_import_loads_no_submodule_but_errors():
@@ -150,6 +152,24 @@ def test_gate_verbs_load_linalg_only(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     loaded = _loaded_after(_main(argv))
     assert _scipy(loaded) == {"scipy.linalg._flapack"}
+
+
+@pytest.mark.parametrize("argv, csv", [
+    (["fit-resonator", "trace.csv", "--out", "fit.json"], True),
+    (["fit-lorentzian", "dip.csv"], True),
+    (["fit-rabi", "rabi.csv", "--out", "fit.json"], True),
+    (["synth", "--config", str(CONFIGS / "synth_gate_map.yaml"), "--out", "map.csv"], True),
+    (["sweep-gate", "--config", PIPELINE_YAML, "--out", "sweep.csv"], True),
+    (["pipeline", "--config", PIPELINE_YAML, "--workdir", "run"], True),
+    (["simulate-qubit", "--config", PIPELINE_YAML, "--out", "q.json", "--plot", "q.svg"], False),
+    (["simulate-cavity", "--config", PIPELINE_YAML, "--out", "cavity.json"], False),
+], ids=["fit-resonator", "fit-lorentzian", "fit-rabi", "synth", "sweep-gate", "pipeline",
+        "simulate-qubit", "simulate-cavity"])
+def test_only_csv_verbs_load_orjson(argv, csv, tmp_path, monkeypatch):
+    # orjson imports uuid and zoneinfo: a verb that reads and writes no CSV skips it
+    monkeypatch.chdir(tmp_path)
+    _fit_inputs(tmp_path)
+    assert ("orjson" in _loaded_after(_main(argv))) == csv
 
 
 FIT_MODULES = {"cli", "errors", "io", "fitters", "lm"}

@@ -7,11 +7,15 @@ import inspect
 import json
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cqedkit import (
     ComplexTrace,
@@ -268,6 +272,98 @@ def test_every_writer_matches_the_per_cell_oracle(tmp_path):
                   points))
     for path, header, rows in cases:
         assert path.read_text() == csv_oracle.text(header, rows), path.name
+
+
+def _ulps_around(x):
+    """x and the floats one ulp either side of it."""
+    return [np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)]
+
+
+# the ends of the range where orjson's digits are repr's, and values on
+# either side of them, with the cells orjson cannot write as repr does
+WRITER_EDGES = [
+    *(v for x in (1e-9, 1e-5, 1e-4, 1e16) for s in (1.0, -1.0) for v in _ulps_around(s * x)),
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.5e-310,
+    0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 5.443, -3.0, 1e15, 9999999999999998.0,
+]
+
+
+@pytest.mark.parametrize("cell", WRITER_EDGES, ids=repr)
+def test_writer_edge_cells_match_the_oracle(tmp_path, cell):
+    # the cell alone, and in a row whose other cells orjson writes as repr does
+    rows = np.array([[cell], [0.5]]), np.array([[0.25, cell, 7.5], [1.0, 2.0, 3.0]])
+    for table in rows:
+        header = [f"c{k}" for k in range(table.shape[1])]
+        path = io._write_rows(tmp_path / "x.csv", header, table)
+        assert path.read_text() == csv_oracle.text(header, table)
+
+
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                  elements=st.floats(width=64) | st.sampled_from(WRITER_EDGES)))
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_the_oracle_on_any_table(tmp_path_factory, table):
+    header = [f"c{k}" for k in range(table.shape[1])]
+    path = io._write_rows(tmp_path_factory.mktemp("w") / "x.csv", header, table)
+    assert path.read_text() == csv_oracle.text(header, table)
+
+
+def test_map_writer_formats_a_strided_fast_axis(tmp_path):
+    # the fast axis goes through the row formatter, which needs contiguous rows
+    from cqedkit import Map2D
+    m = Map2D("P", np.array([1.0, 2.0]), "f", np.linspace(5.0, 6.0, 11)[::2], np.ones((2, 6)))
+    assert io.write_map_csv(tmp_path / "m.csv", m).read_text() == csv_oracle.map_text(m)
+
+
+HALF_ULP_ABOVE_1 = format(Decimal(1) + Decimal(2) ** -53, "f")  # 1 + 2**-53, exactly
+
+# cell texts where JSON and float() may part: each must read as the oracle
+# reads it, to the bit, or fail with its message on its line
+READER_CELLS = [
+    "-0", "-0 ", " -0", "0", "+1", ".5", "5.", "1_0", "00.5", "1e400", "-1e400", "1e-400",
+    "-1e-400", "-0e0", "-0.0", "1e-0", "1E5", "true", "false", "null", '"1"', "[1]", "[]",
+    "{}", "[[1.5]]", "NaN", "nan", "-Infinity", "inf", "\u0661", "\u00a01.5", "1\t",
+    "1" + "0" * 399, "0." + "3" * 398, "1" + "0" * 399 + "e-390", "-" + "9" * 399 + ".5e-399",
+    HALF_ULP_ABOVE_1, HALF_ULP_ABOVE_1 + "0" * 340 + "1",
+    str(2**53 + 1), str(-(2**53 + 1)), str(2**64 + 1), str(-(2**63) - 1), str(2**63 + 2**10 + 1),
+]
+
+
+def _read_both(path, width):
+    """(io's outcome, the oracle's outcome) on the data rows of ``path``: the
+    table's shape and bytes, or the error's message and line."""
+    outcomes = []
+    for read in (io._numeric_rows, csv_oracle.numeric_rows):
+        lines = io._data_lines(path)
+        next(lines)
+        try:
+            table = read(path, lines, width)
+            outcomes.append((table.shape, table.tobytes()))
+        except InputDataError as exc:
+            outcomes.append((str(exc), exc.line))
+    return outcomes
+
+
+@pytest.mark.parametrize("cell", READER_CELLS, ids=lambda c: repr(c[:24]))
+def test_reader_matches_the_oracle(tmp_path, cell):
+    layouts = [[cell], [cell, "1.5"], ["1.5", cell], ["1.5", cell, "-2.5"], [cell] * 3,
+               ["-0", cell], [cell, "-0"]]
+    for cells in layouts:
+        path = tmp_path / "x.csv"
+        path.write_text("h\n" + ",".join(["4.0"] * len(cells)) + "\n" + ",".join(cells) + "\n")
+        got, want = _read_both(path, len(cells))
+        assert got == want, cells
+
+
+@given(st.lists(st.tuples(st.floats(width=64), st.sampled_from(
+    ["{!r}", "{:.17g}", "{:.3e}", "{:.0f}", "{:f}", "{:.20f}"])), min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_reader_matches_the_oracle_on_any_row(tmp_path_factory, cells):
+    # "{:.0f}" writes integers, -0 among them
+    texts = [form.format(x) for x, form in cells]
+    path = tmp_path_factory.mktemp("r") / "x.csv"
+    path.write_text("h\n" + ",".join(texts) + "\n")
+    got, want = _read_both(path, len(texts))
+    assert got == want
 
 
 class TestJson:
