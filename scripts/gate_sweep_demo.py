@@ -1,108 +1,43 @@
-"""Sweep a simulated gate-tunable qubit and render the readout maps.
+"""Draw the gate sweep and the paper's two maps through the command line.
 
-Generates a pinch-off style junction profile, sweeps it through the
-dispersive and hybridized regimes against a fixed cavity, and writes the
-sweep table plus SVG renderings of the sweep, the cavity gate map, and a
-two-tone spectroscopy map.
+Runs `python -m cqedkit` as the CLI fingerprint's synth-gate_map,
+synth-two_tone and sweep-gate-files runs do, writing into OUT: `synth` on
+configs/synth_gate_map.yaml and configs/synth_two_tone.yaml, `sweep-gate` on
+the latter. Their CSVs and SVGs hash as in tests/cli_fingerprint.txt.
+Then it draws the panel no verb draws: two_tone.csv read back, less its
+per-column median over the gate axis. A failing verb's exit code ends it.
 
-Run: python3 scripts/gate_sweep_demo.py [--outdir OUT] [--seed N]
+Run: python3 scripts/gate_sweep_demo.py [--outdir OUT]
 """
 
 import argparse
+import subprocess
+import sys
 from pathlib import Path
 
-from cqedkit import (
-    DispersiveSystem,
-    Map2D,
-    QubitParams,
-    SynthSpec,
-    gate_sweep,
-    io,
-    nanowire_profile,
-    subtract_background,
-    svgplot,
-    synth_gate_map,
-    synth_two_tone,
-    transmon_levels,
-)
+from cqedkit import io, subtract_background, svgplot
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+# (verb, config, output stem) of each run
+RUNS = [("synth", "gate_map", "gate_map"), ("synth", "two_tone", "two_tone"),
+        ("sweep-gate", "two_tone", "sweep")]
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="demo_out", help="artifact directory")
-    ap.add_argument("--seed", type=int, default=3, help="junction profile seed")
-    args = ap.parse_args()
-    out = Path(args.outdir)
-
-    # the ej value is a placeholder; the sweep replaces it point by point
-    params = QubitParams(ec=190.0, ej=9500.0)
-    system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0, kappa_mhz=1.2,
-                              gamma_q_mhz=0.3)
-    model = nanowire_profile(seed=args.seed, v_min=-2.0, v_max=10.0, n=61,
-                             v_pinch=0.0, max_value=20000.0, maps_to="ej")
-
-    sweep = gate_sweep(model, params, system)
-    print(f"wrote {io.write_sweep_csv(out / 'sweep.csv', sweep)}")
-
-    vg = sweep.column("V_G")
-    svgplot.line_plot(
-        out / "sweep.svg",
-        vg,
-        [
-            ("f_C", sweep.column("f_C_GHz")),
-            ("f_plus", sweep.column("f_plus_GHz")),
-            ("f_minus", sweep.column("f_minus_GHz")),
-            ("f_Q", sweep.column("f_Q_MHz") / 1e3),
-        ],
-        xlabel="V_G (V)",
-        ylabel="frequency (GHz)",
-        title="gate sweep",
-    )
-    print(f"wrote {out / 'sweep.svg'}")
-
-    # cavity response map: one reflection trace per gate point
-    spec = SynthSpec(
-        kind="gate_map",
-        seed=args.seed + 100,
-        snr_db=30.0,
-        truth={"depth": 0.8},
-        grid={"f_min_ghz": 5.30, "f_max_ghz": 5.58, "n_f": 561,
-              "v_min": -2.0, "v_max": 10.0, "n_v": 61},
-    )
-    gm = synth_gate_map(spec, sweep)
-    svgplot.heatmap(out / "gate_map.svg", gm.slow_values, gm.fast_values,
-                    gm.grid, xlabel=gm.fast_name, ylabel=gm.slow_name,
-                    title="cavity gate map")
-    print(f"wrote {out / 'gate_map.svg'}")
-
-    # two-tone map with the two-photon line; show it raw and
-    # background-subtracted side by side
-    alpha = transmon_levels(QubitParams(ec=190.0, ej=9500.0)).alpha
-    spec = SynthSpec(
-        kind="two_tone_map",
-        seed=args.seed + 200,
-        snr_db=30.0,
-        truth={"depth": 0.5, "fwhm_mhz": 8.0, "two_photon": True,
-               "alpha_mhz": alpha, "background_amp": 0.05,
-               "background_period_ghz": 1.3},
-        grid={"f_min_ghz": 2.0, "f_max_ghz": 5.6, "n_f": 721,
-              "v_min": -2.0, "v_max": 10.0, "n_v": 61},
-    )
-    tt = synth_two_tone(spec, sweep)
-    svgplot.heatmap(out / "two_tone.svg", tt.slow_values, tt.fast_values,
-                    tt.grid, xlabel=tt.fast_name, ylabel=tt.slow_name,
-                    title="two-tone map (raw)")
-    flat = subtract_background(tt.grid, axis=0)
-    svgplot.heatmap(out / "two_tone_flat.svg", tt.slow_values, tt.fast_values,
-                    flat, xlabel=tt.fast_name, ylabel=tt.slow_name,
-                    title="two-tone map (background subtracted)")
-    print(f"wrote {out / 'two_tone.svg'}")
-    print(f"wrote {out / 'two_tone_flat.svg'}")
-
-    regimes = {}
-    for p in sweep.points:
-        regimes[p.regime] = regimes.get(p.regime, 0) + 1
-    print("regimes:", ", ".join(f"{k}={v}" for k, v in sorted(regimes.items())))
+    out = Path(ap.parse_args().outdir)
+    for verb, config, stem in RUNS:
+        argv = [verb, "--config", CONFIGS / f"synth_{config}.yaml",
+                "--out", out / f"{stem}.csv", "--plot", out / f"{stem}.svg"]
+        done = subprocess.run([sys.executable, "-m", "cqedkit", *map(str, argv)])
+        if done.returncode:
+            raise SystemExit(done.returncode)
+    m = io.read_map_csv(out / "two_tone.csv")
+    svg = svgplot.heatmap(out / "two_tone_flat.svg", m.slow_values, m.fast_values,
+                          subtract_background(m.grid, axis=0), m.fast_name, m.slow_name,
+                          "two-tone map, background subtracted")
+    print(f"wrote {svg}")
 
 
 if __name__ == "__main__":

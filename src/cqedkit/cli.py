@@ -20,35 +20,27 @@ import dataclasses
 import sys
 import warnings
 from collections import Counter
-from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
+import cqedkit
+
 from . import io
 from .errors import InputDataError, SolverError
 
-# library function -> its module. A verb calls each as this module's
-# attribute holds it at call time, so a caller can swap one here (a test,
-# or a tracer timing the verbs); without one, its module loads on first use.
-_CALLS = {
-    **dict.fromkeys(("gatemon_levels", "transmon_levels"), "spectra"),
-    "gate_sweep": "coupling",
-    **dict.fromkeys(("fit_reflection", "fit_lorentzian", "fit_rabi"), "fitters"),
-    **dict.fromkeys(("synth_reflection", "synth_rabi", "synth_power_map", "synth_gate_map",
-                     "synth_two_tone"), "synth"),
-}
-
-
-def _home(name: str):
-    """The library function ``name`` as its own module holds it."""
-    return getattr(import_module(f".{_CALLS[name]}", __package__), name)
+# the library functions a verb calls as this module's attribute holds it at
+# call time, so a caller can swap one here (a test, or a tracer timing the
+# verbs); without one, the package serves it and its module loads on first use
+_CALLS = ("gatemon_levels", "transmon_levels", "gate_sweep", "fit_reflection", "fit_lorentzian",
+          "fit_rabi", "synth_reflection", "synth_rabi", "synth_power_map", "synth_gate_map",
+          "synth_two_tone")
 
 
 def _call(name: str):
     """The library function ``name``: this module's attribute, if one is
-    set, else its own module's."""
-    return globals().get(name) or _home(name)
+    set, else the package's."""
+    return globals().get(name) or getattr(cqedkit, name)
 
 
 def __getattr__(name: str):
@@ -60,7 +52,7 @@ def __getattr__(name: str):
     if name not in _CALLS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     for func in _CALLS:
-        globals().setdefault(func, _home(func))
+        globals().setdefault(func, getattr(cqedkit, func))
     return globals()[name]
 
 

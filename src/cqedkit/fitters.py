@@ -480,6 +480,13 @@ def lorentzian_jacobian(x, f, _y):
     return j
 
 
+def _fold(result: FitResult, idx: list[int]) -> None:
+    """Negate params[idx] and their covariance rows and columns (D cov D)."""
+    result.params[idx] *= -1
+    result.covariance[idx] *= -1
+    result.covariance[:, idx] *= -1
+
+
 def fit_lorentzian(freqs, mags) -> FitResult:
     """Fit a Lorentzian dip to (frequency, magnitude) samples.
 
@@ -513,7 +520,8 @@ def fit_lorentzian(freqs, mags) -> FitResult:
     if not result.converged:
         raise NotConvergedError(f"Lorentzian fit did not converge: {result.message}")
     # fwhm enters squared, so normalize the sign convention
-    result.params[1] = abs(result.params[1])
+    if result.params[1] < 0:
+        _fold(result, [1])
     return result
 
 
@@ -590,8 +598,7 @@ def fit_rabi(t_ns, y) -> FitResult:
         raise NotConvergedError(f"Rabi fit did not converge: {result.message}")
     # cos(-w t - B) = cos(w t + B): fold the sign degeneracy away
     if result.params[2] < 0:
-        result.params[2] = -result.params[2]
-        result.params[3] = -result.params[3]
+        _fold(result, [2, 3])
     if result.params[1] <= 0:
         raise NotConvergedError(
             f"fit landed on a non-positive decay time T_R = {result.params[1]:.3g}"

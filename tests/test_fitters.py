@@ -438,6 +438,59 @@ def test_rabi_sign_fold(monkeypatch):
     assert fit.param("B") == pytest.approx(truth["B"], abs=0.1)
 
 
+def _start_mirrored(monkeypatch, flip):
+    """Make the fitters' optimizer start with the parameters at ``flip`` negated."""
+    real = fitters.lm_minimize
+
+    def mirrored(fn, x0, *args, **kwargs):
+        x0 = np.array(x0, dtype=float)
+        x0[flip] *= -1.0
+        return real(fn, x0, *args, **kwargs)
+
+    monkeypatch.setattr(fitters, "lm_minimize", mirrored)
+
+
+def _correlation(cov):
+    s = np.sqrt(np.diag(cov))
+    return cov / np.outer(s, s)
+
+
+def test_rabi_sign_fold_folds_the_covariance(monkeypatch):
+    # from the mirrored seed (-omega, -B) the fit lands on the mirror
+    # solution; after the fold, its correlations of omega and B with A, T_R
+    # and the background keep the sign the direct fit gives them (the
+    # unfolded covariance gets up to 0.12 of them wrong)
+    spec = SynthSpec(kind="rabi_trace", seed=5, snr_db=20.0,
+                     truth={"A": 1.0, "T_R": 260.0, "omega": 2 * np.pi / 32.0,
+                            "B": 0.3, "a": -2e-4, "b": 0.1},
+                     grid={"t_max_ns": 1000.0, "n_t": 251})
+    t, y = synth_rabi(spec)
+    direct = fit_rabi(t, y)
+    _start_mirrored(monkeypatch, [2, 3])
+    runs = _spy_lm(monkeypatch)
+    fit = fit_rabi(t, y)
+    assert runs[0][1][2] < 0
+    np.testing.assert_allclose(fit.params, direct.params, rtol=1e-6)
+    np.testing.assert_allclose(_correlation(fit.covariance), _correlation(direct.covariance),
+                               rtol=0.0, atol=1e-4)
+
+
+def test_lorentzian_sign_fold_folds_the_covariance(monkeypatch):
+    # from -fwhm the fit lands on the same dip with fwhm < 0; the fold
+    # gives back the direct fit bit for bit, covariance included
+    rng = np.random.default_rng(5)
+    f = np.linspace(4790.0, 5210.0, 841)
+    y = lorentzian_model(f, 5000.0, 21.0, 0.8, 1.0) + rng.normal(0, 0.02, f.size)
+    direct = fit_lorentzian(f, y)
+    _start_mirrored(monkeypatch, [1])
+    runs = _spy_lm(monkeypatch)
+    fit = fit_lorentzian(f, y)
+    assert runs[0][1][1] < 0
+    assert np.array_equal(fit.params, direct.params)
+    assert np.array_equal(fit.covariance, direct.covariance)
+    assert _correlation(fit.covariance)[1, 2] < 0
+
+
 def test_rabi_batched_jacobian_bit_identical():
     t = np.linspace(0.0, 1000.0, 501)
     y = rabi_model(t, 1.0, 300.0, 0.2, 0.4, 1e-4, 0.5)

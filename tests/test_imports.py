@@ -91,6 +91,16 @@ def test_cli_serves_only_the_library_functions_its_verbs_call():
         cli.lorentzian_model  # noqa: B018
 
 
+def test_cli_names_are_the_packages():
+    # cli keeps no module table of its own: the package serves every name
+    import cqedkit.cli as cli
+
+    assert set(cli._CALLS) <= set(cqedkit.__all__)
+    assert len(set(cli._CALLS)) == len(cli._CALLS) == 11
+    for name in cli._CALLS:
+        assert getattr(cli, name) is getattr(cqedkit, name), name
+
+
 def test_a_public_name_loads_its_own_submodule():
     loaded = _cqedkit(_loaded_after("from cqedkit import fit_rabi, NoDipError"))
     assert loaded == {"errors", "fitters", "io", "lm"}

@@ -75,6 +75,20 @@ def test_gate_sweep_demo_writes_artifacts(tmp_path):
     assert (tmp_path / "sweep.csv").stat().st_size > 0
     for name in ("sweep.svg", "gate_map.svg", "two_tone.svg", "two_tone_flat.svg"):
         assert (tmp_path / name).read_text().startswith("<svg"), name
+    # the verbs' files are the fingerprint's, byte for byte
+    golden = dict(reversed(line.split("  ", 1)) for line in GOLDEN.read_text().splitlines())
+    for name in ("gate_map.csv", "gate_map.svg", "two_tone.csv", "two_tone.svg", "sweep.csv",
+                 "sweep.svg"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == golden[name], name
+
+
+def test_gate_sweep_demo_stops_at_a_failing_verb(tmp_path):
+    # OUT is a file, so the first verb cannot write into it and exits 1
+    (tmp_path / "out").touch()
+    done = _run("gate_sweep_demo.py", "--outdir", "out", cwd=tmp_path)
+    assert done.returncode == 1
+    assert "cannot write" in done.stderr
+    assert "two_tone" not in done.stdout + done.stderr
 
 
 def test_cli_fingerprint_hashes_every_stream(tmp_path):

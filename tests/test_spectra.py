@@ -824,6 +824,84 @@ def test_illinois_step_off_the_bracket_bisects():
     assert root == pytest.approx(1.0, abs=1e-9)
 
 
+# Analytic limits: each ties the gatemon solver to the transmon solver or
+# the transmon solver to the literature, as a statement that converges.
+# Junction shapes: one channel, two equal channels and configs/gatemon.yaml's
+# three unequal ones.
+LIMIT_JUNCTIONS = [(0.9,), (0.5, 0.5), (0.85, 0.3, 0.1)]
+
+
+@pytest.mark.parametrize("hold", ["gap", "ej"])
+@pytest.mark.parametrize("shape", LIMIT_JUNCTIONS)
+def test_gatemon_tunnel_limit_is_the_transmon(shape, hold):
+    # With x = sin^2(phi/2), a channel's -gap*sqrt(1 - T*x) is
+    # -gap + (gap*T/4)*(1 - cos phi) + V_T(x), V_T = gap*(1 - T*x/2 - sqrt(1 - T*x)),
+    # and 0 <= V_T <= V_T(1). So the gatemon is the transmon at
+    # EJ = gap*sum(T)/4, plus a constant, plus V = sum V_T with
+    # 0 <= V <= V_max = sum V_T(1). By Weyl's inequality every level then
+    # moves by an amount in [0, V_max], so |f01 gatemon - f01 transmon| <= V_max.
+    # The series of 1 - T/2 - sqrt(1 - T) starts at T^2/8 and no later
+    # coefficient exceeds 1/8, so V_max <= gap*sum(T^2) / (8*(1 - max T)).
+    # At a fixed gap the f01 gap over sum(T^2) so stays bounded as T -> 0.
+    # At a fixed EJ (the gap grows as 1/sum(T)) the f01 gap itself falls
+    # as sum(T^2)/sum(T), where a wrong first-order term (a wrong EJ)
+    # would leave it finite; it settles at 0.047 of V_max.
+    gap, ej = 45600.0, 30.0 * EC
+    for scale in (0.1, 0.03, 0.01, 0.003, 0.001):
+        t = tuple(scale * x for x in shape)
+        if hold == "ej":
+            gap = 4.0 * ej / sum(t)
+        f01 = gatemon_levels(QubitParams(ec=EC, gap=gap, transmissions=t)).f01
+        f01_transmon = transmon_levels(QubitParams(ec=EC, ej=gap * sum(t) / 4.0)).f01
+        v_max = gap * sum(1.0 - x / 2.0 - math.sqrt(1.0 - x) for x in t)
+        assert abs(f01 - f01_transmon) <= v_max, scale
+        assert v_max <= gap * sum(x * x for x in t) / (8.0 * (1.0 - max(t)))
+
+
+@pytest.mark.parametrize("shape", LIMIT_JUNCTIONS + [(0.3,)])
+def test_gatemon_anharmonicity_approaches_kringhoj(shape):
+    # To fourth order in phi the channel potentials sum to
+    # EJ*phi^2/2 - (EJ/24)*(1 - 3*sum(T^2)/(4*sum(T)))*phi^4 with
+    # EJ = gap*sum(T)/4, where the transmon's -EJ*cos(phi) has -(EJ/24)*phi^4
+    # (Kringhoj et al., PRB 97, 060508(R) (2018)). alpha follows the quartic
+    # term at first order, so at equal EJ the ratio of the two alphas is
+    # 1 - 3*sum(T^2)/(4*sum(T)) up to the sixth-order term, which is smaller
+    # by the phase spread <phi^2> ~ sqrt(8*EC/EJ). A tenfold gap shrinks
+    # that by sqrt(10); the bound allows twice that for the next order.
+    # Measured steps: 0.16-0.35 of the error, 0.505 at (0.3,)'s EJ/EC = 18.
+    limit = 1.0 - 3.0 * sum(t * t for t in shape) / (4.0 * sum(shape))
+    errors = []
+    for gap in (45600.0, 456000.0, 4560000.0):
+        alpha = gatemon_levels(QubitParams(ec=EC, gap=gap, transmissions=shape)).alpha
+        alpha_transmon = transmon_levels(QubitParams(ec=EC, ej=gap * sum(shape) / 4.0)).alpha
+        errors.append(abs(alpha / alpha_transmon - limit))
+    for before, after in zip(errors, errors[1:]):
+        assert after <= 2.0 / math.sqrt(10.0) * before, errors
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_transmon_charge_dispersion_approaches_koch(level):
+    # The peak-to-peak offset-charge dispersion of level m is the width of
+    # a Mathieu band at q = EJ/(2*EC). Its asymptote is Koch et al.'s
+    # eps_m = EC * 2^(4m+5)/m! * sqrt(2/pi) * q^(m/2+3/4) * exp(-sqrt(8*EJ/EC))
+    # (PRA 76, 042319 (2007)), and Abramowitz & Stegun 20.2.31 give its next
+    # factor, 1 - (6m^2 + 14m + 7)/(32*sqrt(q)) + O(1/q). So solved/eps_m
+    # rises toward 1 from below and stays within O(1/q) of that factor;
+    # 0.1/q holds at every ratio here (measured up to 0.086/q).
+    ec, m = 200.0, level
+    ratios = []
+    for ej_over_ec in (10, 20, 30, 50):
+        ej, q = ej_over_ec * ec, ej_over_ec / 2.0
+        e0, e_half = (transmon_levels(QubitParams(ec=ec, ej=ej, ng=ng)).levels[m]
+                      for ng in (0.0, 0.5))
+        eps = (ec * 2 ** (4 * m + 5) / math.factorial(m) * math.sqrt(2.0 / math.pi)
+               * q ** (m / 2 + 0.75) * math.exp(-math.sqrt(8.0 * ej / ec)))
+        ratio = abs(e_half - e0) / eps
+        ratios.append(ratio)
+        assert abs(ratio - (1.0 - (6 * m * m + 14 * m + 7) / (32.0 * math.sqrt(q)))) <= 0.1 / q
+    assert ratios == sorted(ratios) and ratios[-1] < 1.0, ratios
+
+
 @pytest.mark.parametrize("length", [1e-303, 1e-323], ids=["square-overflows", "ratio-overflows"])
 def test_te_mode_frequency_refuses_to_overflow(length):
     with pytest.raises(ValueError, match=r"TE\(1,0,1\) frequency overflows"):
