@@ -5,7 +5,8 @@ Run: python3 scripts/reach_census.py [PYTEST_ARGS ...]
 
 The arguments go to pytest as they are (default: the tests/ directory,
 quietly). Only in-process execution is seen: code that a test runs in a
-subprocess, such as the package's __main__.py, counts as unreached. The
+subprocess, such as the package's __main__.py, or in a process forked
+from pytest's, such as a gatemon sweep's helper, counts as unreached. The
 executable lines of a module are the line numbers of its compiled code
 objects, nested functions and comprehensions included. The census prints
 one line per module, then the total, and exits with pytest's code.

@@ -12,6 +12,9 @@ wrappers.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -315,7 +318,10 @@ def gate_sweep(
     a transmission table clips at 1 share one solve, and every distinct
     junction value runs its refinement check. ``solver_options``
     (``n_cut`` or ``grid_n``, as from ``config.solver_options``) goes to
-    every solve.
+    every solve. A gatemon sweep shares its solves among the usable cores
+    through forked helpers (``_solve_shared``), with a serial run's bits
+    and its first failure in V_G order; a transmon sweep, whose solves
+    cost less than a fork, runs them here.
     """
     solver_options = solver_options or {}
     if voltages is None:
@@ -328,23 +334,31 @@ def gate_sweep(
         n = len(params.transmissions)
         raise ValueError(f"a transmission sweep drives one channel; the gatemon has {n}")
 
+    first_vg = {}  # junction value to solve -> the lowest V_G it occurs at
+    values = model(voltages).tolist()
+    for v, value in zip(voltages.tolist(), values):
+        if not value <= 0.0:  # as the points below; a NaN is solved, and refused
+            first_vg.setdefault(value, v)
+
+    def solve(value):
+        if is_transmon_sweep:
+            return transmon_levels(replace(params, ej=value), **solver_options)
+        return gatemon_levels(replace(params, transmissions=(value,)), **solver_options)
+
+    run = _solve_run if is_transmon_sweep else _solve_shared
+    solved = dict(zip(first_vg, run(solve, list(first_vg))))
+    for value, outcome in solved.items():
+        if isinstance(outcome, CqedkitError):
+            raise type(outcome)(f"V_G = {first_vg[value]:g}: {outcome}") from outcome
+        if isinstance(outcome, Exception):
+            raise outcome
+
     points = []
-    solved = {}  # junction value -> spectrum; a clipped table repeats values
-    for v, value in zip(voltages, model(voltages).tolist()):
+    for v, value in zip(voltages.tolist(), values):
         if value <= 0.0:
             f01, chi, f_c = math.nan, 0.0, system.f_bare_ghz
             f_plus = f_minus = math.nan
         else:
-            if value not in solved:
-                try:
-                    if is_transmon_sweep:
-                        solved[value] = transmon_levels(
-                            replace(params, ej=value), **solver_options)
-                    else:
-                        solved[value] = gatemon_levels(
-                            replace(params, transmissions=(value,)), **solver_options)
-                except CqedkitError as exc:
-                    raise type(exc)(f"V_G = {v:g}: {exc}") from exc
             f01 = solved[value].f01
             delta = system.f_bare_ghz * 1e3 - f01
             f_plus, f_minus = anti_crossing(system.f_bare_ghz, f01 / 1e3, system.g_mhz)
@@ -356,5 +370,107 @@ def gate_sweep(
                 # the branch that carries the cavity character
                 chi = math.nan
                 f_c = f_plus if f01 <= system.f_bare_ghz * 1e3 else f_minus
-        points.append(SweepPoint(float(v), f01, chi, f_c, f_plus, f_minus))
+        points.append(SweepPoint(v, f01, chi, f_c, f_plus, f_minus))
     return SweepResult(points, system)
+
+
+def _solve_run(solve, values) -> list:
+    """``solve(value)`` for each of ``values`` in order, up to the first
+    that raises; that one's exception ends the list."""
+    outcomes = []
+    for value in values:
+        try:
+            outcomes.append(solve(value))
+        except Exception as exc:
+            outcomes.append(exc)
+            break
+    return outcomes
+
+
+def _processes(n_values: int) -> int:
+    """How many processes share ``n_values`` solves: one per usable core, at
+    most one per value, and only the caller without os.fork, on one core
+    or while another OS thread runs (a thread may hold a lock across a
+    fork, which the child would then wait on forever)."""
+    if n_values < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    try:
+        if cores < 2 or len(os.listdir("/proc/self/task")) != 1:
+            return 1
+    except OSError:
+        return 1
+    return min(n_values, cores)
+
+
+def _solve_shared(solve, values: list) -> list:
+    """``_solve_run(solve, values)``, split across the usable cores.
+
+    The values go in contiguous chunks, one per process. The caller solves
+    the first chunk and each other chunk goes to a forked helper, which
+    sends its outcomes back through a pipe. Every outcome is the one the
+    caller would have computed, bit for bit, and the list still ends at
+    the first failure in the order of ``values``. A helper that sends
+    nothing leaves its chunk to the caller. No helper outlives the call.
+    """
+    n = _processes(len(values))
+    bounds = [len(values) * k // n for k in range(n + 1)]
+    chunks = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+    helpers = []
+    try:
+        for chunk in chunks[1:]:
+            helpers.append(_fork_helper(solve, chunk))
+        outcomes = _solve_run(solve, chunks[0])
+        for helper, chunk in zip(helpers, chunks[1:]):
+            if isinstance(outcomes[-1], Exception):
+                break
+            outcomes += (helper and _received(helper[1])) or _solve_run(solve, chunk)
+        return outcomes
+    finally:
+        for helper in filter(None, helpers):
+            pid, fd = helper
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)  # a helper still solving is not waited for
+            os.waitpid(pid, 0)
+
+
+def _fork_helper(solve, values):
+    """(pid, read end of its pipe) of a forked helper solving ``values``,
+    or None when the pipe or the fork fails."""
+    try:
+        fd, out = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        os.close(out)
+        return None
+    if pid == 0:
+        os.close(fd)
+        _helper(out, solve, values)
+    os.close(out)
+    return pid, fd
+
+
+def _helper(fd: int, solve, values) -> None:
+    """A forked helper's whole life: solve ``values``, write the outcomes
+    to ``fd`` as one pickle and leave by os._exit, so that none of the
+    parent's finally blocks, atexit handlers or buffered output runs again.
+    Outcomes that do not pickle are not sent."""
+    try:
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_solve_run(solve, values)))
+    finally:
+        os._exit(0)
+
+
+def _received(fd: int):
+    """The outcomes a helper wrote to ``fd``, or None if it wrote none."""
+    with open(fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    try:
+        return pickle.loads(data)
+    except Exception:
+        return None

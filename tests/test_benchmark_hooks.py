@@ -115,6 +115,49 @@ def test_workload_synth_specs_build(perfbench, name, tmp_path):
     assert len(workload.items) == workload.n_items and None not in workload.items
 
 
+@pytest.mark.parametrize("cores", [None, 2, 64], ids=["usable", "two", "more-than-values"])
+def test_every_gatemon_sweep_solves_in_this_process(perfbench, cores, monkeypatch, tmp_path):
+    # a gatemon sweep shares its solves with forked helpers, whose spans
+    # the tracer loses; each sweep must still call the function swapped in
+    # at cqedkit.coupling.gatemon_levels here, or a traced gate_sweep run
+    # could record no spectra.gatemon_levels span and fail
+    import cqedkit.coupling as coupling
+
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS["gate_sweep"]()
+    workload.setup(7, PERFBENCH.parent, tmp_path, False)
+    if cores is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    here, original = [], coupling.gatemon_levels
+
+    def swapped(*args, **kwargs):
+        here.append(os.getpid())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "gatemon_levels", swapped)
+    for i, kind in enumerate(workload.KINDS * 2):
+        before = len(here)
+        workload.op(i)
+        if kind == "gatemon":
+            assert len(here) > before, f"device {i}"
+
+
+def test_installed_tracer_sees_every_stressed_gate_sweep_layer(perfbench, tmp_path):
+    # perfbench/worker.py fails a traced gate_sweep run without these spans
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS["gate_sweep"]()
+    workload.setup(61, PERFBENCH.parent, tmp_path, False)
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        for i in range(workload.cycle):
+            workload.op(i)
+    finally:
+        tracer.uninstall()
+    assert {"coupling.gate_sweep", "spectra.gatemon_levels",
+            "spectra.transmon_levels"} <= set(tracer.names)
+
+
 def _reflection_csv(d):
     spec = SynthSpec(kind="reflection_trace", seed=11, snr_db=35.0,
                      truth={"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,

@@ -338,28 +338,33 @@ def test_gate_sweep_passes_solver_options_to_every_point():
             assert p.f_q_mhz == gatemon_levels(single, grid_n=401).f01
 
 
-def test_gate_sweep_solves_each_junction_value_once(monkeypatch):
+def test_gate_sweep_solves_each_junction_value_once(monkeypatch, tmp_path):
     from cqedkit import coupling
 
     # 11 of the 25 points clip to T = 1 exactly
     model = nanowire_profile(seed=1, n=25, max_value=1.0, maps_to="transmission")
     params = QubitParams(ec=220.0, gap=55000.0, transmissions=(1.0,))
     system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0, kappa_mhz=1.2, gamma_q_mhz=0.3)
-    solved = []
+    log = tmp_path / "solved.txt"
 
     def counting(p, **kwargs):
-        solved.append(p.transmissions)
+        # a file, not a list, so that the solves of forked helpers count too
+        with open(log, "a") as fh:
+            fh.write(f"{p.transmissions[0]!r}\n")
         return gatemon_levels(p, **kwargs)
+
+    def solved():
+        return [(float(t),) for t in log.read_text().split()]
 
     monkeypatch.setattr(coupling, "gatemon_levels", counting)
     sweep = gate_sweep(model, params, system)
     values = [float(model(v)) for v in model.voltages]
     assert values.count(1.0) == 11
-    assert sorted(solved) == sorted({(v,) for v in values if v > 0.0})
+    assert sorted(solved()) == sorted({(v,) for v in values if v > 0.0})
 
     # one call per point solves every point on its own
     each = [gate_sweep(model, params, system, voltages=[v]).points[0] for v in model.voltages]
-    assert len(solved) == len(set(solved)) + sum(v > 0.0 for v in values)
+    assert len(solved()) == len(set(solved())) + sum(v > 0.0 for v in values)
     assert np.array_equal(np.array([p[:6] for p in sweep.points]),
                           np.array([p[:6] for p in each]), equal_nan=True)
     assert [p.regime for p in sweep.points] == [p.regime for p in each]
