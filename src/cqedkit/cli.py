@@ -390,26 +390,20 @@ VERBS = {
 }
 
 
-def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
-    """Every verb's subparser; those of ``verbs`` (default: all) get their
-    arguments. The top-level help and usage name the verbs only."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb in VERBS, with its arguments."""
     parser = _Parser(prog="cqedkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help_text, arguments) in VERBS.items():
         p = sub.add_parser(name, help=help_text)
-        if name in verbs:
-            for flag, kwargs in arguments:
-                p.add_argument(flag, **kwargs)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # the top level takes no option values, so its command is the first
-    # verb name in argv, if it names one: only that verb needs arguments
-    parser = build_parser(verbs=[a for a in argv if a in VERBS][:1])
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     # a library warning prints as one line, as the errors below do; numpy's
     # floating-point and polyfit rank warnings (RuntimeWarnings) do not print
     saved, warnings.formatwarning = warnings.formatwarning, lambda msg, *_: f"warning: {msg}\n"

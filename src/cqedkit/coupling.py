@@ -138,11 +138,11 @@ def power_dependence(
 
     Phenomenological model: the dispersive shift chi is weighted by
     crossover_weight, giving f_bare + chi at n << n_crit and the bare
-    frequency at n >> n_crit.
+    frequency at n >> n_crit. synth_power_map draws each row's dip here.
     """
     chi = dispersive_shift_two_level(system.g_mhz, system.delta_mhz)
     weight = crossover_weight(system, powers_dbm, attenuation_db)
-    return system.f_bare_ghz + chi / 1e3 * weight
+    return system.f_bare_ghz + weight * chi / 1e3
 
 
 @dataclass

@@ -203,12 +203,14 @@ def synth_reflection(spec: SynthSpec):
     return ComplexTrace(f, _noisy(z, spec, abs(a), spec.seed))
 
 
-def _mag_dip(reflection_model, f_ghz, center_ghz, fwhm_mhz, depth):
+def _mag_dip(f_ghz, center_ghz, fwhm_mhz, depth):
     """|S21| of the symmetric reflection model, normalized to 1 off resonance.
 
     The loaded Q is set by the linewidth and the coupling Q by the requested
     relative dip depth, so cavity map rows really are reflection traces.
     """
+    from .fitters import reflection_model
+
     ql = center_ghz * 1e3 / max(fwhm_mhz, 1e-6)
     qc = 2.0 * ql / min(max(depth, 1e-9), 1.0)
     return np.abs(reflection_model(f_ghz, 1.0, ql, qc, 0.0, center_ghz))
@@ -218,16 +220,15 @@ def synth_power_map(spec: SynthSpec, system) -> Map2D:
     """Cavity |S21| vs (probe power, frequency) of a DispersiveSystem with
     a qubit; rows are reflection traces.
 
-    The dip sits at the power-dependent cavity frequency: dressed
-    (f_bare + chi) at low photon number, bare at high, with the logistic
-    crossover at the critical photon number. Its linewidth carries the
-    qubit-induced loss (g/Delta)^2 * gamma_q weighted by the same
+    The dip sits at the cavity frequency of coupling.power_dependence:
+    dressed (f_bare + chi) at low photon number, bare at high, with the
+    logistic crossover at the critical photon number. Its linewidth carries
+    the qubit-induced loss (g/Delta)^2 * gamma_q weighted by the same
     crossover, so the low-power line is the broader one.
 
     Truth keys and their defaults: SYNTH_KINDS["power_map"].
     """
-    from .coupling import crossover_weight, dispersive_shift_two_level
-    from .fitters import reflection_model
+    from .coupling import crossover_weight, power_dependence
 
     t = _truth(spec, "power_map")
     if system.qubit is None:
@@ -237,16 +238,13 @@ def synth_power_map(spec: SynthSpec, system) -> Map2D:
     atten = float(t["attenuation_db"])
     powers = spec.axis("p")
     f = spec.axis("f")
-    delta = system.delta_mhz
-    chi = dispersive_shift_two_level(system.g_mhz, delta)
-    purcell = system.induced_loss_mhz(delta)
+    centers = power_dependence(system, powers, atten)
+    purcell = system.induced_loss_mhz(system.delta_mhz)
+    fwhms = system.kappa_mhz + crossover_weight(system, powers, atten) * purcell
 
     grid = np.empty((powers.size, f.size))
-    for i, p in enumerate(powers):
-        w = crossover_weight(system, p, atten)
-        f_dip = system.f_bare_ghz + w * chi / 1e3
-        fwhm = system.kappa_mhz + w * purcell
-        row = baseline * _mag_dip(reflection_model, f, f_dip, fwhm, depth)
+    for i, (center, fwhm) in enumerate(zip(centers, fwhms)):
+        row = baseline * _mag_dip(f, center, fwhm, depth)
         grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("P_dBm", powers, "f_GHz", f, grid)
 
@@ -264,8 +262,6 @@ def synth_gate_map(spec: SynthSpec, sweep) -> Map2D:
 
     Truth keys and their defaults: SYNTH_KINDS["gate_map"].
     """
-    from .fitters import reflection_model
-
     t = _truth(spec, "gate_map")
     depth = float(t["depth"])
     baseline = float(t["baseline"])
@@ -284,12 +280,12 @@ def synth_gate_map(spec: SynthSpec, sweep) -> Map2D:
             row = np.full(f.shape, baseline)
             for center, w in ((pt.f_plus_ghz, w_plus), (pt.f_minus_ghz, 1.0 - w_plus)):
                 fwhm = w * kappa + (1.0 - w) * gamma
-                row = row * _mag_dip(reflection_model, f, center, fwhm, depth * w)
+                row = row * _mag_dip(f, center, fwhm, depth * w)
         elif pt.regime == "dispersive":
             fwhm = kappa + system.induced_loss_mhz(delta)
-            row = baseline * _mag_dip(reflection_model, f, pt.f_c_ghz, fwhm, depth)
+            row = baseline * _mag_dip(f, pt.f_c_ghz, fwhm, depth)
         else:  # pinch_off: bare cavity line
-            row = baseline * _mag_dip(reflection_model, f, pt.f_c_ghz, kappa, depth)
+            row = baseline * _mag_dip(f, pt.f_c_ghz, kappa, depth)
         grid[i] = _noisy(row, spec, baseline, (spec.seed, i))
     return Map2D("V_G", volts, "f_GHz", f, grid)
 
@@ -326,7 +322,7 @@ def synth_two_tone(spec: SynthSpec, sweep) -> Map2D:
     grid = np.empty((volts.size, f.size))
     for i, pt in enumerate(sweep.points):
         row = np.full(f.shape, baseline)
-        if pt.f_q_mhz == pt.f_q_mhz:  # skip pinch-off NaNs
+        if pt.regime != "pinch_off":
             f01 = pt.f_q_mhz / 1e3
             row = row - (baseline - lorentzian_model(f, f01, fwhm_ghz, depth, baseline))
             if t["two_photon"]:

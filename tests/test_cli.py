@@ -949,25 +949,6 @@ def test_verb_arguments_and_help():
         assert got == arguments, verb
 
 
-@pytest.mark.parametrize("argv, verbs", [
-    (["fit-rabi", "--help"], ["fit-rabi"]),
-    (["--bogus", "synth", "--config", "x.yaml"], ["synth"]),
-    (["--help"], []),
-    (["frobnicate", "pipeline"], ["pipeline"]),
-])
-def test_a_run_builds_only_its_verbs_arguments(argv, verbs, monkeypatch, capsys):
-    import cqedkit.cli as cli
-
-    built = []
-    real = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda verbs: built.append(verbs) or real(verbs))
-    with pytest.raises(SystemExit):
-        main(argv)
-    assert built == [verbs]
-    sub = next(a for a in real(verbs)._actions if a.dest == "command")
-    assert [v for v, p in sub.choices.items() if len(p._actions) > 1] == verbs
-
-
 class TestArgumentErrors:
     def test_unknown_verb(self, capsys):
         with pytest.raises(SystemExit) as err:

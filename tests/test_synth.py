@@ -26,8 +26,11 @@ from cqedkit import (
     synth_two_tone,
 )
 from cqedkit import io
-from cqedkit.coupling import QubitParams, dispersive_shift_two_level
+from cqedkit.coupling import (
+    QubitParams, crossover_weight, dispersive_shift_two_level, power_dependence,
+)
 from cqedkit.errors import ConfigError
+from cqedkit.fitters import reflection_model
 from cqedkit.synth import SYNTH_KINDS
 
 REFL_TRUTH = {"a_re": 1.0, "a_im": 0.0, "ql": 6000.0, "qc": 12000.0,
@@ -394,6 +397,32 @@ class TestPowerMap:
         half = 1.0 - 0.4  # half of the default 0.8 depth
         widths = np.sum(m.grid < half, axis=1)
         assert widths[0] > widths[-1]
+
+    def test_rows_are_drawn_at_power_dependence(self):
+        # seed 167 gives a system where chi / 1e3 * w and w * chi / 1e3 land
+        # on different sides of a rounding boundary once added to f_bare, at
+        # row 8; each row must be the reflection model at power_dependence's
+        # centre, with the crossover-weighted linewidth, to the last bit
+        rng = np.random.default_rng(167)
+        f01 = rng.uniform(3000.0, 4000.0)
+        system = DispersiveSystem(
+            f_bare_ghz=rng.uniform(5.40, 5.48), g_mhz=rng.uniform(40.0, 100.0),
+            qubit=QubitSpectrum(levels=[0.0, f01, 2.0 * f01 - 200.0]),
+            kappa_mhz=1.2, gamma_q_mhz=0.3,
+        )
+        f_bare, chi = system.f_bare_ghz, dispersive_shift_two_level(system.g_mhz, system.delta_mhz)
+        spec = SynthSpec(kind="power_map", seed=3, snr_db=None, truth={},
+                         grid={"f_min_ghz": f_bare + chi / 1e3 - 0.01, "f_max_ghz": f_bare + 0.01,
+                               "n_f": 401, "p_min_dbm": -150.0, "p_max_dbm": -105.0, "n_p": 46})
+        powers, f = spec.axis("p"), spec.axis("f")
+        w = crossover_weight(system, powers)
+        assert (f_bare + chi / 1e3 * w)[8] != (f_bare + w * chi / 1e3)[8]
+        fwhms = system.kappa_mhz + w * system.induced_loss_mhz(system.delta_mhz)
+        rows = []
+        for center, fwhm in zip(power_dependence(system, powers), fwhms):
+            ql = center * 1e3 / fwhm
+            rows.append(np.abs(reflection_model(f, 1.0, ql, 2.0 * ql / 0.8, 0.0, center)))
+        assert np.array(rows).tobytes() == synth_power_map(spec, system).grid.tobytes()
 
     def test_needs_attached_qubit(self):
         system = DispersiveSystem(f_bare_ghz=5.443, g_mhz=100.0)
